@@ -22,8 +22,8 @@ import numpy as np
 from . import qp as qpmod
 from .coupling import CouplingState
 from .grid import Network
-from .market import (REGULARIZATION, AreaDecision, AreaDuals, ClearingResult,
-                     TermsOfTrade, TieTerms, clear as clear_area_fn)
+from .market import (REGULARIZATION, AreaDecision, AreaDuals, ClearingResult, Rows,
+                     TermsOfTrade, TieTerms, add_area_rows, clear as clear_area_fn)
 from .stochastic import aggregate_requirement
 
 SIGN_TOL = 1e-9
@@ -66,14 +66,13 @@ class CentralSolution:
 
 
 class _CentralProblem:
-    """Joint clearing QP over all areas; structure mirrors the per-area one."""
+    """Joint clearing QP: the areas' shared rows side by side, coupled by the ties."""
 
     def __init__(self, net: Network):
         self.net = net
         gens = [g for a in net.areas for g in a.generator_ids]
         views = {a.id: net.tie_views(a.id) for a in net.areas}
         buses = [b for a in net.areas for b in a.bus_ids]
-        ties = net.active_ties()
 
         self.var_dp = {}
         self.var_dt = {}
@@ -100,7 +99,7 @@ class _CentralProblem:
         for i in list(self.var_dt.values()) + list(self.var_theta.values()):
             q[i, i] = REGULARIZATION
 
-        eq_rows, eq_rhs, eq_labels = [], [], []
+        eq = Rows(nv)
         self.eq_tie_def = {}
         for a in net.areas:
             for v in views[a.id]:
@@ -108,98 +107,45 @@ class _CentralProblem:
                 row[self.var_dt[(v.tie_id, a.id)]] = 1.0
                 row[self.var_theta[v.own_bus]] -= 1.0 / v.reactance
                 row[self.var_theta[v.neighbor_bus]] += 1.0 / v.reactance
-                self.eq_tie_def[(v.tie_id, a.id)] = len(eq_rows)
-                eq_rows.append(row)
-                eq_rhs.append(-v.t_da)
-                eq_labels.append(f"tie_def[{v.tie_id}:{a.id}]")
+                self.eq_tie_def[(v.tie_id, a.id)] = eq.add(
+                    row, -v.t_da, f"tie_def[{v.tie_id}:{a.id}]")
         row = np.zeros(nv)
         row[self.var_theta[net.slack[1]]] = 1.0
-        self.eq_slack = len(eq_rows)
-        eq_rows.append(row)
-        eq_rhs.append(0.0)
-        eq_labels.append("slack")
+        self.eq_slack = eq.add(row, 0.0, "slack")
 
-        ineq_rows, ineq_rhs, ineq_labels = [], [], []
-
-        def add(r, rhs, label):
-            ineq_rows.append(r)
-            ineq_rhs.append(rhs)
-            ineq_labels.append(label)
-            return len(ineq_rows) - 1
-
-        self.ineq_nodal = {}
-        self.ineq_gen_lo = {}
-        self.ineq_gen_hi = {}
-        self.ineq_ramp_lo = {}
-        self.ineq_ramp_hi = {}
-        self.ineq_line_lo = {}
-        self.ineq_line_hi = {}
-        self.ineq_agg = {}
+        ineq = Rows(nv)
+        self.rows = {}
         for a in net.areas:
-            area = a
-            for b in area.bus_ids:
-                row = np.zeros(nv)
-                rhs = -net.bus(b).mean_net_demand
-                for g in area.generator_ids:
-                    if net.generator(g).bus_id == b:
-                        row[self.var_dp[g]] = -1.0
-                        rhs += net.generator(g).p_da
-                for lid in area.line_ids:
-                    line = net.line(lid)
-                    if line.from_bus == b:
-                        row[self.var_theta[line.from_bus]] += 1.0 / line.reactance
-                        row[self.var_theta[line.to_bus]] -= 1.0 / line.reactance
-                    elif line.to_bus == b:
-                        row[self.var_theta[line.to_bus]] += 1.0 / line.reactance
-                        row[self.var_theta[line.from_bus]] -= 1.0 / line.reactance
-                for v in views[area.id]:
-                    if v.own_bus == b:
-                        row[self.var_dt[(v.tie_id, area.id)]] += 1.0
-                        rhs -= v.t_da
-                self.ineq_nodal[b] = add(row, rhs, f"nodal[{b}]")
-            for g in area.generator_ids:
-                gen = net.generator(g)
-                row = np.zeros(nv)
-                row[self.var_dp[g]] = -1.0
-                self.ineq_gen_lo[g] = add(row.copy(), gen.p_da - gen.p_min, f"gen_lo[{g}]")
-                self.ineq_ramp_lo[g] = add(row.copy(), -gen.ramp_down, f"ramp_lo[{g}]")
-                row = np.zeros(nv)
-                row[self.var_dp[g]] = 1.0
-                self.ineq_gen_hi[g] = add(row.copy(), gen.p_max - gen.p_da, f"gen_hi[{g}]")
-                self.ineq_ramp_hi[g] = add(row.copy(), gen.ramp_up, f"ramp_hi[{g}]")
-            for lid in area.line_ids:
-                line = net.line(lid)
-                row = np.zeros(nv)
-                row[self.var_theta[line.from_bus]] = 1.0 / line.reactance
-                row[self.var_theta[line.to_bus]] = -1.0 / line.reactance
-                self.ineq_line_hi[lid] = add(row.copy(), line.capacity, f"line_hi[{lid}]")
-                self.ineq_line_lo[lid] = add(-row, line.capacity, f"line_lo[{lid}]")
-            req = aggregate_requirement(net, area.id)
-            row = np.zeros(nv)
-            rhs = -req.requirement
-            for g in area.generator_ids:
-                row[self.var_dp[g]] = -1.0
-                rhs += net.generator(g).p_da
-            for v in views[area.id]:
-                row[self.var_dt[(v.tie_id, area.id)]] += 1.0
-                rhs -= v.t_da
-            self.ineq_agg[area.id] = add(row, rhs, f"aggregate[{area.id}]")
+            flows = [(v, ((self.var_dt[(v.tie_id, a.id)], 1.0),)) for v in views[a.id]]
+            self.rows[a.id] = add_area_rows(
+                ineq, net, a.id, aggregate_requirement(net, a.id).requirement,
+                self.var_dp, self.var_theta, flows, aggregate_label=f"aggregate[{a.id}]")
 
         self.ineq_cap_lo = {}
         self.ineq_cap_hi = {}
-        for t in ties:
+        for t in net.active_ties():
             j = self.var_dt[(t.id, t.from_area)]
             row = np.zeros(nv)
             row[j] = -1.0
-            self.ineq_cap_lo[t.id] = add(row, t.capacity + t.t_da, f"cap_lo[{t.id}]")
+            self.ineq_cap_lo[t.id] = ineq.add(row, t.capacity + t.t_da, f"cap_lo[{t.id}]")
             row = np.zeros(nv)
             row[j] = 1.0
-            self.ineq_cap_hi[t.id] = add(row, t.capacity - t.t_da, f"cap_hi[{t.id}]")
+            self.ineq_cap_hi[t.id] = ineq.add(row, t.capacity - t.t_da, f"cap_hi[{t.id}]")
 
-        self.program = qpmod.QuadraticProgram(
-            q, c, np.array(eq_rows).reshape(len(eq_rows), nv), np.array(eq_rhs),
-            np.array(ineq_rows).reshape(len(ineq_rows), nv), np.array(ineq_rhs),
-            tuple(labels), tuple(eq_labels), tuple(ineq_labels))
+        self.program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(), tuple(labels),
+                                              tuple(eq.labels), tuple(ineq.labels))
+
+    def primal(self, decisions: dict[str, AreaDecision]) -> np.ndarray:
+        """The joint program's x for one decision per area."""
+        x = np.zeros(self.program.n)
+        for a, dec in decisions.items():
+            for g, v in dec.delta_p.items():
+                x[self.var_dp[g]] = v
+            for t, v in dec.delta_t.items():
+                x[self.var_dt[(t, a)]] = v
+            for b, v in dec.theta.items():
+                x[self.var_theta[b]] = v
+        return x
 
     def extract(self, sol: qpmod.QpSolution) -> CentralSolution:
         net = self.net
@@ -213,18 +159,9 @@ class _CentralProblem:
                 delta_t={v.tie_id: float(x[self.var_dt[(v.tie_id, a.id)]]) for v in views},
                 theta={b: float(x[self.var_theta[b]]) for b in a.bus_ids},
             )
-            duals[a.id] = AreaDuals(
-                nodal_price={b: float(z[self.ineq_nodal[b]]) for b in a.bus_ids},
-                reliability_price=float(z[self.ineq_agg[a.id]]),
-                gen_lower={g: float(z[self.ineq_gen_lo[g]]) for g in a.generator_ids},
-                gen_upper={g: float(z[self.ineq_gen_hi[g]]) for g in a.generator_ids},
-                ramp_lower={g: float(z[self.ineq_ramp_lo[g]]) for g in a.generator_ids},
-                ramp_upper={g: float(z[self.ineq_ramp_hi[g]]) for g in a.generator_ids},
-                line_lower={l: float(z[self.ineq_line_lo[l]]) for l in a.line_ids},
-                line_upper={l: float(z[self.ineq_line_hi[l]]) for l in a.line_ids},
-                tie_def={v.tie_id: float(y[self.eq_tie_def[(v.tie_id, a.id)]]) for v in views},
-                slack_angle=float(y[self.eq_slack]) if net.slack[0] == a.id else None,
-            )
+            duals[a.id] = self.rows[a.id].duals(
+                z, tie_def={v.tie_id: float(y[self.eq_tie_def[(v.tie_id, a.id)]]) for v in views},
+                slack_angle=float(y[self.eq_slack]) if net.slack[0] == a.id else None)
         tie_capacity = {t.id: CapacityDuals(float(z[self.ineq_cap_lo[t.id]]),
                                             float(z[self.ineq_cap_hi[t.id]]))
                         for t in net.active_ties()}
@@ -406,7 +343,7 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     """
     problem = _CentralProblem(net)
     prog = problem.program
-    x = np.zeros(prog.n)
+    x = problem.primal({a.id: clearings[a.id].decision for a in net.areas})
     y = np.zeros(len(prog.b_eq))
     z = np.zeros(len(prog.h_ineq))
     k_lo: dict[str, float] = {}
@@ -414,21 +351,8 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     for a in net.areas:
         dec = clearings[a.id].decision
         du = clearings[a.id].duals
-        for g in a.generator_ids:
-            x[problem.var_dp[g]] = dec.delta_p[g]
-            z[problem.ineq_gen_lo[g]] = du.gen_lower[g]
-            z[problem.ineq_gen_hi[g]] = du.gen_upper[g]
-            z[problem.ineq_ramp_lo[g]] = du.ramp_lower[g]
-            z[problem.ineq_ramp_hi[g]] = du.ramp_upper[g]
-        for b in a.bus_ids:
-            x[problem.var_theta[b]] = dec.theta[b]
-            z[problem.ineq_nodal[b]] = du.nodal_price[b]
-        for lid in a.line_ids:
-            z[problem.ineq_line_lo[lid]] = du.line_lower[lid]
-            z[problem.ineq_line_hi[lid]] = du.line_upper[lid]
-        z[problem.ineq_agg[a.id]] = du.reliability_price
+        problem.rows[a.id].fill(z, du)
         for v in net.tie_views(a.id):
-            x[problem.var_dt[(v.tie_id, a.id)]] = dec.delta_t[v.tie_id]
             own_quote = du.reliability_price + du.nodal_price[v.own_bus]
             u = 0.0
             if v.canonical:

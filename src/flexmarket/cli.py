@@ -227,8 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="convergence threshold on the broadcast variables")
     p_run.add_argument("--solver-tol", type=float, default=MechanismConfig.solver_tol)
     p_run.add_argument("--warm-start", action="store_true")
-    p_run.add_argument("--serial", action="store_true",
-                       help="clear areas sequentially instead of in worker threads")
     p_run.add_argument("--objective-gap-threshold", type=float, default=Thresholds.objective_gap)
 
     sub.add_parser("scenarios", help="list available scenario modifiers")
@@ -258,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
                 max_rounds=args.max_rounds,
                 rho=RhoSchedule(args.rho0, args.rho_k0, args.rho_exponent),
                 beta=args.beta, tol=args.tol, solver_tol=args.solver_tol,
-                warm_start=args.warm_start, parallel=not args.serial)
+                warm_start=args.warm_start)
         except ValueError as e:
             raise _CliError(EXIT_CONFIG, "config", str(e)) from e
         config = RunConfig(

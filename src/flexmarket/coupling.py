@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,7 +84,6 @@ class MechanismConfig:
     solver_tol: float = 1e-8
     solver_max_iter: int = 200
     warm_start: bool = False
-    parallel: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -267,7 +265,9 @@ def _fresh_broadcast(net: Network, area_id: str, result: ClearingResult) -> Area
 
 
 def _blend(prev: AreaBroadcast, fresh: AreaBroadcast, rho: float) -> AreaBroadcast:
-    mix = lambda p, f: {k: (1.0 - rho) * p[k] + rho * f[k] for k in p}
+    # tolist() hands back Python floats, whose repr the trace CSV relies on
+    mix = lambda p, f: dict(zip(p, inertial_update(list(p.values()), [f[k] for k in p],
+                                                   rho).tolist()))
     return AreaBroadcast(mix(prev.delta_t, fresh.delta_t), mix(prev.theta, fresh.theta),
                          mix(prev.price, fresh.price))
 
@@ -312,51 +312,42 @@ def run(net: Network, config: MechanismConfig | None = None,
     state = _initial_state(net, config)
     clearings: dict[str, ClearingResult] = {}
     trace: list[TraceRecord] = []
-    pool = ThreadPoolExecutor(max_workers=len(area_ids)) if config.parallel and len(area_ids) > 1 else None
 
     def clear_all(k: int) -> dict[str, ClearingResult]:
         msgs = {a: decode_message(_broadcast(net, state, a), expected_round=state.k)
                 for a in area_ids}
         terms = {a: terms_for_area(net, state, a, msgs) for a in area_ids}
         try:
-            if pool is not None:
-                results = list(pool.map(lambda a: engine.clear_area(a, terms[a]), area_ids))
-            else:
-                results = [engine.clear_area(a, terms[a]) for a in area_ids]
+            return {a: engine.clear_area(a, terms[a]) for a in area_ids}
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
-        return dict(zip(area_ids, results))
 
-    try:
-        if config.warm_start:
-            clearings = clear_all(0)
-            state = replace(state, areas={a: _fresh_broadcast(net, a, clearings[a])
-                                          for a in area_ids})
-        streak = 0
-        converged = False
-        rounds = 0
-        for k in range(1, config.max_rounds + 1):
-            clearings = clear_all(k)
-            rho = step_rho(k, config.rho)
-            prev_areas = state.areas
-            new_areas = {a: _blend(prev_areas[a], _fresh_broadcast(net, a, clearings[a]), rho)
-                         for a in area_ids}
-            mu = dict(state.mu)
-            for t in net.active_ties():
-                mu[t.id] = update_capacity_price(
-                    mu[t.id], abs(new_areas[t.from_area].delta_t[t.id]),
-                    abs(new_areas[t.to_area].delta_t[t.id]), abs(t.t_da), t.capacity,
-                    config.beta)
-            state = CouplingState(k, new_areas, mu, config.rho, config.beta)
-            trace.append(_record(net, state, prev_areas, clearings, k))
-            rounds = k
-            streak = streak + 1 if trace[-1].dx_inf < config.tol else 0
-            if streak >= config.consecutive:
-                converged = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if config.warm_start:
+        clearings = clear_all(0)
+        state = replace(state, areas={a: _fresh_broadcast(net, a, clearings[a])
+                                      for a in area_ids})
+    streak = 0
+    converged = False
+    rounds = 0
+    for k in range(1, config.max_rounds + 1):
+        clearings = clear_all(k)
+        rho = step_rho(k, config.rho)
+        prev_areas = state.areas
+        new_areas = {a: _blend(prev_areas[a], _fresh_broadcast(net, a, clearings[a]), rho)
+                     for a in area_ids}
+        mu = dict(state.mu)
+        for t in net.active_ties():
+            mu[t.id] = update_capacity_price(
+                mu[t.id], abs(new_areas[t.from_area].delta_t[t.id]),
+                abs(new_areas[t.to_area].delta_t[t.id]), abs(t.t_da), t.capacity,
+                config.beta)
+        state = CouplingState(k, new_areas, mu, config.rho, config.beta)
+        trace.append(_record(net, state, prev_areas, clearings, k))
+        rounds = k
+        streak = streak + 1 if trace[-1].dx_inf < config.tol else 0
+        if streak >= config.consecutive:
+            converged = True
+            break
     log.info("mechanism finished after %d rounds (converged=%s)", rounds, converged)
     return MechanismRun(state, tuple(trace), clearings, converged, rounds)
 

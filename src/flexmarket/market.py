@@ -18,7 +18,7 @@ endpoint bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -102,6 +102,128 @@ class ClearingResult:
     kkt_residual: float
 
 
+class Rows:
+    """Constraint rows under construction: coefficients, right-hand side, label."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.coefs: list[np.ndarray] = []
+        self.rhs: list[float] = []
+        self.labels: list[str] = []
+
+    def add(self, row: np.ndarray, rhs: float, label: str) -> int:
+        self.coefs.append(row)
+        self.rhs.append(rhs)
+        self.labels.append(label)
+        return len(self.coefs) - 1
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.coefs).reshape(len(self.coefs), self.width), np.array(self.rhs)
+
+
+# AreaDuals fields priced by one row per bus, generator or line
+_PER_ELEMENT_DUALS = ("nodal_price", "gen_lower", "gen_upper", "ramp_lower", "ramp_upper",
+                      "line_lower", "line_upper")
+
+
+@dataclass(frozen=True)
+class AreaRows:
+    """Inequality row of each shared area constraint, named by the dual that prices it."""
+
+    nodal_price: dict[str, int]  # per bus
+    gen_lower: dict[str, int]
+    gen_upper: dict[str, int]
+    ramp_lower: dict[str, int]
+    ramp_upper: dict[str, int]
+    line_lower: dict[str, int]
+    line_upper: dict[str, int]
+    reliability_price: int  # the aggregate requirement
+
+    def duals(self, z: np.ndarray, tie_def: dict[str, float],
+              slack_angle: float | None) -> AreaDuals:
+        """Read the area's duals out of an inequality multiplier vector."""
+        per_element = {name: {key: float(z[i]) for key, i in getattr(self, name).items()}
+                       for name in _PER_ELEMENT_DUALS}
+        return AreaDuals(reliability_price=float(z[self.reliability_price]),
+                         tie_def=tie_def, slack_angle=slack_angle, **per_element)
+
+    def fill(self, z: np.ndarray, duals: AreaDuals) -> None:
+        """Write the area's duals into an inequality multiplier vector."""
+        for name in _PER_ELEMENT_DUALS:
+            prices = getattr(duals, name)
+            for key, i in getattr(self, name).items():
+                z[i] = prices[key]
+        z[self.reliability_price] = duals.reliability_price
+
+
+def add_area_rows(ineq: Rows, net: Network, area_id: str, requirement: float,
+                  var_dp: Mapping[str, int], var_theta: Mapping[str, int],
+                  flows: Sequence[tuple[TieView, Sequence[tuple[int, float]]]],
+                  aggregate_label: str = "aggregate") -> AreaRows:
+    """Append one area's nodal, generator, ramp, line and aggregate rows.
+
+    ``flows`` gives, per incident tie, the (column, coefficient) pairs whose
+    sum is the area's flow adjustment on it.
+    """
+    area = net.area(area_id)
+    gens = area.generator_ids
+    nodal = {}
+    for b in area.bus_ids:
+        row = np.zeros(ineq.width)
+        rhs = -net.bus(b).mean_net_demand
+        for g in gens:
+            if net.generator(g).bus_id == b:
+                row[var_dp[g]] = -1.0
+                rhs += net.generator(g).p_da
+        for lid in area.line_ids:
+            line = net.line(lid)
+            if line.from_bus == b:
+                row[var_theta[line.from_bus]] += 1.0 / line.reactance
+                row[var_theta[line.to_bus]] -= 1.0 / line.reactance
+            elif line.to_bus == b:
+                row[var_theta[line.to_bus]] += 1.0 / line.reactance
+                row[var_theta[line.from_bus]] -= 1.0 / line.reactance
+        for v, cols in flows:
+            if v.own_bus == b:
+                for j, coef in cols:
+                    row[j] += coef
+                rhs -= v.t_da
+        nodal[b] = ineq.add(row, rhs, f"nodal[{b}]")
+
+    gen_lo, gen_hi, ramp_lo, ramp_hi = {}, {}, {}, {}
+    for g in gens:
+        gen = net.generator(g)
+        row = np.zeros(ineq.width)
+        row[var_dp[g]] = -1.0
+        gen_lo[g] = ineq.add(row.copy(), gen.p_da - gen.p_min, f"gen_lo[{g}]")
+        ramp_lo[g] = ineq.add(row.copy(), -gen.ramp_down, f"ramp_lo[{g}]")
+        row = np.zeros(ineq.width)
+        row[var_dp[g]] = 1.0
+        gen_hi[g] = ineq.add(row.copy(), gen.p_max - gen.p_da, f"gen_hi[{g}]")
+        ramp_hi[g] = ineq.add(row.copy(), gen.ramp_up, f"ramp_hi[{g}]")
+
+    line_lo, line_hi = {}, {}
+    for lid in area.line_ids:
+        line = net.line(lid)
+        row = np.zeros(ineq.width)
+        row[var_theta[line.from_bus]] = 1.0 / line.reactance
+        row[var_theta[line.to_bus]] = -1.0 / line.reactance
+        line_hi[lid] = ineq.add(row.copy(), line.capacity, f"line_hi[{lid}]")
+        line_lo[lid] = ineq.add(-row, line.capacity, f"line_lo[{lid}]")
+
+    row = np.zeros(ineq.width)
+    rhs = -requirement
+    for g in gens:
+        row[var_dp[g]] = -1.0
+        rhs += net.generator(g).p_da
+    for v, cols in flows:
+        for j, coef in cols:
+            row[j] += coef
+        rhs -= v.t_da
+    aggregate = ineq.add(row, rhs, aggregate_label)
+    return AreaRows(nodal, gen_lo, gen_hi, ramp_lo, ramp_hi, line_lo, line_hi, aggregate)
+
+
 @dataclass(frozen=True)
 class AreaIndex:
     """Where each named quantity lives in the assembled QP."""
@@ -115,16 +237,7 @@ class AreaIndex:
     var_theta: dict[str, int]
     eq_tie_def: dict[str, int]
     eq_slack: int | None
-    ineq_nodal: dict[str, int]
-    ineq_gen_lo: dict[str, int]
-    ineq_gen_hi: dict[str, int]
-    ineq_ramp_lo: dict[str, int]
-    ineq_ramp_hi: dict[str, int]
-    ineq_line_lo: dict[str, int]
-    ineq_line_hi: dict[str, int]
-    ineq_agg: int
-    ineq_tp_nn: dict[str, int]
-    ineq_tm_nn: dict[str, int]
+    rows: AreaRows
 
 
 class AreaProblem:
@@ -134,7 +247,8 @@ class AreaProblem:
                  requirement: AggregateRequirement | None = None):
         self.net = net
         self.area_id = area_id
-        self.autarky = autarky
+        if requirement is not None and requirement.area_id != area_id:
+            raise ValueError(f"requirement is for area {requirement.area_id}, not {area_id}")
         area = net.area(area_id)
         self.requirement = requirement or aggregate_requirement(net, area_id)
         gens = tuple(area.generator_ids)
@@ -152,126 +266,48 @@ class AreaProblem:
         var_labels += [f"theta[{b}]" for b in buses]
 
         q = np.zeros((nv, nv))
-        for g in gens:
-            q[var_dp[g], var_dp[g]] = 2.0 * net.generator(g).cost_quadratic
-        for v in ties:
-            q[var_tp[v.tie_id], var_tp[v.tie_id]] = REGULARIZATION
-            q[var_tm[v.tie_id], var_tm[v.tie_id]] = REGULARIZATION
-        for b in buses:
-            q[var_theta[b], var_theta[b]] = REGULARIZATION
-
         c = np.zeros(nv)
         for g in gens:
             gen = net.generator(g)
+            q[var_dp[g], var_dp[g]] = 2.0 * gen.cost_quadratic
             c[var_dp[g]] = gen.cost_linear + 2.0 * gen.cost_quadratic * gen.p_da
+        for i in range(len(gens), nv):
+            q[i, i] = REGULARIZATION
 
-        eq_rows: list[np.ndarray] = []
-        eq_rhs: list[float] = []
-        eq_labels: list[str] = []
+        eq = Rows(nv)
         eq_tie_def = {}
         for v in ties:
             row = np.zeros(nv)
             row[var_tp[v.tie_id]] = 1.0
             row[var_tm[v.tie_id]] = -1.0
             row[var_theta[v.own_bus]] = -1.0 / v.reactance
-            eq_tie_def[v.tie_id] = len(eq_rows)
-            eq_rows.append(row)
-            eq_rhs.append(0.0)  # filled per terms: -theta_nbr/x - t_da
-            eq_labels.append(f"tie_def[{v.tie_id}]")
+            # rhs filled per terms: -theta_nbr/x - t_da
+            eq_tie_def[v.tie_id] = eq.add(row, 0.0, f"tie_def[{v.tie_id}]")
         eq_slack = None
         if net.slack[0] == area_id:
             row = np.zeros(nv)
             row[var_theta[net.slack[1]]] = 1.0
-            eq_slack = len(eq_rows)
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-            eq_labels.append("slack")
+            eq_slack = eq.add(row, 0.0, "slack")
 
-        ineq_rows: list[np.ndarray] = []
-        ineq_rhs: list[float] = []
-        ineq_labels: list[str] = []
-
-        def add(row, rhs, label):
-            ineq_rows.append(row)
-            ineq_rhs.append(rhs)
-            ineq_labels.append(label)
-            return len(ineq_rows) - 1
-
-        ineq_nodal = {}
-        for b in buses:
-            row = np.zeros(nv)
-            rhs = -net.bus(b).mean_net_demand
-            for g in gens:
-                if net.generator(g).bus_id == b:
-                    row[var_dp[g]] = -1.0
-                    rhs += net.generator(g).p_da
-            for lid in area.line_ids:
-                line = net.line(lid)
-                if line.from_bus == b:
-                    row[var_theta[line.from_bus]] += 1.0 / line.reactance
-                    row[var_theta[line.to_bus]] -= 1.0 / line.reactance
-                elif line.to_bus == b:
-                    row[var_theta[line.to_bus]] += 1.0 / line.reactance
-                    row[var_theta[line.from_bus]] -= 1.0 / line.reactance
-            for v in ties:
-                if v.own_bus == b:
-                    row[var_tp[v.tie_id]] += 1.0
-                    row[var_tm[v.tie_id]] -= 1.0
-                    rhs -= v.t_da
-            ineq_nodal[b] = add(row, rhs, f"nodal[{b}]")
-
-        ineq_gen_lo, ineq_gen_hi, ineq_ramp_lo, ineq_ramp_hi = {}, {}, {}, {}
-        for g in gens:
-            gen = net.generator(g)
-            row = np.zeros(nv)
-            row[var_dp[g]] = -1.0
-            ineq_gen_lo[g] = add(row.copy(), gen.p_da - gen.p_min, f"gen_lo[{g}]")
-            ineq_ramp_lo[g] = add(row.copy(), -gen.ramp_down, f"ramp_lo[{g}]")
-            row = np.zeros(nv)
-            row[var_dp[g]] = 1.0
-            ineq_gen_hi[g] = add(row.copy(), gen.p_max - gen.p_da, f"gen_hi[{g}]")
-            ineq_ramp_hi[g] = add(row.copy(), gen.ramp_up, f"ramp_hi[{g}]")
-
-        ineq_line_lo, ineq_line_hi = {}, {}
-        for lid in area.line_ids:
-            line = net.line(lid)
-            row = np.zeros(nv)
-            row[var_theta[line.from_bus]] = 1.0 / line.reactance
-            row[var_theta[line.to_bus]] = -1.0 / line.reactance
-            ineq_line_hi[lid] = add(row.copy(), line.capacity, f"line_hi[{lid}]")
-            ineq_line_lo[lid] = add(-row, line.capacity, f"line_lo[{lid}]")
-
-        row = np.zeros(nv)
-        rhs = -self.requirement.requirement
-        for g in gens:
-            row[var_dp[g]] = -1.0
-            rhs += net.generator(g).p_da
-        for v in ties:
-            row[var_tp[v.tie_id]] += 1.0
-            row[var_tm[v.tie_id]] -= 1.0
-            rhs -= v.t_da
-        ineq_agg = add(row, rhs, "aggregate")
-
-        ineq_tp_nn, ineq_tm_nn = {}, {}
+        ineq = Rows(nv)
+        flows = [(v, ((var_tp[v.tie_id], 1.0), (var_tm[v.tie_id], -1.0))) for v in ties]
+        rows = add_area_rows(ineq, net, area_id, self.requirement.requirement,
+                             var_dp, var_theta, flows)
         for v in ties:
             row = np.zeros(nv)
             row[var_tp[v.tie_id]] = -1.0
-            ineq_tp_nn[v.tie_id] = add(row, 0.0, f"split_p[{v.tie_id}]")
+            ineq.add(row, 0.0, f"split_p[{v.tie_id}]")
             row = np.zeros(nv)
             row[var_tm[v.tie_id]] = -1.0
-            ineq_tm_nn[v.tie_id] = add(row, 0.0, f"split_m[{v.tie_id}]")
+            ineq.add(row, 0.0, f"split_m[{v.tie_id}]")
 
         self.index = AreaIndex(gens, ties, buses, var_dp, var_tp, var_tm, var_theta,
-                               eq_tie_def, eq_slack, ineq_nodal, ineq_gen_lo, ineq_gen_hi,
-                               ineq_ramp_lo, ineq_ramp_hi, ineq_line_lo, ineq_line_hi,
-                               ineq_agg, ineq_tp_nn, ineq_tm_nn)
+                               eq_tie_def, eq_slack, rows)
         self._q = q
         self._c0 = c
-        self._a = np.array(eq_rows).reshape(len(eq_rows), nv)
-        self._b0 = np.array(eq_rhs)
-        self._g = np.array(ineq_rows).reshape(len(ineq_rows), nv)
-        self._h = np.array(ineq_rhs)
-        self._labels = (tuple(var_labels), tuple(eq_labels), tuple(ineq_labels))
+        self._a, self._b0 = eq.arrays()
+        self._g, self._h = ineq.arrays()
+        self._labels = (tuple(var_labels), tuple(eq.labels), tuple(ineq.labels))
         # performance cache only: the binding set of the previous clear seeds
         # the next solve; results are KKT-validated, so it never changes them
         self._active_hint: tuple[int, ...] | None = None
@@ -310,18 +346,9 @@ class AreaProblem:
         delta_t = {v.tie_id: float(x[idx.var_tp[v.tie_id]] - x[idx.var_tm[v.tie_id]])
                    for v in idx.ties}
         theta = {bus: float(x[idx.var_theta[bus]]) for bus in idx.buses}
-        duals = AreaDuals(
-            nodal_price={b: float(z[idx.ineq_nodal[b]]) for b in idx.buses},
-            reliability_price=float(z[idx.ineq_agg]),
-            gen_lower={g: float(z[idx.ineq_gen_lo[g]]) for g in idx.gens},
-            gen_upper={g: float(z[idx.ineq_gen_hi[g]]) for g in idx.gens},
-            ramp_lower={g: float(z[idx.ineq_ramp_lo[g]]) for g in idx.gens},
-            ramp_upper={g: float(z[idx.ineq_ramp_hi[g]]) for g in idx.gens},
-            line_lower={l: float(z[idx.ineq_line_lo[l]]) for l in idx.ineq_line_lo},
-            line_upper={l: float(z[idx.ineq_line_hi[l]]) for l in idx.ineq_line_hi},
-            tie_def={t: float(y[idx.eq_tie_def[t]]) for t in idx.eq_tie_def},
-            slack_angle=float(y[idx.eq_slack]) if idx.eq_slack is not None else None,
-        )
+        duals = idx.rows.duals(
+            z, tie_def={t: float(y[i]) for t, i in idx.eq_tie_def.items()},
+            slack_angle=float(y[idx.eq_slack]) if idx.eq_slack is not None else None)
         decision = AreaDecision(delta_p, delta_t, theta)
         gen_cost = sum(net.generator(g).cost(net.generator(g).p_da + dp)
                        for g, dp in delta_p.items())
@@ -339,8 +366,6 @@ class AreaProblem:
 def assemble(net: Network, area_id: str, terms: TermsOfTrade,
              requirement: AggregateRequirement | None = None):
     """Build one area's clearing QP. Returns (program, index map)."""
-    if requirement is not None and requirement.area_id != area_id:
-        raise ValueError(f"requirement is for area {requirement.area_id}, not {area_id}")
     problem = AreaProblem(net, area_id, requirement=requirement)
     return problem.assemble(terms), problem.index
 
@@ -348,8 +373,6 @@ def assemble(net: Network, area_id: str, terms: TermsOfTrade,
 def clear(net: Network, area_id: str, terms: TermsOfTrade,
           requirement: AggregateRequirement | None = None,
           tol: float = qpmod.DEFAULT_TOL, max_iter: int = qpmod.DEFAULT_MAX_ITER) -> ClearingResult:
-    if requirement is not None and requirement.area_id != area_id:
-        raise ValueError(f"requirement is for area {requirement.area_id}, not {area_id}")
     return AreaProblem(net, area_id, requirement=requirement).clear(terms, tol, max_iter)
 
 

@@ -161,18 +161,6 @@ def kkt_residuals(qp: QuadraticProgram, x, y, z) -> KktResiduals:
     )
 
 
-def _solve_kkt_equality(q, c, a, b):
-    """Solve the purely equality-constrained KKT system by least squares."""
-    n, me = c.shape[0], b.shape[0]
-    kkt = np.zeros((n + me, n + me))
-    kkt[:n, :n] = q
-    kkt[:n, n:] = -a.T
-    kkt[n:, :n] = a
-    rhs = np.concatenate([-c, b])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:n], sol[n:]
-
-
 def _solve_active(qp, active):
     """Equality-KKT solve on an active set; minimum-norm duals via lstsq.
 
@@ -294,7 +282,7 @@ def _mehrotra(qp, tol, max_iter, x0=None):
         if worst <= tol:
             return x, y, z, s, it, True
         if not mi:
-            x, y = _solve_kkt_equality(q, c, a, b)
+            x, y, _ = _solve_active(qp, [])
             return x, y, z, s, it, True
         if np.max(np.abs(x), initial=0.0) > 1e13:
             return x, y, z, s, it, False
@@ -435,10 +423,6 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
 
     x, y, z, s, iters, converged = _mehrotra(qp, tol, max_iter, x0=initial)
     polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol) if mi else None
-    if polished is None and not mi:
-        res = kkt_residuals(qp, x, y, z)
-        if res.max() <= tol:
-            return QpSolution("optimal", x, y, z, res, qp.objective(x), iters)
     if polished is not None:
         px, py, pz, pres = polished
         return QpSolution("optimal", px, py, pz, pres, qp.objective(px), iters,

@@ -152,6 +152,19 @@ def test_early_iterate_may_overshoot_capacity(toy2_congested):
     assert any("tie_capacity" in flag for flag in report.flags)
 
 
+def test_limit_feasibility_sees_to_side_capacity_overshoot(toy2_congested,
+                                                          toy2_congested_run):
+    # the joint program bounds capacity on the stored orientation only; the
+    # limit check must still test the to-side view of the flow
+    result, _ = toy2_congested_run
+    b = result.clearings["B"]
+    moved = replace(b, decision=replace(b.decision, delta_t={**b.decision.delta_t, "AB": -6.0}))
+    report = check_limit_feasibility(toy2_congested, result.state,
+                                     {**result.clearings, "B": moved})
+    assert report.tie_capacity == 1.0
+    assert any(flag.startswith("tie_capacity[AB:B]") for flag in report.flags)
+
+
 def test_kkt_equivalence_on_bundled_cases(toy2, toy2_run, toy2_central,
                                           toy2_congested, toy2_congested_run,
                                           toy2_congested_central, tri3, tri3_run, tri3_central):

@@ -292,16 +292,8 @@ def test_any_clearing_engine_plugs_in(toy2):
             return self.inner.clear_area(area_id, terms)
 
     engine = CountingEngine(toy2)
-    result = run(toy2, MechanismConfig(max_rounds=15, tol=1e-12, parallel=False),
-                 engine=engine)
+    result = run(toy2, MechanismConfig(max_rounds=15, tol=1e-12), engine=engine)
     assert engine.calls == result.rounds * len(toy2.areas)
-
-
-def test_parallel_and_serial_runs_agree(toy2):
-    cfg = MechanismConfig(max_rounds=60, tol=1e-12)
-    parallel = run(toy2, cfg)
-    serial = run(toy2, replace(cfg, parallel=False))
-    assert trace_to_csv(parallel.trace) == trace_to_csv(serial.trace)
 
 
 def test_trace_csv_shape(toy2_run):
