@@ -47,7 +47,6 @@ class RunConfig:
     trace_path: str | None = None
     report_path: str | None = None
     thresholds: Thresholds = field(default_factory=Thresholds)
-    skip_validation: bool = False
 
 
 class _CliError(Exception):
@@ -75,12 +74,11 @@ def _load_network(config: RunConfig) -> grid.Network:
         net = grid.apply_scenario(net, config.scenario)
     except grid.CaseError as e:
         raise _CliError(EXIT_CONFIG, "validation", "scenario rejected", e.violations) from e
-    if not config.skip_validation:
-        violations = grid.validate(net)
-        if violations:
-            code = EXIT_INFEASIBLE if any("cannot meet local demand" in v for v in violations) \
-                else EXIT_CONFIG
-            raise _CliError(code, "validation", "network validation failed", violations)
+    violations = grid.validate(net)
+    if violations:
+        code = EXIT_INFEASIBLE if any("cannot meet local demand" in v for v in violations) \
+            else EXIT_CONFIG
+        raise _CliError(code, "validation", "network validation failed", violations)
     return net
 
 

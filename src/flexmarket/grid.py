@@ -140,15 +140,12 @@ class Network:
     def tie(self, tie_id: str) -> TieLine:
         return self._ties[tie_id]
 
-    def area_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.areas)
-
-    def tie_views(self, area_id: str, include_open: bool = False) -> tuple[TieView, ...]:
+    def tie_views(self, area_id: str) -> tuple[TieView, ...]:
         """This area's orientation of every incident tie-line, sorted by id."""
         views = []
         for tie_id in sorted(self.area(area_id).tie_ids):
             t = self.tie(tie_id)
-            if t.open and not include_open:
+            if t.open:
                 continue
             if t.from_area == area_id:
                 views.append(TieView(t.id, area_id, t.from_bus, t.to_area, t.to_bus,

@@ -64,10 +64,6 @@ class TermsOfTrade:
         except KeyError:
             raise KeyError(f"terms of trade missing tie-line {tie_id}") from None
 
-    @staticmethod
-    def zero(net: Network, area_id: str) -> "TermsOfTrade":
-        return TermsOfTrade({v.tie_id: TieTerms(0.0, 0.0, 0.0) for v in net.tie_views(area_id)})
-
 
 @dataclass(frozen=True)
 class AreaDecision:

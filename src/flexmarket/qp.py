@@ -260,8 +260,11 @@ def _mehrotra(qp, tol, max_iter, x0=None):
                 if not np.all(np.isfinite(sol)):
                     delta *= 100.0
                     continue
-                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
+                # refinement may overflow on a near-singular system; the
+                # isfinite check below then retries with more regularization
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
+                    sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
             except np.linalg.LinAlgError:
                 delta *= 100.0
                 continue

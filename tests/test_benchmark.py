@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from flexmarket import (MechanismConfig, TermsOfTrade, check_limit_feasibility,
-                        efficiency_gap, load_case, optimal_terms_of_trade, run, save_case,
-                        solve_centralized, verify_fixed_point, verify_kkt_equivalence)
+from flexmarket import (MechanismConfig, TermsOfTrade, aggregate_requirement,
+                        check_limit_feasibility, efficiency_gap, load_case,
+                        optimal_terms_of_trade, run, save_case, solve_centralized,
+                        verify_fixed_point, verify_kkt_equivalence)
 from flexmarket.market import clear
 
 
@@ -163,6 +164,48 @@ def test_limit_feasibility_sees_to_side_capacity_overshoot(toy2_congested,
                                      {**result.clearings, "B": moved})
     assert report.tie_capacity == 1.0
     assert any(flag.startswith("tie_capacity[AB:B]") for flag in report.flags)
+
+
+def _b1_surplus(net, dec):
+    """Supply left at tri3's single-bus area B after its tie exports."""
+    supply = sum(net.generator(g).p_da + dec.delta_p[g] for g in net.area("B").generator_ids)
+    return supply - sum(v.t_da + dec.delta_t[v.tie_id] for v in net.tie_views("B"))
+
+
+# (report field, flagged row, area, decision field, key, moved value): each
+# moves one quantity of tri3's limit 2 past the bound the row states
+FEASIBILITY_INJECTIONS = [
+    ("nodal", "nodal[B1]", "B", "delta_p", "GB1",
+     lambda net, dec: dec.delta_p["GB1"] + net.bus("B1").mean_net_demand
+     - _b1_surplus(net, dec) - 2.0),
+    ("generator_box", "gen_hi[GB1]", "B", "delta_p", "GB1",
+     lambda net, dec: net.generator("GB1").p_max - net.generator("GB1").p_da + 2.0),
+    ("ramp_box", "ramp_lo[GB1]", "B", "delta_p", "GB1",
+     lambda net, dec: net.generator("GB1").ramp_down - 2.0),
+    ("internal_line", "line_hi[LA]", "A", "theta", "A2",
+     lambda net, dec: dec.theta["A1"] - (net.line("LA").capacity + 2.0)
+     * net.line("LA").reactance),
+    ("aggregate", "aggregate[B]", "B", "delta_p", "GB1",
+     lambda net, dec: dec.delta_p["GB1"] + aggregate_requirement(net, "B").requirement
+     - _b1_surplus(net, dec) - 2.0),
+    ("tie_definition", "tie_def[BC1:B]", "B", "delta_t", "BC1",
+     lambda net, dec: dec.delta_t["BC1"] + 2.0),
+]
+
+
+@pytest.mark.parametrize("field, label, area, quantity, key, moved", FEASIBILITY_INJECTIONS,
+                         ids=[case[0] for case in FEASIBILITY_INJECTIONS])
+def test_limit_feasibility_reports_each_row_group(tri3, tri3_run, field, label, area,
+                                                   quantity, key, moved):
+    result, _ = tri3_run
+    res = result.clearings[area]
+    values = {**getattr(res.decision, quantity), key: moved(tri3, res.decision)}
+    clearings = {**result.clearings,
+                 area: replace(res, decision=replace(res.decision, **{quantity: values}))}
+    report = check_limit_feasibility(tri3, result.state, clearings)
+    # the limit itself is off consensus by up to 1e-7, which may offset the 2
+    assert getattr(report, field) >= 2.0 - 1e-6
+    assert any(flag.startswith(f"{label}: ") for flag in report.flags), report.flags
 
 
 def test_kkt_equivalence_on_bundled_cases(toy2, toy2_run, toy2_central,

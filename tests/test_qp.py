@@ -1,6 +1,11 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from flexmarket import load_case, optimal_terms_of_trade, solve_centralized
+from flexmarket.market import clear
 from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_residuals,
                            solve)
 
@@ -207,3 +212,15 @@ def test_dump_mentions_labels():
              var_labels=("power",), ineq_labels=("cap",))
     text = qp.dump()
     assert "power" in text and "cap" in text and "<=" in text
+
+
+def test_refinement_overflow_stays_silent():
+    # a cold interior-point clear of A03 meets a near-singular Newton system
+    # whose refinement step goes non-finite; the solver retries with more
+    # regularization instead of leaking a numpy warning
+    net = load_case((Path(__file__).parent / "data" / "ladder_4x8_s0.json").read_text())
+    terms = optimal_terms_of_trade(net, solve_centralized(net))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = clear(net, "A03", terms["A03"])
+    assert res.status == "optimal"
