@@ -237,7 +237,11 @@ class AreaIndex:
 
 
 class AreaProblem:
-    """Pre-assembled clearing problem; per-round terms only touch c and b."""
+    """Pre-assembled clearing problem; per-round terms only touch c and b.
+
+    The program is validated once; each round rebinds c and b onto its frozen
+    structure, so the solver's memoized factorizations carry over.
+    """
 
     def __init__(self, net: Network, area_id: str, autarky: bool = False,
                  requirement: AggregateRequirement | None = None):
@@ -299,11 +303,9 @@ class AreaProblem:
 
         self.index = AreaIndex(gens, ties, buses, var_dp, var_tp, var_tm, var_theta,
                                eq_tie_def, eq_slack, rows)
-        self._q = q
-        self._c0 = c
-        self._a, self._b0 = eq.arrays()
-        self._g, self._h = ineq.arrays()
-        self._labels = (tuple(var_labels), tuple(eq.labels), tuple(ineq.labels))
+        self._program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(),
+                                               tuple(var_labels), tuple(eq.labels),
+                                               tuple(ineq.labels))
         # performance cache only: the binding set of the previous clear seeds
         # the next solve; results are KKT-validated, so it never changes them
         self._active_hint: tuple[int, ...] | None = None
@@ -311,15 +313,14 @@ class AreaProblem:
     def assemble(self, terms: TermsOfTrade) -> qpmod.QuadraticProgram:
         """Bind the terms of trade into the cached structure."""
         idx = self.index
-        c = self._c0.copy()
-        b = self._b0.copy()
+        c = self._program.c.copy()
+        b = self._program.b_eq.copy()
         for v in idx.ties:
             t = terms.for_tie(v.tie_id)
             c[idx.var_tp[v.tie_id]] = -t.price + 0.5 * t.capacity_price
             c[idx.var_tm[v.tie_id]] = t.price + 0.5 * t.capacity_price
             b[idx.eq_tie_def[v.tie_id]] = -t.neighbor_angle / v.reactance - v.t_da
-        return qpmod.QuadraticProgram(self._q, c, self._a, b, self._g, self._h,
-                                      *self._labels)
+        return self._program.rebind(c, b)
 
     def clear(self, terms: TermsOfTrade, tol: float = qpmod.DEFAULT_TOL,
               max_iter: int = qpmod.DEFAULT_MAX_ITER) -> ClearingResult:

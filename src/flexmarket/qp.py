@@ -18,6 +18,13 @@ minimum-norm least squares.  The polish both sharpens residuals to near
 machine precision and picks the centered (minimum-norm) multiplier split when
 binding rows are linearly dependent, which keeps degenerate dual splits
 deterministic.
+
+A program's structure (Q, A, G) is stored read-only, and ``rebind`` returns
+a program with new c and b that shares it, so an iterative caller validates
+the structure once.  Programs that share a structure also share a memo: the
+solver keeps the pseudo-inverse of A for the equality-consistency check and
+the KKT matrix and pseudo-inverse of the last active set it solved on, so a
+re-solve on an unchanged active set factors nothing.
 """
 from __future__ import annotations
 
@@ -36,6 +43,14 @@ class QpDimensionError(ValueError):
 
 class _NumericalBreakdown(Exception):
     """Internal: the Newton system could not be solved to a usable direction."""
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only array equal to ``arr``; a writeable one is copied, not frozen."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -73,12 +88,26 @@ class QuadraticProgram:
                 raise QpDimensionError(f"{name} label count {len(labels)} != {count}")
             if labels and len(set(labels)) != len(labels):
                 raise QpDimensionError(f"duplicate {name} labels")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _read_only(q))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_eq", a)
+        object.__setattr__(self, "a_eq", _read_only(a))
         object.__setattr__(self, "b_eq", b)
-        object.__setattr__(self, "g_ineq", g)
+        object.__setattr__(self, "g_ineq", _read_only(g))
         object.__setattr__(self, "h_ineq", h)
+        # factorizations of the frozen structure, shared by every rebind
+        object.__setattr__(self, "_memo", {})
+
+    def rebind(self, c, b_eq) -> QuadraticProgram:
+        """The same program with new c and b, sharing the validated structure."""
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        b = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        if c.shape != self.c.shape or b.shape != self.b_eq.shape:
+            raise QpDimensionError(f"rebind needs c of shape {self.c.shape} and b of shape "
+                                   f"{self.b_eq.shape}, got {c.shape} and {b.shape}")
+        # type(self), not the module-level name, which a caller may have wrapped
+        program = object.__new__(type(self))
+        program.__dict__.update(self.__dict__, c=c, b_eq=b)
+        return program
 
     @property
     def n(self) -> int:
@@ -161,6 +190,30 @@ def kkt_residuals(qp: QuadraticProgram, x, y, z) -> KktResiduals:
     )
 
 
+def _active_kkt(qp, active):
+    """KKT matrix of an active set and its pseudo-inverse.
+
+    Both depend only on the frozen structure, so the last pair is kept in the
+    program's memo; one entry bounds the memory, and an iterative caller
+    whose binding set holds from round to round still factors once.
+    """
+    key = tuple(active)
+    last = qp._memo.get("active")
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    g_act = qp.g_ineq[active]
+    n, me, ma = qp.n, len(qp.b_eq), len(active)
+    kkt = np.zeros((n + me + ma, n + me + ma))
+    kkt[:n, :n] = qp.q
+    kkt[:n, n:n + me] = -qp.a_eq.T
+    kkt[:n, n + me:] = g_act.T
+    kkt[n:n + me, :n] = qp.a_eq
+    kkt[n + me:, :n] = g_act
+    pinv = np.linalg.pinv(kkt, rcond=1e-13)
+    qp._memo["active"] = (key, kkt, pinv)
+    return kkt, pinv
+
+
 def _solve_active(qp, active):
     """Equality-KKT solve on an active set; minimum-norm duals via lstsq.
 
@@ -170,17 +223,9 @@ def _solve_active(qp, active):
     pseudo-inverse recover full accuracy while staying on the minimum-norm
     solution.
     """
-    g_act = qp.g_ineq[active]
-    h_act = qp.h_ineq[active]
-    n, me, ma = qp.n, len(qp.b_eq), len(active)
-    kkt = np.zeros((n + me + ma, n + me + ma))
-    kkt[:n, :n] = qp.q
-    kkt[:n, n:n + me] = -qp.a_eq.T
-    kkt[:n, n + me:] = g_act.T
-    kkt[n:n + me, :n] = qp.a_eq
-    kkt[n + me:, :n] = g_act
-    rhs = np.concatenate([-qp.c, qp.b_eq, h_act])
-    pinv = np.linalg.pinv(kkt, rcond=1e-13)
+    n, me = qp.n, len(qp.b_eq)
+    kkt, pinv = _active_kkt(qp, active)
+    rhs = np.concatenate([-qp.c, qp.b_eq, qp.h_ineq[active]])
     sol = pinv @ rhs
     for _ in range(6):
         residual = rhs - kkt @ sol
@@ -408,7 +453,9 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
 
     if me:
-        x_ls, *_ = np.linalg.lstsq(qp.a_eq, qp.b_eq, rcond=None)
+        if "pinv_a" not in qp._memo:
+            qp._memo["pinv_a"] = np.linalg.pinv(qp.a_eq)
+        x_ls = qp._memo["pinv_a"] @ qp.b_eq
         r = qp.b_eq - qp.a_eq @ x_ls
         if np.max(np.abs(r), initial=0.0) > 1e-7 * (1.0 + np.max(np.abs(qp.b_eq))):
             # inconsistent equalities: the least-squares residual certifies it

@@ -4,7 +4,7 @@ import pytest
 from flexmarket import (ChanceConstrainedClearing, ClearingError, TermsOfTrade, TieTerms,
                         aggregate_requirement, assemble, clear, evaluate_objective, load_case)
 from flexmarket.market import AreaProblem, autarky_infeasibility
-from flexmarket.qp import solve
+from flexmarket.qp import QpDimensionError, QuadraticProgram, solve
 
 ZERO = TieTerms(0.0, 0.0, 0.0)
 
@@ -204,3 +204,58 @@ def test_zero_capacity_tie_is_excluded():
     res = AreaProblem(net, "Y").clear(TermsOfTrade({}))
     assert res.decision.delta_p["GY"] == pytest.approx(10.0, abs=1e-7)
     assert res.decision.delta_t == {}
+
+
+def _sweep(net):
+    """Programs of toy2-congested's area A over rounds of moving terms."""
+    problem = AreaProblem(net, "A")
+    for k in range(30):
+        # the neighbor angle flips sign every three rounds, so the flow
+        # adjustment changes direction and the binding set changes with it
+        angle = 0.02 if k % 6 < 3 else -0.02
+        yield problem.assemble(_terms(AB=(5.0 + k, angle, 0.5 * (k % 7))))
+
+
+def test_rebound_program_solves_like_a_fresh_one(toy2_congested):
+    hint, seen = None, set()
+    for program in _sweep(toy2_congested):
+        fresh = QuadraticProgram(program.q, program.c, program.a_eq, program.b_eq,
+                                 program.g_ineq, program.h_ineq, program.var_labels,
+                                 program.eq_labels, program.ineq_labels)
+        rebound = solve(program, active_hint=hint)
+        cold = solve(fresh, active_hint=hint)
+        assert rebound.status == "optimal"
+        for field in ("x", "y", "z"):
+            assert np.array_equal(getattr(rebound, field), getattr(cold, field))
+        assert rebound.active_set == cold.active_set
+        hint = rebound.active_set
+        seen.add(hint)
+    assert len(seen) > 1
+    with pytest.raises(QpDimensionError):
+        program.rebind(program.c[:-1], program.b_eq)
+    with pytest.raises(QpDimensionError):
+        program.rebind(program.c, np.append(program.b_eq, 0.0))
+
+
+def test_memo_keeps_one_factorization_and_reuses_it(toy2_congested, monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    hint, reused, refactored = None, 0, 0
+    for program in _sweep(toy2_congested):
+        calls.clear()
+        sol = solve(program, active_hint=hint)
+        # pinv(A) and one active-set factorization, however many sets the solve visited
+        assert len(program._memo) <= 2
+        if hint is not None and sol.active_set == hint and sol.iterations == 0:
+            assert not calls
+            reused += 1
+        elif hint is not None:
+            refactored += bool(calls)
+        hint = sol.active_set
+    assert reused >= 15 and refactored >= 1

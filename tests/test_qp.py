@@ -82,6 +82,19 @@ def test_dimension_validation():
         _qp([[2.0]], [0.0], var_labels=("x", "x"))
 
 
+def test_structure_is_frozen_without_freezing_the_callers_arrays():
+    q, g = np.eye(2), np.array([[1.0, 1.0]])
+    a = np.array([[1.0, -1.0]])
+    qp = _qp(q, [0.0, 0.0], a=a, b=[0.0], g=g, h=[1.0])
+    for name in ("q", "a_eq", "g_ineq"):
+        with pytest.raises(ValueError):
+            getattr(qp, name)[0, 0] = 5.0
+    for mine, stored in ((q, qp.q), (a, qp.a_eq), (g, qp.g_ineq)):
+        assert mine.flags.writeable and stored is not mine
+        mine[0, 0] = 5.0  # the caller may keep editing its own copy
+        assert stored[0, 0] == 1.0
+
+
 def test_kkt_residuals_of_solver_output_meet_tolerance():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4))
