@@ -251,8 +251,7 @@ _FEASIBILITY_GROUPS = {"nodal": "nodal", "gen_lo": "generator_box", "gen_hi": "g
                        "aggregate": "aggregate", "tie_def": "tie_definition"}
 
 
-def check_limit_feasibility(net: Network, state: CouplingState,
-                            clearings: dict[str, ClearingResult],
+def check_limit_feasibility(net: Network, clearings: dict[str, ClearingResult],
                             tol: float = 1e-3) -> FeasibilityReport:
     """Evaluate the joint program's rows at the mechanism limit.
 
@@ -365,7 +364,7 @@ def comparison_report(net: Network, state: CouplingState,
 
     gap = efficiency_gap(net, clearings, central)
     kkt = verify_kkt_equivalence(net, state, clearings, central, tol=kkt_tol)
-    feas = check_limit_feasibility(net, state, clearings)
+    feas = check_limit_feasibility(net, clearings)
     nash = verify_nash(net, state, clearings, tol=nash_tol)
     return {
         "objective_gap": gap.objective_gap,

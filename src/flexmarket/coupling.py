@@ -8,12 +8,15 @@ surrogate, clamped at zero.  Capacity prices move on a fast timescale, flows
 and quoted prices on a slow one; the mechanism's limit is a Nash equilibrium
 of the coupled clearing game, which `verify_nash` checks numerically by
 re-clearing each area against the frozen limit terms.
+
+`run` keeps the broadcasts in memory as one flat vector; the wire format of
+`encode_message`/`decode_message` serves a networked deployment.
 """
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,10 +175,11 @@ def inertial_update(prev, fresh, rho: float):
     return (1.0 - rho) * prev + rho * fresh
 
 
-def update_capacity_price(mu_prev: float, abs_dt_a: float, abs_dt_b: float,
-                          abs_t_da: float, capacity: float, beta: float) -> float:
-    """Constant-step ascent on the capacity surrogate, clamped at zero."""
-    return max(mu_prev + beta * (0.5 * (abs_dt_a + abs_dt_b) + abs_t_da - capacity), 0.0) + 0.0
+def update_capacity_price(mu_prev, abs_dt_a, abs_dt_b, abs_t_da, capacity, beta: float):
+    """Constant-step ascent on the capacity surrogate, clamped at zero (the
+    + 0.0 turns a clamped -0.0 into 0.0); scalars or arrays, elementwise."""
+    return np.maximum(mu_prev + beta * (0.5 * (abs_dt_a + abs_dt_b) + abs_t_da - capacity),
+                      0.0) + 0.0
 
 
 def _fmt(v: float) -> str:
@@ -222,84 +226,69 @@ def decode_message(data: bytes, expected_round: int | None = None) -> ExchangeMe
     return ExchangeMessage(doc["sender"], doc["round"], tuple(ties))
 
 
-def _initial_state(net: Network, config: MechanismConfig) -> CouplingState:
-    areas = {
-        a.id: AreaBroadcast(
-            delta_t={v.tie_id: 0.0 for v in net.tie_views(a.id)},
-            theta={b: 0.0 for b in net.boundary_buses(a.id)},
-            price={v.tie_id: 0.0 for v in net.tie_views(a.id)},
-        )
-        for a in net.areas
-    }
-    mu = {t.id: 0.0 for t in net.active_ties()}
-    return CouplingState(0, areas, mu, config.rho, config.beta)
+class _BroadcastIndex:
+    """Slots of the flat broadcast vector x: per area, in network order,
+    delta_t per incident tie, theta per boundary bus, price per incident tie.
+    Capacity prices sit in a second vector, in active-tie order."""
+
+    def __init__(self, net: Network):
+        self.ties = net.active_ties()
+        self.keys: list[tuple[str, str, str]] = []  # (area, field, key) per slot
+        views = {a.id: net.tie_views(a.id) for a in net.areas}
+        for a, vs in views.items():
+            self.keys += [(a, "delta_t", v.tie_id) for v in vs]
+            self.keys += [(a, "theta", b) for b in sorted({v.own_bus for v in vs})]
+            self.keys += [(a, "price", v.tie_id) for v in vs]
+        slot = {key: i for i, key in enumerate(self.keys)}
+        mu_slot = {t.id: i for i, t in enumerate(self.ties)}
+        # per area and incident tie: the neighbor's price and angle slots, the mu slot
+        self.quotes = {a: [(v.tie_id, slot[v.neighbor_area, "price", v.tie_id],
+                            slot[v.neighbor_area, "theta", v.neighbor_bus], mu_slot[v.tie_id])
+                           for v in vs] for a, vs in views.items()}
+        # rows: delta_t of the from side, of the to side, then price of each side
+        self.tie_slots = np.array([[slot[a, f, t.id] for f in ("delta_t", "price")
+                                    for a in (t.from_area, t.to_area)] for t in self.ties],
+                                  dtype=int).reshape(-1, 4).T
+        self.t_da = np.array([t.t_da for t in self.ties], dtype=float)
+        self.capacity = np.array([t.capacity for t in self.ties], dtype=float)
+
+    def flatten(self, areas: dict[str, AreaBroadcast]) -> np.ndarray:
+        return np.array([getattr(areas[a], f)[key] for a, f, key in self.keys], dtype=float)
+
+    def unflatten(self, x: np.ndarray, mu: np.ndarray):
+        areas = {a: AreaBroadcast({}, {}, {}) for a in self.quotes}
+        for (a, f, key), v in zip(self.keys, x.tolist()):
+            getattr(areas[a], f)[key] = v
+        return areas, dict(zip([t.id for t in self.ties], mu.tolist()))
+
+    def terms(self, xs: list[float], mus: list[float]) -> dict[str, TermsOfTrade]:
+        return {a: TermsOfTrade({t: TieTerms(xs[p], xs[q], mus[m]) for t, p, q, m in quotes})
+                for a, quotes in self.quotes.items()}
+
+    def state_terms(self, state: CouplingState) -> dict[str, TermsOfTrade]:
+        return self.terms(self.flatten(state.areas).tolist(), [state.mu[t.id] for t in self.ties])
 
 
-def _broadcast(net: Network, state: CouplingState, area_id: str) -> bytes:
-    b = state.areas[area_id]
-    quotes = tuple(
-        TieQuote(v.tie_id, b.delta_t[v.tie_id], b.theta[v.own_bus], b.price[v.tie_id])
-        for v in net.tie_views(area_id)
-    )
-    return encode_message(ExchangeMessage(area_id, state.k, quotes))
-
-
-def terms_for_area(net: Network, state: CouplingState, area_id: str,
-                   messages: dict[str, ExchangeMessage] | None = None) -> TermsOfTrade:
+def terms_for_area(net: Network, state: CouplingState, area_id: str) -> TermsOfTrade:
     """Assemble an area's terms of trade from its neighbors' broadcasts."""
-    by_tie = {}
-    for v in net.tie_views(area_id):
-        if messages is not None:
-            quote = next(q for q in messages[v.neighbor_area].ties if q.tie_id == v.tie_id)
-            price, angle = quote.delta_price, quote.theta_rad
-        else:
-            nb = state.areas[v.neighbor_area]
-            price, angle = nb.price[v.tie_id], nb.theta[v.neighbor_bus]
-        by_tie[v.tie_id] = TieTerms(price, angle, state.mu[v.tie_id])
-    return TermsOfTrade(by_tie)
+    return _BroadcastIndex(net).state_terms(state)[area_id]
 
 
-def _fresh_broadcast(net: Network, area_id: str, result: ClearingResult) -> AreaBroadcast:
-    theta = {b: result.decision.theta[b] for b in net.boundary_buses(area_id)}
-    return AreaBroadcast(dict(result.decision.delta_t), theta, dict(result.willingness_to_pay))
-
-
-def _blend(prev: AreaBroadcast, fresh: AreaBroadcast, rho: float) -> AreaBroadcast:
+def _record(index: _BroadcastIndex, k: int, x: np.ndarray, mu: np.ndarray, dx: float,
+            clearings: dict[str, ClearingResult]) -> TraceRecord:
+    dt_from, dt_to, price_from, price_to = x[index.tie_slots]
+    flow_from = index.t_da + dt_from
+    flow_to = -index.t_da + dt_to
+    consensus = np.abs(flow_from + flow_to).tolist()
+    slackness = (mu * (0.5 * (np.abs(dt_from) + np.abs(dt_to)) + np.abs(index.t_da)
+                       - index.capacity)).tolist()
     # tolist() hands back Python floats, whose repr the trace CSV relies on
-    mix = lambda p, f: dict(zip(p, inertial_update(list(p.values()), [f[k] for k in p],
-                                                   rho).tolist()))
-    return AreaBroadcast(mix(prev.delta_t, fresh.delta_t), mix(prev.theta, fresh.theta),
-                         mix(prev.price, fresh.price))
-
-
-def _dx_inf(prev: AreaBroadcast, new: AreaBroadcast) -> float:
-    out = 0.0
-    for p, n in ((prev.delta_t, new.delta_t), (prev.theta, new.theta), (prev.price, new.price)):
-        for key in p:
-            out = max(out, abs(p[key] - n[key]))
-    return out
-
-
-def _record(net: Network, state: CouplingState, prev_areas, clearings, k) -> TraceRecord:
-    ties = {}
-    consensus_max = 0.0
-    slack_max = 0.0
-    for t in net.active_ties():
-        dt_from = state.areas[t.from_area].delta_t[t.id]
-        dt_to = state.areas[t.to_area].delta_t[t.id]
-        flow_from = t.t_da + dt_from
-        flow_to = -t.t_da + dt_to
-        consensus = abs(flow_from + flow_to)
-        slackness = state.mu[t.id] * (0.5 * (abs(dt_from) + abs(dt_to)) + abs(t.t_da) - t.capacity)
-        ties[t.id] = TieTrace(flow_from, flow_to, state.mu[t.id],
-                              state.areas[t.from_area].price[t.id],
-                              state.areas[t.to_area].price[t.id], consensus, slackness)
-        consensus_max = max(consensus_max, consensus)
-        slack_max = max(slack_max, slackness)
-    areas = {a: AreaTrace(clearings[a].duals.reliability_price, clearings[a].objective)
-             for a in clearings}
-    dx = max((_dx_inf(prev_areas[a], state.areas[a]) for a in prev_areas), default=0.0)
-    return TraceRecord(k, ties, areas, dx, consensus_max, slack_max)
+    columns = zip(flow_from.tolist(), flow_to.tolist(), mu.tolist(),
+                  price_from.tolist(), price_to.tolist(), consensus, slackness)
+    ties = {t.id: TieTrace(*row) for t, row in zip(index.ties, columns)}
+    areas = {a: AreaTrace(c.duals.reliability_price, c.objective) for a, c in clearings.items()}
+    # max from a Python 0.0: an all-zero mu must give 0.0 here, never -0.0
+    return TraceRecord(k, ties, areas, dx, max([0.0, *consensus]), max([0.0, *slackness]))
 
 
 def run(net: Network, config: MechanismConfig | None = None,
@@ -308,48 +297,44 @@ def run(net: Network, config: MechanismConfig | None = None,
     config = config or MechanismConfig()
     if engine is None:
         engine = ChanceConstrainedClearing(net, config.solver_tol, config.solver_max_iter)
-    area_ids = [a.id for a in net.areas]
-    state = _initial_state(net, config)
-    clearings: dict[str, ClearingResult] = {}
+    index = _BroadcastIndex(net)
+    x = np.zeros(len(index.keys))
+    mu = np.zeros(len(index.ties))
     trace: list[TraceRecord] = []
 
-    def clear_all(k: int) -> dict[str, ClearingResult]:
-        msgs = {a: decode_message(_broadcast(net, state, a), expected_round=state.k)
-                for a in area_ids}
-        terms = {a: terms_for_area(net, state, a, msgs) for a in area_ids}
+    def clear_all(k: int, x: np.ndarray, mu: np.ndarray):
+        """Every area's clear against x and mu, and their fresh broadcast vector."""
+        terms = index.terms(x.tolist(), mu.tolist())
         try:
-            return {a: engine.clear_area(a, terms[a]) for a in area_ids}
+            out = {a: engine.clear_area(a, terms[a]) for a in terms}
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
+        fresh = index.flatten({a: AreaBroadcast(c.decision.delta_t, c.decision.theta,
+                                                c.willingness_to_pay) for a, c in out.items()})
+        bad = np.flatnonzero(~np.isfinite(fresh))
+        if bad.size:
+            a, f, key = index.keys[bad[0]]
+            raise MechanismError(k, f"area[{a}]: non-finite {f}[{key}] = {float(fresh[bad[0]])}")
+        return out, fresh
 
     if config.warm_start:
-        clearings = clear_all(0)
-        state = replace(state, areas={a: _fresh_broadcast(net, a, clearings[a])
-                                      for a in area_ids})
+        clearings, x = clear_all(0, x, mu)
     streak = 0
-    converged = False
-    rounds = 0
     for k in range(1, config.max_rounds + 1):
-        clearings = clear_all(k)
-        rho = step_rho(k, config.rho)
-        prev_areas = state.areas
-        new_areas = {a: _blend(prev_areas[a], _fresh_broadcast(net, a, clearings[a]), rho)
-                     for a in area_ids}
-        mu = dict(state.mu)
-        for t in net.active_ties():
-            mu[t.id] = update_capacity_price(
-                mu[t.id], abs(new_areas[t.from_area].delta_t[t.id]),
-                abs(new_areas[t.to_area].delta_t[t.id]), abs(t.t_da), t.capacity,
-                config.beta)
-        state = CouplingState(k, new_areas, mu, config.rho, config.beta)
-        trace.append(_record(net, state, prev_areas, clearings, k))
-        rounds = k
-        streak = streak + 1 if trace[-1].dx_inf < config.tol else 0
+        clearings, fresh = clear_all(k, x, mu)
+        new = inertial_update(x, fresh, step_rho(k, config.rho))
+        dx = float(np.max(np.abs(new - x), initial=0.0))
+        x = new
+        mu = update_capacity_price(mu, *np.abs(x[index.tie_slots[:2]]), np.abs(index.t_da),
+                                   index.capacity, config.beta)
+        trace.append(_record(index, k, x, mu, dx, clearings))
+        streak = streak + 1 if dx < config.tol else 0
         if streak >= config.consecutive:
-            converged = True
             break
-    log.info("mechanism finished after %d rounds (converged=%s)", rounds, converged)
-    return MechanismRun(state, tuple(trace), clearings, converged, rounds)
+    converged = streak >= config.consecutive
+    log.info("mechanism finished after %d rounds (converged=%s)", k, converged)
+    state = CouplingState(k, *index.unflatten(x, mu), config.rho, config.beta)
+    return MechanismRun(state, tuple(trace), clearings, converged, k)
 
 
 @dataclass(frozen=True)
@@ -394,11 +379,11 @@ def verify_nash(net: Network, state: CouplingState, clearings: dict[str, Clearin
     """
     if engine is None:
         engine = ChanceConstrainedClearing(net)
+    terms = _BroadcastIndex(net).state_terms(state)
     out = {}
     for a in net.areas:
-        terms = terms_for_area(net, state, a.id)
-        best = engine.clear_area(a.id, terms)
-        v_limit = evaluate_objective(net, a.id, terms, clearings[a.id].decision)
+        best = engine.clear_area(a.id, terms[a.id])
+        v_limit = evaluate_objective(net, a.id, terms[a.id], clearings[a.id].decision)
         gap = v_limit - best.objective
         tolerance = tol * (1.0 + abs(v_limit))
         out[a.id] = NashGap(v_limit, best.objective, gap, tolerance, gap <= tolerance)

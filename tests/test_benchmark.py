@@ -133,12 +133,12 @@ def test_fixed_point_breaks_under_price_perturbation(toy2, toy2_central):
 def test_limit_feasibility_on_converged_runs(toy2_congested, toy2_congested_run,
                                              toy2, toy2_run):
     result, _ = toy2_congested_run
-    report = check_limit_feasibility(toy2_congested, result.state, result.clearings)
+    report = check_limit_feasibility(toy2_congested, result.clearings)
     assert report.max() <= 1e-3
     assert report.tie_capacity <= 1e-3
     # uncongested case sits strictly inside the capacity bound
     result2, _ = toy2_run
-    report2 = check_limit_feasibility(toy2, result2.state, result2.clearings)
+    report2 = check_limit_feasibility(toy2, result2.clearings)
     assert report2.tie_capacity == 0.0
     flow = result2.trace[-1].ties["AB"].flow_from
     assert abs(flow) < toy2.tie("AB").capacity - 1.0
@@ -148,7 +148,7 @@ def test_early_iterate_may_overshoot_capacity(toy2_congested):
     # capacity is enforced by prices, not hard-coded: the first rounds exceed
     # it and the report flags that without raising
     result = run(toy2_congested, MechanismConfig(max_rounds=3, tol=1e-12))
-    report = check_limit_feasibility(toy2_congested, result.state, result.clearings)
+    report = check_limit_feasibility(toy2_congested, result.clearings)
     assert report.tie_capacity > 1e-3
     assert any("tie_capacity" in flag for flag in report.flags)
 
@@ -160,8 +160,7 @@ def test_limit_feasibility_sees_to_side_capacity_overshoot(toy2_congested,
     result, _ = toy2_congested_run
     b = result.clearings["B"]
     moved = replace(b, decision=replace(b.decision, delta_t={**b.decision.delta_t, "AB": -6.0}))
-    report = check_limit_feasibility(toy2_congested, result.state,
-                                     {**result.clearings, "B": moved})
+    report = check_limit_feasibility(toy2_congested, {**result.clearings, "B": moved})
     assert report.tie_capacity == 1.0
     assert any(flag.startswith("tie_capacity[AB:B]") for flag in report.flags)
 
@@ -202,7 +201,7 @@ def test_limit_feasibility_reports_each_row_group(tri3, tri3_run, field, label, 
     values = {**getattr(res.decision, quantity), key: moved(tri3, res.decision)}
     clearings = {**result.clearings,
                  area: replace(res, decision=replace(res.decision, **{quantity: values}))}
-    report = check_limit_feasibility(tri3, result.state, clearings)
+    report = check_limit_feasibility(tri3, clearings)
     # the limit itself is off consensus by up to 1e-7, which may offset the 2
     assert getattr(report, field) >= 2.0 - 1e-6
     assert any(flag.startswith(f"{label}: ") for flag in report.flags), report.flags

@@ -72,6 +72,11 @@ def test_capacity_price_update_examples():
     assert update_capacity_price(1.0, 0.6, 0.6, 0.0, 1.0, 0.5) == pytest.approx(0.8)
     # mu 0, beta 0.1, both adjustments 100, cap 80 -> 2.0
     assert update_capacity_price(0.0, 100.0, 100.0, 0.0, 80.0, 0.1) == pytest.approx(2.0)
+    # arrays update elementwise, exactly as the scalar calls do
+    cases = np.array([[0.0, 1.0, 1.0, 0.0, 10.0], [1.0, 0.6, 0.6, 0.0, 1.0],
+                      [0.0, 100.0, 100.0, 0.0, 80.0], [2.5, 3.0, 1.0, 4.0, 7.0]])
+    out = update_capacity_price(*cases.T, 0.3)
+    assert out.tolist() == [update_capacity_price(*row, 0.3) for row in cases.tolist()]
 
 
 @given(st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e6),
@@ -249,6 +254,25 @@ def test_shared_capacity_price_across_orientations(tri3, tri3_run):
             assert terms.for_tie(view.tie_id).capacity_price == result.state.mu[view.tie_id]
 
 
+def test_wire_round_trip_gives_the_direct_terms(tri3, tri3_run):
+    # run() exchanges broadcasts in memory; that is safe because a networked
+    # exchange through the wire format would hand every area the same terms
+    state = tri3_run[0].state
+    received = {}
+    for area_id, b in state.areas.items():
+        quotes = tuple(TieQuote(v.tie_id, b.delta_t[v.tie_id], b.theta[v.own_bus],
+                                b.price[v.tie_id]) for v in tri3.tie_views(area_id))
+        data = encode_message(ExchangeMessage(area_id, state.k, quotes))
+        received[area_id] = {q.tie_id: q for q in
+                             decode_message(data, expected_round=state.k).ties}
+    for area in tri3.areas:
+        terms = terms_for_area(tri3, state, area.id)
+        for view in tri3.tie_views(area.id):
+            quote = received[view.neighbor_area][view.tie_id]
+            assert quote.delta_price == terms.for_tie(view.tie_id).price
+            assert quote.theta_rad == terms.for_tie(view.tie_id).neighbor_angle
+
+
 def test_day_ahead_flow_orientation_carries_through(toy2):
     # schedule 3 MW day-ahead on the tie: the physical optimum is still 8 MW
     # total, so the adjustments split 5 / -5 across the two orientations
@@ -306,9 +330,11 @@ def test_trace_csv_shape(toy2_run):
     assert header[6:10] == ["A.gamma", "A.objective", "B.gamma", "B.objective"]
     assert header[10:] == ["dx_inf", "consensus", "slackness"]
     assert len(lines) == len(result.trace) + 1
+    # the max starts from 0.0, so rounds with mu == 0 never print -0.0
+    assert all(line.split(",")[-1] != "-0.0" for line in lines[1:])
 
 
-def test_mechanism_reports_infeasible_round():
+def test_mechanism_reports_infeasible_round(toy2):
     # importer that cannot cover demand once its tiny partner is priced out
     net = load_case({
         "areas": ["X", "Y"],
@@ -332,3 +358,23 @@ def test_mechanism_reports_infeasible_round():
         run(net, MechanismConfig(max_rounds=5))
     assert err.value.round_k == 1
     assert "area[Y]" in str(err.value)
+
+    # an engine that quotes NaN for area B must stop the run in that round,
+    # naming the area, instead of blending NaN into the state
+    from flexmarket import ChanceConstrainedClearing
+
+    class NanEngine:
+        def __init__(self, net):
+            self.inner = ChanceConstrainedClearing(net)
+
+        def clear_area(self, area_id, terms):
+            out = self.inner.clear_area(area_id, terms)
+            if area_id == "B":
+                out = replace(out, willingness_to_pay={t: float("nan")
+                                                       for t in out.willingness_to_pay})
+            return out
+
+    with pytest.raises(MechanismError) as err:
+        run(toy2, MechanismConfig(max_rounds=5), engine=NanEngine(toy2))
+    assert err.value.round_k == 1
+    assert "area[B]" in str(err.value)
