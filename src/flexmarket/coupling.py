@@ -22,7 +22,8 @@ import numpy as np
 
 from .grid import Network
 from .market import (ChanceConstrainedClearing, ClearingEngine, ClearingError,
-                     ClearingResult, TermsOfTrade, TieTerms, evaluate_objective)
+                     ClearingResult, TermsOfTrade, TieTerms, clear as clear_area,
+                     evaluate_objective)
 
 log = logging.getLogger("flexmarket.coupling")
 
@@ -370,19 +371,17 @@ class NashGap:
 
 
 def verify_nash(net: Network, state: CouplingState, clearings: dict[str, ClearingResult],
-                tol: float = 1e-4, engine: ClearingEngine | None = None) -> dict[str, NashGap]:
+                tol: float = 1e-4) -> dict[str, NashGap]:
     """No-profitable-unilateral-deviation check at the limit state.
 
-    Each area is re-cleared against the frozen limit terms; the objective of
-    its limit decision must not exceed the re-cleared optimum by more than
-    tol * (1 + |V_a|).
+    Each area is re-cleared once against the frozen limit terms, seeded with
+    the rows its limit decision binds; the objective of its limit decision
+    must not exceed the re-cleared optimum by more than tol * (1 + |V_a|).
     """
-    if engine is None:
-        engine = ChanceConstrainedClearing(net)
     terms = _BroadcastIndex(net).state_terms(state)
     out = {}
     for a in net.areas:
-        best = engine.clear_area(a.id, terms[a.id])
+        best = clear_area(net, a.id, terms[a.id], near=clearings[a.id].decision)
         v_limit = evaluate_objective(net, a.id, terms[a.id], clearings[a.id].decision)
         gap = v_limit - best.objective
         tolerance = tol * (1.0 + abs(v_limit))

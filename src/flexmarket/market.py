@@ -323,14 +323,36 @@ class AreaProblem:
         return self._program.rebind(c, b)
 
     def clear(self, terms: TermsOfTrade, tol: float = qpmod.DEFAULT_TOL,
-              max_iter: int = qpmod.DEFAULT_MAX_ITER) -> ClearingResult:
+              max_iter: int = qpmod.DEFAULT_MAX_ITER,
+              near: AreaDecision | None = None) -> ClearingResult:
+        """Clear at the terms of trade.
+
+        ``near``, a decision expected to be close to the answer, seeds the
+        solve with the rows that bind at it, in place of the previous clear's
+        binding set.
+        """
         program = self.assemble(terms)
-        sol = qpmod.solve(program, tol=tol, max_iter=max_iter, active_hint=self._active_hint)
+        hint = self._active_hint if near is None else program.binding_rows(self._primal(near))
+        sol = qpmod.solve(program, tol=tol, max_iter=max_iter, active_hint=hint)
         if sol.status != "optimal":
             self._active_hint = None
             raise ClearingError(self.area_id, sol.status)
         self._active_hint = sol.active_set
         return self._extract(terms, sol, tol)
+
+    def _primal(self, decision: AreaDecision) -> np.ndarray:
+        """The program's x for a decision; each dT splits into its positive and negative parts."""
+        idx = self.index
+        x = np.zeros(self._program.n)
+        for g, i in idx.var_dp.items():
+            x[i] = decision.delta_p[g]
+        for v in idx.ties:
+            dt = decision.delta_t[v.tie_id]
+            x[idx.var_tp[v.tie_id]] = max(dt, 0.0)
+            x[idx.var_tm[v.tie_id]] = max(-dt, 0.0)
+        for b, i in idx.var_theta.items():
+            x[i] = decision.theta[b]
+        return x
 
     def _extract(self, terms: TermsOfTrade, sol: qpmod.QpSolution, tol: float) -> ClearingResult:
         idx = self.index
@@ -369,8 +391,17 @@ def assemble(net: Network, area_id: str, terms: TermsOfTrade,
 
 def clear(net: Network, area_id: str, terms: TermsOfTrade,
           requirement: AggregateRequirement | None = None,
-          tol: float = qpmod.DEFAULT_TOL, max_iter: int = qpmod.DEFAULT_MAX_ITER) -> ClearingResult:
-    return AreaProblem(net, area_id, requirement=requirement).clear(terms, tol, max_iter)
+          tol: float = qpmod.DEFAULT_TOL, max_iter: int = qpmod.DEFAULT_MAX_ITER,
+          near: AreaDecision | None = None) -> ClearingResult:
+    """Clear one area at the given terms of trade.
+
+    ``near`` is a decision the caller expects the clearing to reproduce or
+    nearly so, such as a limit or benchmark decision under certification.
+    The inequality rows binding at it seed the solver's active set; the
+    solver accepts that set only if it passes full KKT validation and
+    otherwise solves cold, so ``near`` changes the path, never the answer.
+    """
+    return AreaProblem(net, area_id, requirement=requirement).clear(terms, tol, max_iter, near)
 
 
 def evaluate_objective(net: Network, area_id: str, terms: TermsOfTrade,

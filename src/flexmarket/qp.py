@@ -45,6 +45,11 @@ class _NumericalBreakdown(Exception):
     """Internal: the Newton system could not be solved to a usable direction."""
 
 
+def _feasibility_tol(h: np.ndarray) -> float:
+    """Slack within which an inequality row counts as binding, or as not violated."""
+    return 1e-9 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only array equal to ``arr``; a writeable one is copied, not frozen."""
     if arr.flags.writeable:
@@ -108,6 +113,11 @@ class QuadraticProgram:
         program = object.__new__(type(self))
         program.__dict__.update(self.__dict__, c=c, b_eq=b)
         return program
+
+    def binding_rows(self, x) -> tuple[int, ...]:
+        """Inequality rows whose slack at ``x`` is within the solver's feasibility tolerance."""
+        slack = self.h_ineq - self.g_ineq @ np.asarray(x, dtype=float)
+        return tuple(np.flatnonzero(slack <= _feasibility_tol(self.h_ineq)).tolist())
 
     @property
     def n(self) -> int:
@@ -252,7 +262,7 @@ def _polish(qp, active: set[int], tol):
     mi = len(qp.h_ineq)
     if not mi:
         return None
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(qp.h_ineq), initial=0.0)))
+    feas_tol = _feasibility_tol(qp.h_ineq)
     active = set(active)
     for _ in range(2 * mi + 8):
         rows = sorted(active)
@@ -392,7 +402,7 @@ def _primal_active_set(qp, x0, tol, max_pivots=500):
     n, mi = qp.n, len(qp.h_ineq)
     g, h = qp.g_ineq, qp.h_ineq
     x = np.asarray(x0, dtype=float).copy()
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
+    feas_tol = _feasibility_tol(h)
     work: set[int] = set()
     for _ in range(max_pivots):
         rows = sorted(work)

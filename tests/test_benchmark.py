@@ -1,12 +1,14 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from flexmarket import (MechanismConfig, TermsOfTrade, aggregate_requirement,
                         check_limit_feasibility, efficiency_gap, load_case,
                         optimal_terms_of_trade, run, save_case, solve_centralized,
-                        verify_fixed_point, verify_kkt_equivalence)
+                        verify_fixed_point, verify_kkt_equivalence, verify_nash)
+from flexmarket import qp
 from flexmarket.market import clear
 
 
@@ -117,6 +119,37 @@ def test_fixed_point_on_bundled_cases(toy2, toy2_central, toy2_congested,
                      (tri3, tri3_central)):
         report = verify_fixed_point(net, sol)
         assert report.max_deviation <= 1e-4, report.deviations
+
+
+def test_fixed_point_on_ladder_8x4_s2():
+    # cold, the re-clear of A05 stops on another point of a nearly flat optimal
+    # face: its objective agrees to 1e-11, but theta[A05b00] is off by 0.25 rad;
+    # seeded with the benchmark's binding rows, it reproduces the benchmark
+    net = load_case((Path(__file__).parent / "data" / "ladder_8x4_s2.json").read_text())
+    report = verify_fixed_point(net, solve_centralized(net))
+    assert report.max_deviation <= 1e-6, report.deviations
+
+
+def test_certification_clears_take_the_hinted_path(toy2_congested, toy2_congested_run,
+                                                   toy2_congested_central, tri3, tri3_run,
+                                                   tri3_central, monkeypatch):
+    # the Nash and fixed-point re-clears start from the rows the decision they
+    # should reproduce binds, so none of them runs the interior point
+    solves = []
+    solve = qp.solve
+
+    def recorded(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(qp, "solve", recorded)
+    for net, (result, _), central in ((toy2_congested, toy2_congested_run, toy2_congested_central),
+                                      (tri3, tri3_run, tri3_central)):
+        for check in (lambda: verify_nash(net, result.state, result.clearings),
+                      lambda: verify_fixed_point(net, central)):
+            solves.clear()
+            check()
+            assert [sol.iterations for sol in solves] == [0] * len(net.areas)
 
 
 def test_fixed_point_breaks_under_price_perturbation(toy2, toy2_central):

@@ -12,7 +12,8 @@ from flexmarket import (MechanismConfig, RhoSchedule, ScenarioModifiers, apply_s
                         verify_nash)
 from flexmarket.coupling import (ExchangeMessage, MessageError, StaleMessageError,
                                  TieQuote, TraceRecord, terms_for_area)
-from flexmarket.market import AreaDecision, TermsOfTrade, autarky_infeasibility
+from flexmarket.market import AreaDecision, TermsOfTrade, autarky_infeasibility, clear
+from flexmarket.qp import DEFAULT_TOL
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -228,6 +229,28 @@ def test_perturbed_state_shows_profitable_deviation(toy2, toy2_run):
     gaps = verify_nash(toy2, result.state, clearings)
     assert gaps["B"].gap > 0.1
     assert not gaps["B"].passed
+
+
+def test_near_never_changes_the_clearing(toy2, toy2_run):
+    # the perturbed decision above binds other rows than the best response; as
+    # a seed it may cost a cold solve, but it never changes what is accepted
+    result, _ = toy2_run
+    limit = result.clearings["B"].decision
+    worse = AreaDecision(
+        delta_p={"GB": limit.delta_p["GB"] + 1.0},
+        delta_t={"AB": limit.delta_t["AB"] + 1.0},
+        theta={"B1": limit.theta["B1"] + 0.1},
+    )
+    terms = terms_for_area(toy2, result.state, "B")
+    unseeded = clear(toy2, "B", terms)
+    seeded = clear(toy2, "B", terms, near=worse)
+    for field in ("delta_p", "delta_t", "theta"):
+        expected = getattr(unseeded.decision, field)
+        got = getattr(seeded.decision, field)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, abs=1e-9)
+    assert seeded.kkt_residual <= DEFAULT_TOL
 
 
 def test_single_area_network_is_trivially_nash():
