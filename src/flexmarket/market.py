@@ -399,7 +399,9 @@ def clear(net: Network, area_id: str, terms: TermsOfTrade,
     nearly so, such as a limit or benchmark decision under certification.
     The inequality rows binding at it seed the solver's active set; the
     solver accepts that set only if it passes full KKT validation and
-    otherwise solves cold, so ``near`` changes the path, never the answer.
+    otherwise solves cold.  Either answer meets the KKT tolerance, but on a
+    degenerate optimal face ``near`` can pick a different point of the face,
+    at the same objective to solver tolerance.
     """
     return AreaProblem(net, area_id, requirement=requirement).clear(terms, tol, max_iter, near)
 

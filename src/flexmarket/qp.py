@@ -258,14 +258,22 @@ def _polish(qp, active: set[int], tol):
     system is consistent.  lstsq keeps duals at the minimum-norm point of the
     optimal dual face, which makes degenerate multiplier splits symmetric and
     deterministic.
+
+    Each step depends only on the current set, so a set that comes round
+    again starts a cycle that can never end consistent: the walk gives up at
+    the first repeat (or when its budget runs out) and returns None.
     """
     mi = len(qp.h_ineq)
     if not mi:
         return None
     feas_tol = _feasibility_tol(qp.h_ineq)
     active = set(active)
+    seen = set()
     for _ in range(2 * mi + 8):
         rows = sorted(active)
+        if tuple(rows) in seen:
+            return None
+        seen.add(tuple(rows))
         x, y, z = _solve_active(qp, rows)
         slack = qp.h_ineq - qp.g_ineq @ x
         violated = [i for i in np.flatnonzero(slack < -feas_tol).tolist() if i not in active]
@@ -295,37 +303,43 @@ def _mehrotra(qp, tol, max_iter, x0=None):
     s = np.maximum(h - g @ x, 1.0) if mi else np.zeros(0)
     z = np.ones(mi)
 
-    def newton_rhs(r_d, r_p, rc_over_s, w):
-        top = -r_d - g.T @ rc_over_s if mi else -r_d
-        rhs = np.concatenate([top, -r_p])
-        kkt = np.zeros((n + me, n + me))
-        kkt[:n, :n] = q + (g.T * w) @ g if mi else q
-        kkt[:n, n:] = -a.T
-        kkt[n:, :n] = a
-        # static regularization keeps the saddle system factorable when the
-        # scaling matrix degenerates; refinement steps restore accuracy.
-        # scaled to the problem data, NOT the scaling-augmented matrix
-        delta = 1e-11 * (1.0 + float(np.max(np.abs(q))))
-        for attempt in range(8):
+    # Static regularization keeps the saddle system factorable when the
+    # scaling matrix degenerates; refinement steps restore accuracy.  delta is
+    # scaled to the problem data, NOT the scaling-augmented matrix, and grows
+    # x100 per rung.
+    ladder = [1e-11 * (1.0 + float(np.max(np.abs(q))))]
+    for _ in range(7):
+        ladder.append(ladder[-1] * 100.0)
+    diagonal = np.diag_indices(n + me)
+
+    def newton_rhs(kkt, singular, r_d, r_p, rc_over_s):
+        """Solve the Newton system, climbing the delta ladder on failure.
+
+        ``singular`` holds the rungs whose LU of ``kkt`` reported a singular
+        matrix.  That depends on the matrix alone, so they are skipped and
+        the set is extended; a retry for a non-finite solution depends on the
+        right-hand side and is not recorded.
+        """
+        rhs = np.concatenate([-r_d - g.T @ rc_over_s, -r_p])
+        for rung, delta in enumerate(ladder):
+            if rung in singular:
+                continue
             kkt_reg = kkt.copy()
-            kkt_reg[:n, :n] += delta * np.eye(n)
-            kkt_reg[n:, n:] += delta * np.eye(me)
+            kkt_reg[diagonal] += delta
             try:
                 sol = np.linalg.solve(kkt_reg, rhs)
-                if not np.all(np.isfinite(sol)):
-                    delta *= 100.0
-                    continue
-                # refinement may overflow on a near-singular system; the
-                # isfinite check below then retries with more regularization
-                with np.errstate(over="ignore", invalid="ignore"):
-                    sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-                    sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
             except np.linalg.LinAlgError:
-                delta *= 100.0
+                singular.add(rung)
                 continue
+            if not np.all(np.isfinite(sol)):
+                continue
+            # refinement may overflow on a near-singular system; the
+            # isfinite check below then retries with more regularization
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
+                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
             if np.all(np.isfinite(sol)):
                 return sol[:n], sol[n:]
-            delta *= 100.0
         raise _NumericalBreakdown
 
     best = np.inf
@@ -352,10 +366,17 @@ def _mehrotra(qp, tol, max_iter, x0=None):
             if stalled > 25:
                 return x, y, z, s, it, False
 
+        # one Newton matrix for the predictor and the corrector, which skips
+        # the regularization rungs whose LU the predictor found singular
         w = np.clip(z / s, 1e-14, 1e14)
+        kkt = np.zeros((n + me, n + me))
+        kkt[:n, :n] = q + (g.T * w) @ g
+        kkt[:n, n:] = -a.T
+        kkt[n:, :n] = a
+        singular: set[int] = set()
         try:
             # predictor (affine scaling), rc = s*z
-            dx, dy = newton_rhs(r_d, r_p, (-s * z + z * r_g) / s, w)
+            dx, dy = newton_rhs(kkt, singular, r_d, r_p, (-s * z + z * r_g) / s)
             ds = -r_g - g @ dx
             dz = (-s * z - z * ds) / s
             alpha_aff = 1.0
@@ -369,7 +390,7 @@ def _mehrotra(qp, tol, max_iter, x0=None):
             sigma = min((mu_aff / mu) ** 3, 1.0) if mu > 0 else 0.0
             # corrector
             rc = s * z - sigma * mu + ds * dz
-            dx, dy = newton_rhs(r_d, r_p, (-rc + z * r_g) / s, w)
+            dx, dy = newton_rhs(kkt, singular, r_d, r_p, (-rc + z * r_g) / s)
             ds = -r_g - g @ dx
             dz = (-rc - z * ds) / s
         except _NumericalBreakdown:

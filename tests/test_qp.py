@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flexmarket import load_case, optimal_terms_of_trade, solve_centralized
+from flexmarket import (MechanismConfig, RhoSchedule, load_case, optimal_terms_of_trade, run,
+                        solve_centralized)
+from flexmarket import qp as qpmod
 from flexmarket.market import clear
 from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_residuals,
                            solve)
@@ -237,3 +239,67 @@ def test_refinement_overflow_stays_silent():
         warnings.simplefilter("error", RuntimeWarning)
         res = clear(net, "A03", terms["A03"])
     assert res.status == "optimal"
+
+
+LADDER_4X8 = Path(__file__).parent / "data" / "ladder_4x8_s0.json"
+
+
+def test_polish_stops_at_first_repeated_active_set(monkeypatch):
+    # each add/drop step of the polish depends only on the current set, so a
+    # set that comes round again is a cycle: the walk must give up there
+    # instead of spending the rest of its budget on fresh factorizations
+    net = load_case(LADDER_4X8.read_text())
+    solve_active, polish = qpmod._solve_active, qpmod._polish
+    running, solved = [], []  # row sets solved by the open and by each finished _polish call
+    failed = []  # per finished call: did it return None
+
+    def recording_solve(program, rows):
+        if running:
+            running[-1].append(tuple(rows))
+        return solve_active(program, rows)
+
+    def recording_polish(*args):
+        running.append([])
+        try:
+            result = polish(*args)
+        finally:
+            solved.append(running.pop())
+        failed.append(result is None)
+        return result
+
+    monkeypatch.setattr(qpmod, "_solve_active", recording_solve)
+    monkeypatch.setattr(qpmod, "_polish", recording_polish)
+    run(net, MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1, rho=RhoSchedule(1.0, 1.0, 0.6)))
+    assert any(failed)  # the run meets polishes that cannot succeed
+    repeats = [rows for rows in solved if len(set(rows)) != len(rows)]
+    assert not repeats, f"{len(repeats)} of {len(solved)} polish calls re-solved a row set"
+
+
+def test_corrector_skips_the_rungs_the_predictor_found_singular(monkeypatch):
+    # the instance of test_refinement_overflow_stays_silent: its predictors
+    # meet Newton matrices whose LU is singular at the first regularization
+    # levels.  Singularity depends on the matrix alone, and the corrector
+    # shares the predictor's matrix, so no regularized matrix may be factored
+    # singular twice.
+    net = load_case(LADDER_4X8.read_text())
+    terms = optimal_terms_of_trade(net, solve_centralized(net))
+    real_solve = np.linalg.solve
+    singular, repeated = set(), []
+
+    def counting_solve(matrix, rhs):
+        try:
+            return real_solve(matrix, rhs)
+        except np.linalg.LinAlgError:
+            key = matrix.tobytes()
+            if key in singular:
+                repeated.append(matrix.shape)
+            singular.add(key)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = clear(net, "A03", terms["A03"])
+    assert res.status == "optimal"
+    assert singular  # the clear climbs the regularization ladder
+    assert not repeated, f"{len(repeated)} singular factorizations repeated"
