@@ -253,8 +253,9 @@ class _BroadcastIndex:
         self.t_da = np.array([t.t_da for t in self.ties], dtype=float)
         self.capacity = np.array([t.capacity for t in self.ties], dtype=float)
 
-    def flatten(self, areas: dict[str, AreaBroadcast]) -> np.ndarray:
-        return np.array([getattr(areas[a], f)[key] for a, f, key in self.keys], dtype=float)
+    def flatten(self, areas: dict[str, dict[str, dict[str, float]]]) -> np.ndarray:
+        """The vector of broadcasts given per area as {field: {key: value}}."""
+        return np.array([areas[a][f][key] for a, f, key in self.keys], dtype=float)
 
     def unflatten(self, x: np.ndarray, mu: np.ndarray):
         areas = {a: AreaBroadcast({}, {}, {}) for a in self.quotes}
@@ -267,7 +268,8 @@ class _BroadcastIndex:
                 for a, quotes in self.quotes.items()}
 
     def state_terms(self, state: CouplingState) -> dict[str, TermsOfTrade]:
-        return self.terms(self.flatten(state.areas).tolist(), [state.mu[t.id] for t in self.ties])
+        areas = {a: vars(b) for a, b in state.areas.items()}
+        return self.terms(self.flatten(areas).tolist(), [state.mu[t.id] for t in self.ties])
 
 
 def terms_for_area(net: Network, state: CouplingState, area_id: str) -> TermsOfTrade:
@@ -310,8 +312,8 @@ def run(net: Network, config: MechanismConfig | None = None,
             out = {a: engine.clear_area(a, terms[a]) for a in terms}
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
-        fresh = index.flatten({a: AreaBroadcast(c.decision.delta_t, c.decision.theta,
-                                                c.willingness_to_pay) for a, c in out.items()})
+        fresh = index.flatten({a: {"delta_t": c.decision.delta_t, "theta": c.decision.theta,
+                                   "price": c.willingness_to_pay} for a, c in out.items()})
         bad = np.flatnonzero(~np.isfinite(fresh))
         if bad.size:
             a, f, key = index.keys[bad[0]]

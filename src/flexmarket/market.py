@@ -138,9 +138,10 @@ class AreaRows:
     def duals(self, z: np.ndarray, tie_def: dict[str, float],
               slack_angle: float | None) -> AreaDuals:
         """Read the area's duals out of an inequality multiplier vector."""
-        per_element = {name: {key: float(z[i]) for key, i in getattr(self, name).items()}
+        z = z.tolist()
+        per_element = {name: {key: z[i] for key, i in getattr(self, name).items()}
                        for name in _PER_ELEMENT_DUALS}
-        return AreaDuals(reliability_price=float(z[self.reliability_price]),
+        return AreaDuals(reliability_price=z[self.reliability_price],
                          tie_def=tie_def, slack_angle=slack_angle, **per_element)
 
     def fill(self, z: np.ndarray, duals: AreaDuals) -> None:
@@ -303,6 +304,7 @@ class AreaProblem:
 
         self.index = AreaIndex(gens, ties, buses, var_dp, var_tp, var_tm, var_theta,
                                eq_tie_def, eq_slack, rows)
+        self._generators = tuple(net.generator(g) for g in gens)
         self._program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(),
                                                tuple(var_labels), tuple(eq.labels),
                                                tuple(ineq.labels))
@@ -356,21 +358,19 @@ class AreaProblem:
 
     def _extract(self, terms: TermsOfTrade, sol: qpmod.QpSolution, tol: float) -> ClearingResult:
         idx = self.index
-        net = self.net
-        x, y, z = sol.x, sol.y, sol.z
-        delta_p = {g: float(x[idx.var_dp[g]]) for g in idx.gens}
+        x, y = sol.x.tolist(), sol.y.tolist()
+        delta_p = {g: x[idx.var_dp[g]] for g in idx.gens}
         # dT = dT+ - dT-.  An overlapping split (possible only at mu == 0)
         # changes neither the difference nor the objective, so the signed
         # flow is already the canonical decision.
-        delta_t = {v.tie_id: float(x[idx.var_tp[v.tie_id]] - x[idx.var_tm[v.tie_id]])
-                   for v in idx.ties}
-        theta = {bus: float(x[idx.var_theta[bus]]) for bus in idx.buses}
+        delta_t = {v.tie_id: x[idx.var_tp[v.tie_id]] - x[idx.var_tm[v.tie_id]] for v in idx.ties}
+        theta = {bus: x[idx.var_theta[bus]] for bus in idx.buses}
         duals = idx.rows.duals(
-            z, tie_def={t: float(y[i]) for t, i in idx.eq_tie_def.items()},
-            slack_angle=float(y[idx.eq_slack]) if idx.eq_slack is not None else None)
+            sol.z, tie_def={t: y[i] for t, i in idx.eq_tie_def.items()},
+            slack_angle=y[idx.eq_slack] if idx.eq_slack is not None else None)
         decision = AreaDecision(delta_p, delta_t, theta)
-        gen_cost = sum(net.generator(g).cost(net.generator(g).p_da + dp)
-                       for g, dp in delta_p.items())
+        gen_cost = sum(gen.cost(gen.p_da + dp)
+                       for gen, dp in zip(self._generators, delta_p.values()))
         objective = gen_cost
         willingness = {}
         for v in idx.ties:

@@ -19,16 +19,25 @@ machine precision and picks the centered (minimum-norm) multiplier split when
 binding rows are linearly dependent, which keeps degenerate dual splits
 deterministic.
 
-A program's structure (Q, A, G) is stored read-only, and ``rebind`` returns
-a program with new c and b that shares it, so an iterative caller validates
-the structure once.  Programs that share a structure also share a memo: the
-solver keeps the pseudo-inverse of A for the equality-consistency check and
-the KKT matrix and pseudo-inverse of the last active set it solved on, so a
-re-solve on an unchanged active set factors nothing.
+A program's structure (Q, A, G and h) is stored read-only, and ``rebind``
+returns a program with new c and b that shares it, so an iterative caller
+validates the structure once.  Programs that share a structure also share
+the feasibility tolerance of h and a memo: the solver keeps the
+pseudo-inverse of A for the equality-consistency check and the KKT matrix
+and pseudo-inverse of the last active set it solved on, so a re-solve on an
+unchanged active set factors nothing.
+
+A solve with an active-set hint tries the hint before the
+equality-consistency check.  The order changes no answer: a hinted point is
+returned only if it passes validation, which bounds max|Ax - b| by tol, and
+the least-squares residual the check measures is no larger in the 2-norm,
+so it stays under the check's 1e-7 threshold whenever sqrt(m_eq) * tol
+does (the default tol, for up to 100 equality rows).
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +52,6 @@ class QpDimensionError(ValueError):
 
 class _NumericalBreakdown(Exception):
     """Internal: the Newton system could not be solved to a usable direction."""
-
-
-def _feasibility_tol(h: np.ndarray) -> float:
-    """Slack within which an inequality row counts as binding, or as not violated."""
-    return 1e-9 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -98,7 +102,9 @@ class QuadraticProgram:
         object.__setattr__(self, "a_eq", _read_only(a))
         object.__setattr__(self, "b_eq", b)
         object.__setattr__(self, "g_ineq", _read_only(g))
-        object.__setattr__(self, "h_ineq", h)
+        object.__setattr__(self, "h_ineq", _read_only(h))
+        # slack within which an inequality row counts as binding, or as not violated
+        object.__setattr__(self, "_feas_tol", 1e-9 * (1.0 + float(np.max(np.abs(h), initial=0.0))))
         # factorizations of the frozen structure, shared by every rebind
         object.__setattr__(self, "_memo", {})
 
@@ -117,7 +123,7 @@ class QuadraticProgram:
     def binding_rows(self, x) -> tuple[int, ...]:
         """Inequality rows whose slack at ``x`` is within the solver's feasibility tolerance."""
         slack = self.h_ineq - self.g_ineq @ np.asarray(x, dtype=float)
-        return tuple(np.flatnonzero(slack <= _feasibility_tol(self.h_ineq)).tolist())
+        return tuple(np.flatnonzero(slack <= self._feas_tol).tolist())
 
     @property
     def n(self) -> int:
@@ -159,7 +165,10 @@ class KktResiduals:
     complementarity: float
 
     def max(self) -> float:
-        return max(self.primal_eq, self.primal_ineq, self.dual_stationarity, self.complementarity)
+        """The largest residual, or NaN if one is NaN (the builtin max can skip a NaN)."""
+        values = (self.primal_eq, self.primal_ineq, self.dual_stationarity, self.complementarity)
+        # each residual is >= 0 or NaN, so the sum is NaN exactly when one is
+        return math.nan if math.isnan(sum(values)) else max(values)
 
     def as_dict(self) -> dict[str, float]:
         return {"primal_eq": self.primal_eq, "primal_ineq": self.primal_ineq,
@@ -189,15 +198,22 @@ def kkt_residuals(qp: QuadraticProgram, x, y, z) -> KktResiduals:
     z = np.asarray(z, dtype=float).reshape(-1)
     if x.shape[0] != qp.n or y.shape[0] != qp.a_eq.shape[0] or z.shape[0] != qp.g_ineq.shape[0]:
         raise QpDimensionError("candidate point dimensions do not match the program")
-    r_eq = qp.a_eq @ x - qp.b_eq if len(qp.b_eq) else np.zeros(0)
-    slack = qp.h_ineq - qp.g_ineq @ x if len(qp.h_ineq) else np.zeros(0)
+    return _residuals(qp, x, y, z, qp.h_ineq - qp.g_ineq @ x)
+
+
+def _residuals(qp, x, y, z, slack) -> KktResiduals:
+    """``kkt_residuals`` of a solver point whose slack ``h - Gx`` is known.
+
+    ``np.maximum.reduce`` from 0.0 is what ``np.max(..., initial=0.0)``
+    runs, without its wrapper: an empty block gives 0.0 and a NaN passes
+    through, so validation rejects a non-finite point.
+    """
+    peak = np.maximum.reduce
     r_stat = qp.q @ x + qp.c - qp.a_eq.T @ y + qp.g_ineq.T @ z
-    return KktResiduals(
-        primal_eq=float(np.max(np.abs(r_eq), initial=0.0)),
-        primal_ineq=float(np.max(-slack, initial=0.0)),
-        dual_stationarity=float(np.max(np.abs(r_stat), initial=0.0)),
-        complementarity=float(np.max(np.abs(z * slack), initial=0.0)),
-    )
+    return KktResiduals(float(peak(np.abs(qp.a_eq @ x - qp.b_eq), initial=0.0)),
+                        float(peak(-slack, initial=0.0)),
+                        float(peak(np.abs(r_stat), initial=0.0)),
+                        float(peak(np.abs(z * slack), initial=0.0)))
 
 
 def _active_kkt(qp, active):
@@ -225,7 +241,7 @@ def _active_kkt(qp, active):
 
 
 def _solve_active(qp, active):
-    """Equality-KKT solve on an active set; minimum-norm duals via lstsq.
+    """Equality-KKT solve on an active set; minimum-norm duals via the memoized pseudo-inverse.
 
     The system mixes near-zero curvature (regularized blocks) with O(10)
     constraint coefficients, so a single factorization can leave residuals
@@ -237,9 +253,12 @@ def _solve_active(qp, active):
     kkt, pinv = _active_kkt(qp, active)
     rhs = np.concatenate([-qp.c, qp.b_eq, qp.h_ineq[active]])
     sol = pinv @ rhs
+    # rhs is never empty (n >= 1), so a bare reduce is np.max
+    peak = np.maximum.reduce
+    bound = 1e-14 * (1.0 + peak(np.abs(rhs)))
     for _ in range(6):
         residual = rhs - kkt @ sol
-        if np.max(np.abs(residual), initial=0.0) < 1e-14 * (1.0 + np.max(np.abs(rhs))):
+        if peak(np.abs(residual)) < bound:
             break
         sol = sol + pinv @ residual
     x = sol[:n]
@@ -255,9 +274,9 @@ def _polish(qp, active: set[int], tol):
     Constraints an interior-point endpoint leaves ambiguous (weakly active
     rows, the split-flow common mode at zero capacity price) are settled by
     adding violated rows and dropping negative multipliers until the KKT
-    system is consistent.  lstsq keeps duals at the minimum-norm point of the
-    optimal dual face, which makes degenerate multiplier splits symmetric and
-    deterministic.
+    system is consistent.  The pseudo-inverse keeps duals at the minimum-norm
+    point of the optimal dual face, which makes degenerate multiplier splits
+    symmetric and deterministic.
 
     Each step depends only on the current set, so a set that comes round
     again starts a cycle that can never end consistent: the walk gives up at
@@ -266,7 +285,7 @@ def _polish(qp, active: set[int], tol):
     mi = len(qp.h_ineq)
     if not mi:
         return None
-    feas_tol = _feasibility_tol(qp.h_ineq)
+    feas_tol = qp._feas_tol
     active = set(active)
     seen = set()
     for _ in range(2 * mi + 8):
@@ -276,12 +295,13 @@ def _polish(qp, active: set[int], tol):
         seen.add(tuple(rows))
         x, y, z = _solve_active(qp, rows)
         slack = qp.h_ineq - qp.g_ineq @ x
-        violated = [i for i in np.flatnonzero(slack < -feas_tol).tolist() if i not in active]
-        negative = [i for i in rows if z[i] < -feas_tol]
+        violated = [i for i in (slack < -feas_tol).nonzero()[0].tolist() if i not in active]
+        # z is zero off the set, so these are the set's negative multipliers
+        negative = (z < -feas_tol).nonzero()[0].tolist()
         if not violated and not negative:
             z = np.maximum(z, 0.0)  # clamp before validating: it moves residuals
-            res = kkt_residuals(qp, x, y, z)
-            if res.max() > tol:
+            res = _residuals(qp, x, y, z, slack)
+            if not res.max() <= tol:
                 return None
             return x, y, z, res
         active.update(violated)
@@ -423,7 +443,7 @@ def _primal_active_set(qp, x0, tol, max_pivots=500):
     n, mi = qp.n, len(qp.h_ineq)
     g, h = qp.g_ineq, qp.h_ineq
     x = np.asarray(x0, dtype=float).copy()
-    feas_tol = _feasibility_tol(h)
+    feas_tol = qp._feas_tol
     work: set[int] = set()
     for _ in range(max_pivots):
         rows = sorted(work)
@@ -434,7 +454,7 @@ def _primal_active_set(qp, x0, tol, max_pivots=500):
             if not negative:
                 z = np.maximum(z, 0.0)
                 res = kkt_residuals(qp, xw, y, z)
-                if res.max() > tol:
+                if not res.max() <= tol:
                     return None
                 return xw, y, z, res
             work.discard(negative[0])
@@ -477,11 +497,19 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     ``active_hint`` short-circuits the interior-point iteration when the
     binding set of a nearby instance is known (e.g. the previous round of an
     iterative caller); the hinted solution is accepted only after passing the
-    full KKT validation.
+    full KKT validation.  It is tried before the equality-consistency check,
+    which it makes redundant when it succeeds (module docstring).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
+
+    if active_hint is not None and mi:
+        hinted = _polish(qp, set(active_hint), tol)
+        if hinted is not None:
+            px, py, pz, pres = hinted
+            return QpSolution("optimal", px, py, pz, pres, qp.objective(px), 0,
+                              active_set=tuple((pz > 0.0).nonzero()[0].tolist()))
 
     if me:
         if "pinv_a" not in qp._memo:
@@ -494,13 +522,6 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
             return QpSolution("infeasible", x_ls, np.zeros(me), np.zeros(mi),
                               kkt_residuals(qp, x_ls, np.zeros(me), np.zeros(mi)),
                               qp.objective(x_ls), 0, certificate=(y_cert, np.zeros(mi)))
-
-    if active_hint is not None and mi:
-        hinted = _polish(qp, set(active_hint), tol)
-        if hinted is not None:
-            px, py, pz, pres = hinted
-            return QpSolution("optimal", px, py, pz, pres, qp.objective(px), 0,
-                              active_set=tuple(np.flatnonzero(pz > 0.0).tolist()))
 
     x, y, z, s, iters, converged = _mehrotra(qp, tol, max_iter, x0=initial)
     polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol) if mi else None

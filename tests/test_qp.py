@@ -87,7 +87,8 @@ def test_dimension_validation():
 def test_structure_is_frozen_without_freezing_the_callers_arrays():
     q, g = np.eye(2), np.array([[1.0, 1.0]])
     a = np.array([[1.0, -1.0]])
-    qp = _qp(q, [0.0, 0.0], a=a, b=[0.0], g=g, h=[1.0])
+    h = np.array([1.0])
+    qp = _qp(q, [0.0, 0.0], a=a, b=[0.0], g=g, h=h)
     for name in ("q", "a_eq", "g_ineq"):
         with pytest.raises(ValueError):
             getattr(qp, name)[0, 0] = 5.0
@@ -95,6 +96,15 @@ def test_structure_is_frozen_without_freezing_the_callers_arrays():
         assert mine.flags.writeable and stored is not mine
         mine[0, 0] = 5.0  # the caller may keep editing its own copy
         assert stored[0, 0] == 1.0
+    # h is structure too: rebind never changes it, so its tolerance is fixed
+    with pytest.raises(ValueError):
+        qp.h_ineq[0] = 5.0
+    assert h.flags.writeable and qp.h_ineq is not h
+    h[0] = 5.0
+    assert qp.h_ineq[0] == 1.0
+    rebound = qp.rebind([1.0, 0.0], [0.5])
+    assert rebound.h_ineq is qp.h_ineq and rebound._feas_tol == qp._feas_tol
+    assert rebound.binding_rows([0.5, 0.5]) == (0,)
 
 
 def test_kkt_residuals_of_solver_output_meet_tolerance():
@@ -108,6 +118,87 @@ def test_kkt_residuals_of_solver_output_meet_tolerance():
     res = kkt_residuals(qp, sol.x, sol.y, sol.z)
     assert res.max() <= DEFAULT_TOL
     assert np.min(sol.z, initial=0.0) >= -DEFAULT_TOL
+
+
+def _reference_residuals(qp, x, y, z):
+    """The KKT residuals restated with np.max(..., initial=0.0) on every block."""
+    slack = qp.h_ineq - qp.g_ineq @ x
+    r_stat = qp.q @ x + qp.c - qp.a_eq.T @ y + qp.g_ineq.T @ z
+    return {"primal_eq": float(np.max(np.abs(qp.a_eq @ x - qp.b_eq), initial=0.0)),
+            "primal_ineq": float(np.max(-slack, initial=0.0)),
+            "dual_stationarity": float(np.max(np.abs(r_stat), initial=0.0)),
+            "complementarity": float(np.max(np.abs(z * slack), initial=0.0))}
+
+
+def _bits(values):
+    return {name: float(v).hex() for name, v in values.items()}
+
+
+def test_residual_pass_matches_kkt_residuals_bit_for_bit():
+    # solver outputs of this file's programs, cold and re-solved from their own
+    # active set; a hinted answer carries the residuals of the polish's pass
+    rng = np.random.default_rng(2024)
+    programs = [_random_instance(rng) for _ in range(40)]
+    programs += [_qp([[2.0]], [-4.0], g=[[1.0], [1.0]], h=[1.0, 1.0]),
+                 _qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0]], b=[2.0]),
+                 _qp(np.eye(2), [0.0, 0.0], g=[[-1.0, 0.0]], h=[-1.0])]
+    compared = 0
+    for qp in programs:
+        cold = solve(qp)
+        if cold.status != "optimal":
+            continue
+        for sol in (cold, solve(qp, active_hint=cold.active_set)):
+            ref = _bits(_reference_residuals(qp, sol.x, sol.y, sol.z))
+            slack = qp.h_ineq - qp.g_ineq @ sol.x
+            assert _bits(qpmod._residuals(qp, sol.x, sol.y, sol.z, slack).as_dict()) == ref
+            assert _bits(kkt_residuals(qp, sol.x, sol.y, sol.z).as_dict()) == ref
+            assert _bits(sol.residuals.as_dict()) == ref
+            compared += 1
+    assert compared >= 60
+
+
+def test_residual_pass_gives_zero_on_empty_blocks():
+    x = np.array([1.0, -2.0])
+    no_eq = _qp(np.eye(2), [0.0, 0.0], g=[[1.0, 0.0]], h=[3.0])
+    no_ineq = _qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0]], b=[-1.0])
+    res = qpmod._residuals(no_eq, x, np.zeros(0), np.ones(1), no_eq.h_ineq - no_eq.g_ineq @ x)
+    assert res.primal_eq.hex() == (0.0).hex()
+    res = qpmod._residuals(no_ineq, x, np.zeros(1), np.zeros(0),
+                           no_ineq.h_ineq - no_ineq.g_ineq @ x)
+    assert res.primal_ineq.hex() == res.complementarity.hex() == (0.0).hex()
+    assert res.primal_eq == 0.0 and res.dual_stationarity == 2.0
+
+
+def test_residual_pass_keeps_nan_and_the_solver_rejects_it():
+    qp = _qp(np.eye(2), [0.0, 0.0], a=[[1.0, -1.0]], b=[0.0], g=[[1.0, 1.0]], h=[1.0])
+    x = np.array([np.nan, 0.0])
+    res = qpmod._residuals(qp, x, np.zeros(1), np.zeros(1), qp.h_ineq - qp.g_ineq @ x)
+    assert all(np.isnan(v) for v in res.as_dict().values())
+    assert np.isnan(res.max())
+    # the builtin max would skip a NaN that is not its first argument
+    assert np.isnan(qpmod.KktResiduals(0.0, float("nan"), 1.0, 0.0).max())
+    # a NaN cost reaches x on every path; none may call the point optimal
+    for program in (qp, _qp(np.eye(2), [0.0, 0.0], g=[[1.0, 1.0]], h=[1.0])):
+        bad = program.rebind([np.nan, 0.0], program.b_eq)
+        for hint in (None, (), (0,)):
+            assert solve(bad, active_hint=hint).status != "optimal"
+
+
+def test_hint_first_keeps_inconsistent_equalities_certified():
+    # x1 = 0 and x1 = 1 contradict; a hint is tried first now, so no walk from
+    # it may validate, and the least-squares certificate must not change
+    qp = _qp(np.eye(2), [0.0, 0.0], a=[[1.0, 0.0], [1.0, 0.0]], b=[0.0, 1.0],
+             g=[[0.0, 1.0], [0.0, -1.0]], h=[1.0, 1.0])
+    cold = solve(qp)
+    assert cold.status == "infeasible"
+    for hint in ((), (0,), (0, 1)):
+        sol = solve(qp, active_hint=hint)
+        assert sol.status == "infeasible"
+        assert np.array_equal(sol.x, cold.x)
+        for mine, ref in zip(sol.certificate, cold.certificate):
+            assert np.array_equal(mine, ref)
+    y, _ = cold.certificate
+    assert y @ qp.b_eq > 1e-10 and np.max(np.abs(qp.a_eq.T @ y)) < 1e-8
 
 
 def test_kkt_residuals_flag_primal_violation():
