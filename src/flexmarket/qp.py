@@ -27,12 +27,24 @@ pseudo-inverse of A for the equality-consistency check and the KKT matrix
 and pseudo-inverse of the last active set it solved on, so a re-solve on an
 unchanged active set factors nothing.
 
-A solve with an active-set hint tries the hint before the
-equality-consistency check.  The order changes no answer: a hinted point is
+A solve with an active-set hint first walks from the hint, before the
+equality-consistency check.  That order changes no answer: a hinted point is
 returned only if it passes validation, which bounds max|Ax - b| by tol, and
 the least-squares residual the check measures is no larger in the 2-norm,
 so it stays under the check's 1e-7 threshold whenever sqrt(m_eq) * tol
 does (the default tol, for up to 100 equality rows).
+
+The walk is a semismooth Newton method: it settles in a few steps from a
+nearby start and has no global guarantee.  So the hinted walk stops after
+n + m_eq row sets, the order of the Newton system one cold interior-point
+iteration factors; a hint that has not settled by then is not a nearby
+start.  The cold path then runs unchanged: the interior point, its polish
+with a budget of 2 * m_ineq + 8 row sets, and its convergence check.  Only
+if none of these gives an optimal answer is the hint walked again with that
+full budget, and before phase 1, so no program the uncapped walk solved can
+fail.  An answer differs from the uncapped walk's only when the hinted walk
+would have succeeded after more than n + m_eq row sets and the cold path
+also succeeds.
 """
 from __future__ import annotations
 
@@ -268,7 +280,7 @@ def _solve_active(qp, active):
     return x, y, z
 
 
-def _polish(qp, active: set[int], tol):
+def _polish(qp, active: set[int], tol, budget):
     """Refine to an exact active-set solution from a starting guess.
 
     Constraints an interior-point endpoint leaves ambiguous (weakly active
@@ -280,7 +292,8 @@ def _polish(qp, active: set[int], tol):
 
     Each step depends only on the current set, so a set that comes round
     again starts a cycle that can never end consistent: the walk gives up at
-    the first repeat (or when its budget runs out) and returns None.
+    the first repeat, or after ``budget`` row sets, and returns None.  The
+    caller sets the budget (``solve``).
     """
     mi = len(qp.h_ineq)
     if not mi:
@@ -288,7 +301,7 @@ def _polish(qp, active: set[int], tol):
     feas_tol = qp._feas_tol
     active = set(active)
     seen = set()
-    for _ in range(2 * mi + 8):
+    for _ in range(budget):
         rows = sorted(active)
         if tuple(rows) in seen:
             return None
@@ -332,15 +345,41 @@ def _mehrotra(qp, tol, max_iter, x0=None):
         ladder.append(ladder[-1] * 100.0)
     diagonal = np.diag_indices(n + me)
 
-    def newton_rhs(kkt, singular, r_d, r_p, rc_over_s):
+    def newton_rhs(kkt, singular, r_d, r_p, r_c, s):
         """Solve the Newton system, climbing the delta ladder on failure.
+
+        ``r_c / s`` is the scaled complementarity residual.  A tiny slack can
+        overflow it, and no rung can make the solution of a non-finite
+        right-hand side finite, so that breaks down at the first rung.
 
         ``singular`` holds the rungs whose LU of ``kkt`` reported a singular
         matrix.  That depends on the matrix alone, so they are skipped and
         the set is extended; a retry for a non-finite solution depends on the
         right-hand side and is not recorded.
         """
-        rhs = np.concatenate([-r_d - g.T @ rc_over_s, -r_p])
+        # overflow here, in r_c / s or in a refinement step on a near-singular
+        # system, is caught by the isfinite checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.concatenate([-r_d - g.T @ (r_c / s), -r_p])
+            for rung, delta in enumerate(ladder):
+                if rung in singular:
+                    continue
+                kkt_reg = kkt.copy()
+                kkt_reg[diagonal] += delta
+                try:
+                    sol = np.linalg.solve(kkt_reg, rhs)
+                except np.linalg.LinAlgError:
+                    singular.add(rung)
+                    continue
+                if not np.isfinite(sol).all():
+                    if not np.isfinite(rhs).all():
+                        break
+                    continue
+                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
+                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
+                if np.isfinite(sol).all():
+                    return sol[:n], sol[n:]
+        raise _NumericalBreakdown
         for rung, delta in enumerate(ladder):
             if rung in singular:
                 continue
@@ -351,14 +390,14 @@ def _mehrotra(qp, tol, max_iter, x0=None):
             except np.linalg.LinAlgError:
                 singular.add(rung)
                 continue
-            if not np.all(np.isfinite(sol)):
+            if not np.isfinite(sol).all():
                 continue
             # refinement may overflow on a near-singular system; the
             # isfinite check below then retries with more regularization
             with np.errstate(over="ignore", invalid="ignore"):
                 sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
                 sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-            if np.all(np.isfinite(sol)):
+            if np.isfinite(sol).all():
                 return sol[:n], sol[n:]
         raise _NumericalBreakdown
 
@@ -396,7 +435,7 @@ def _mehrotra(qp, tol, max_iter, x0=None):
         singular: set[int] = set()
         try:
             # predictor (affine scaling), rc = s*z
-            dx, dy = newton_rhs(kkt, singular, r_d, r_p, (-s * z + z * r_g) / s)
+            dx, dy = newton_rhs(kkt, singular, r_d, r_p, -s * z + z * r_g, s)
             ds = -r_g - g @ dx
             dz = (-s * z - z * ds) / s
             alpha_aff = 1.0
@@ -410,7 +449,7 @@ def _mehrotra(qp, tol, max_iter, x0=None):
             sigma = min((mu_aff / mu) ** 3, 1.0) if mu > 0 else 0.0
             # corrector
             rc = s * z - sigma * mu + ds * dz
-            dx, dy = newton_rhs(kkt, singular, r_d, r_p, (-rc + z * r_g) / s)
+            dx, dy = newton_rhs(kkt, singular, r_d, r_p, -rc + z * r_g, s)
             ds = -r_g - g @ dx
             dz = (-rc - z * ds) / s
         except _NumericalBreakdown:
@@ -489,6 +528,13 @@ def _phase1(qp, tol, max_iter):
     return p1, x, y, z, ok
 
 
+def _optimal(qp, polished, iters) -> QpSolution:
+    """The optimal solution of an active-set answer (x, y, z, residuals)."""
+    px, py, pz, pres = polished
+    return QpSolution("optimal", px, py, pz, pres, qp.objective(px), iters,
+                      active_set=tuple((pz > 0.0).nonzero()[0].tolist()))
+
+
 def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, initial: np.ndarray | None = None,
           active_hint: tuple[int, ...] | None = None) -> QpSolution:
@@ -498,18 +544,23 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     binding set of a nearby instance is known (e.g. the previous round of an
     iterative caller); the hinted solution is accepted only after passing the
     full KKT validation.  It is tried before the equality-consistency check,
-    which it makes redundant when it succeeds (module docstring).
+    which it makes redundant when it succeeds.  A hint that misses within its
+    short budget is left to the cold path, and its full walk is the last
+    resort before phase 1 (module docstring).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
+    hinted = active_hint is not None and mi
+    # walk budgets in row sets: n + me is the order of the Newton system that
+    # one cold iteration factors
+    full = 2 * mi + 8
+    short = min(n + me, full)
 
-    if active_hint is not None and mi:
-        hinted = _polish(qp, set(active_hint), tol)
-        if hinted is not None:
-            px, py, pz, pres = hinted
-            return QpSolution("optimal", px, py, pz, pres, qp.objective(px), 0,
-                              active_set=tuple((pz > 0.0).nonzero()[0].tolist()))
+    if hinted:
+        polished = _polish(qp, set(active_hint), tol, short)
+        if polished is not None:
+            return _optimal(qp, polished, 0)
 
     if me:
         if "pinv_a" not in qp._memo:
@@ -524,16 +575,19 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
                               qp.objective(x_ls), 0, certificate=(y_cert, np.zeros(mi)))
 
     x, y, z, s, iters, converged = _mehrotra(qp, tol, max_iter, x0=initial)
-    polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol) if mi else None
+    polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol, full) if mi else None
     if polished is not None:
-        px, py, pz, pres = polished
-        return QpSolution("optimal", px, py, pz, pres, qp.objective(px), iters,
-                          active_set=tuple(np.flatnonzero(pz > 0.0).tolist()))
+        return _optimal(qp, polished, iters)
     if converged:
         res = kkt_residuals(qp, x, y, z)
         if res.max() <= tol:
             return QpSolution("optimal", x, y, z, res, qp.objective(x), iters,
                               active_set=tuple(np.flatnonzero(z > s).tolist()))
+    if hinted and full > short:
+        # the last resort: the hint's walk with the cold polish's budget
+        polished = _polish(qp, set(active_hint), tol, full)
+        if polished is not None:
+            return _optimal(qp, polished, iters)
 
     # The main iteration failed: decide between infeasible and numeric trouble.
     p1, x1, y1, z1, ok = _phase1(qp, max(tol, 1e-9), max_iter)
@@ -550,9 +604,7 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
         # method from the interior point the feasibility program produced
         finished = _primal_active_set(qp, x1[:n], tol)
         if finished is not None:
-            px, py, pz, pres = finished
-            return QpSolution("optimal", px, py, pz, pres, qp.objective(px), iters,
-                              active_set=tuple(np.flatnonzero(pz > 0.0).tolist()))
+            return _optimal(qp, finished, iters)
     if np.max(np.abs(x), initial=0.0) > 1e12:
         status = "unbounded"
     else:

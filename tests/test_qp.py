@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flexmarket import (MechanismConfig, RhoSchedule, load_case, optimal_terms_of_trade, run,
-                        solve_centralized)
+                        solve_centralized, trace_to_csv)
 from flexmarket import qp as qpmod
 from flexmarket.market import clear
 from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_residuals,
@@ -394,3 +394,140 @@ def test_corrector_skips_the_rungs_the_predictor_found_singular(monkeypatch):
     assert res.status == "optimal"
     assert singular  # the clear climbs the regularization ladder
     assert not repeated, f"{len(repeated)} singular factorizations repeated"
+
+
+def _hinted_walks(full_budget=False):
+    """80 rounds of ``LADDER_4X8`` with each hinted solve's polish walks recorded.
+
+    Returns the trace CSV and, per hinted solve, ``(program, hint, walks)``:
+    ``walks`` lists ``(row sets solved, result)`` of each ``_polish`` call in
+    order, the hint's short walk first.  ``full_budget`` gives that walk the
+    cold polish's ``2 * mi + 8`` row sets, as the walk had before it was
+    capped.
+    """
+    net = load_case(LADDER_4X8.read_text())
+    solve_qp, polish, solve_active = qpmod.solve, qpmod._polish, qpmod._solve_active
+    hinted = []
+    walks, rows = None, None  # the open hinted solve's walks, the open walk's row sets
+
+    def recording_solve(program, *args, active_hint=None, **kwargs):
+        nonlocal walks
+        walks = None if active_hint is None else []
+        try:
+            return solve_qp(program, *args, active_hint=active_hint, **kwargs)
+        finally:
+            if walks is not None:
+                hinted.append((program, active_hint, walks))
+            walks = None
+
+    def recording_polish(program, active, tol, *budget):
+        nonlocal rows
+        if full_budget and walks == []:
+            budget = (2 * len(program.h_ineq) + 8,)
+        rows = []
+        try:
+            result = polish(program, active, tol, *budget)
+        finally:
+            if walks is not None:
+                walks.append((rows, result))
+            rows = None
+        return result
+
+    def recording_solve_active(program, active):
+        if rows is not None:
+            rows.append(tuple(active))
+        return solve_active(program, active)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpmod, "solve", recording_solve)
+        patch.setattr(qpmod, "_polish", recording_polish)
+        patch.setattr(qpmod, "_solve_active", recording_solve_active)
+        result = run(net, MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1,
+                                          rho=RhoSchedule(1.0, 1.0, 0.6)))
+    return trace_to_csv(result.trace), hinted
+
+
+def _same_bits(mine, ref):
+    assert mine.status == ref.status and mine.active_set == ref.active_set
+    for a, b in ((mine.x, ref.x), (mine.y, ref.y), (mine.z, ref.z)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
+    # n + me is the order of the Newton system one cold iteration factors; a
+    # hint that has not settled within that many row sets is left to the cold
+    # path, and no answer of this run may change for it
+    csv, hinted = _hinted_walks()
+    sizes = [(len(walks[0][0]), program.n + len(program.b_eq)) for program, _, walks in hinted if walks]
+    over = [(steps, limit) for steps, limit in sizes if steps > limit]
+    assert sizes and not over, f"row sets solved vs n + me: {over}"
+    assert any(walks[0][1] is None for _, _, walks in hinted if walks)  # some hints miss
+    reference, _ = _hinted_walks(full_budget=True)
+    assert csv == reference
+
+
+def test_a_missed_hint_changes_nothing_but_time():
+    # a hint whose short walk misses, and whose last-resort walk (third call:
+    # short walk, cold polish, last resort) does not answer either, gets the
+    # cold answer bit for bit
+    _, hinted = _hinted_walks()
+    missed = [(program, hint) for program, hint, walks in hinted if walks and walks[0][1] is None
+              and (len(walks) < 3 or walks[2][1] is None)]
+    assert missed
+    for program, hint in missed:
+        _same_bits(solve(program, active_hint=hint), solve(program))
+
+
+def test_last_resort_is_the_full_hinted_walk_before_phase1(monkeypatch):
+    qp = _qp(np.eye(2), [-4.0, -4.0], g=[[1.0, 1.0], [1.0, 0.0]], h=[1.0, 2.0])
+    hint = solve(qp).active_set
+    expected = solve(qp, active_hint=hint)
+    assert expected.iterations == 0  # the hint's walk answers
+    polish, mehrotra = qpmod._polish, qpmod._mehrotra
+    budgets, spent = [], []
+
+    def failing_polish(program, active, tol, budget):
+        # the hint's short walk and the cold polish fail; the last resort walks
+        budgets.append(budget)
+        return polish(program, active, tol, budget) if len(budgets) == 3 else None
+
+    def unconverged(*args, **kwargs):
+        x, y, z, s, iters, _ = mehrotra(*args, **kwargs)
+        spent.append(iters)
+        return x, y, z, s, iters, False
+
+    def no_phase1(*args):
+        raise AssertionError("phase 1 ran before the last-resort walk")
+
+    monkeypatch.setattr(qpmod, "_polish", failing_polish)
+    monkeypatch.setattr(qpmod, "_mehrotra", unconverged)
+    monkeypatch.setattr(qpmod, "_phase1", no_phase1)
+    sol = solve(qp, active_hint=hint)
+    assert budgets == [qp.n + len(qp.b_eq), 2 * len(qp.h_ineq) + 8, 2 * len(qp.h_ineq) + 8]
+    _same_bits(sol, expected)
+    assert sol.iterations == spent[0]  # the interior point ran; it is not a hint hit
+
+
+LADDER_4X8_S4 = Path(__file__).parent / "data" / "ladder_4x8_s4.json"
+
+
+def test_non_finite_newton_rhs_breaks_down_without_a_warning(monkeypatch):
+    # in round 20, an interior-point iteration of one area's clear has slacks
+    # so small that (-rc + z * r_g) / s overflows.  No regularization can make
+    # that right-hand side's solution finite, so the iteration breaks down at
+    # the first rung, and no numpy warning leaks
+    net = load_case(LADDER_4X8_S4.read_text())
+    raised = []
+
+    class RecordedBreakdown(qpmod._NumericalBreakdown):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(qpmod, "_NumericalBreakdown", RecordedBreakdown)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run(net, MechanismConfig(max_rounds=20, tol=1e-300, beta=0.1,
+                                          rho=RhoSchedule(1.0, 1.0, 0.6)))
+    assert result.rounds == 20
+    assert raised
