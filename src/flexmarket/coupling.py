@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +65,10 @@ class RhoSchedule:
         if not (0.5 < self.exponent <= 1.0):
             raise ValueError("exponent must lie in (0.5, 1] so the step sums diverge "
                              "while their squares stay summable")
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be > 0")
-        if self.k0 < 0:
-            raise ValueError("k0 must be >= 0")
+        if not (0 < self.rho0 < math.inf):
+            raise ValueError("rho0 must be finite and > 0")
+        if not (0 <= self.k0 < math.inf):
+            raise ValueError("k0 must be finite and >= 0")
         if self.rho0 / (1.0 + self.k0) ** self.exponent > 1.0:
             raise ValueError("rho_1 must not exceed 1")
 
@@ -94,8 +95,11 @@ class MechanismConfig:
             raise ValueError("beta must lie in (0,1)")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        for name in ("tol", "solver_tol"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
+        if self.solver_max_iter < 1 or self.consecutive < 1:
+            raise ValueError("solver_max_iter and consecutive must be >= 1")
 
 
 @dataclass(frozen=True)

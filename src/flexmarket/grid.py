@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Mapping
@@ -293,10 +294,26 @@ def _num(obj, key, path, out, required=True, default=0.0):
             out.append(f"{path}: missing field {key}")
         return default
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        out.append(f"{path}.{key}: expected a number")
+    # json.loads parses NaN, Infinity and integers no float can hold; no field admits them
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
+        out.append(f"{path}.{key}: expected a finite number")
         return default
     return float(v)
+
+
+def _typed(value, kind, path, out):
+    """``value`` if it is a ``kind`` (dict or list); otherwise an empty one, and an error."""
+    if isinstance(value, kind):
+        return value
+    out.append(f"{path}: expected {'an object' if kind is dict else 'a list'}")
+    return kind()
+
+
+def _entries(doc, key, out):
+    """The objects listed under ``doc[key]``; any other entry is reported and skipped."""
+    items = _typed(doc.get(key, []), list, key, out)
+    out.extend(f"{key}[{i}]: expected an object" for i, e in enumerate(items) if not isinstance(e, dict))
+    return [e for e in items if isinstance(e, dict)]
 
 
 def load_case(text: str | bytes | dict) -> Network:
@@ -317,20 +334,20 @@ def load_case(text: str | bytes | dict) -> Network:
     if errs:
         raise CaseError(errs)
 
-    demand = doc["demand"]
-    cov = demand.get("cov")
-    dem_buses = demand.get("buses", {})
-    confidence = doc["confidence"]
+    demand = _typed(doc["demand"], dict, "demand", errs)
+    cov = _num(demand, "cov", "demand", errs, required=False, default=None)
+    dem_buses = _typed(demand.get("buses", {}), dict, "demand.buses", errs)
+    confidence = _typed(doc["confidence"], dict, "confidence", errs)
 
     buses = []
-    for b in doc["buses"]:
+    for b in _entries(doc, "buses", errs):
         path = f"buses[{b.get('id', '?')}]"
-        entry = dem_buses.get(b.get("id"), {})
+        entry = _typed(dem_buses.get(str(b.get("id")), {}), dict, f"demand.{path}", errs)
         mean = _num(entry, "mean", path, errs, required=False)
         if "std" in entry:
             std = _num(entry, "std", path, errs, required=False)
         elif cov is not None:
-            std = float(cov) * abs(mean)
+            std = cov * abs(mean)
         else:
             std = 0.0
         buses.append(Bus(str(b.get("id")), str(b.get("area")), mean, std))
@@ -339,7 +356,7 @@ def load_case(text: str | bytes | dict) -> Network:
             errs.append(f"demand.buses[{bus_id}]: unknown bus")
 
     gens = []
-    for g in doc["generators"]:
+    for g in _entries(doc, "generators", errs):
         path = f"generators[{g.get('id', '?')}]"
         gens.append(Generator(
             str(g.get("id")), str(g.get("bus")),
@@ -353,12 +370,12 @@ def load_case(text: str | bytes | dict) -> Network:
             _num(g, "p_da", path, errs),
         ))
     lines = []
-    for l in doc.get("lines", []):
+    for l in _entries(doc, "lines", errs):
         path = f"lines[{l.get('id', '?')}]"
         lines.append(InternalLine(str(l.get("id")), str(l.get("from_bus")), str(l.get("to_bus")),
                                   _num(l, "reactance", path, errs), _num(l, "capacity", path, errs)))
     ties = []
-    for t in doc["tie_lines"]:
+    for t in _entries(doc, "tie_lines", errs):
         path = f"tie_lines[{t.get('id', '?')}]"
         ties.append(TieLine(str(t.get("id")), str(t.get("from_area")), str(t.get("from_bus")),
                             str(t.get("to_area")), str(t.get("to_bus")),
@@ -366,13 +383,9 @@ def load_case(text: str | bytes | dict) -> Network:
                             _num(t, "t_da", path, errs, required=False)))
 
     areas = []
-    for area_id in doc["areas"]:
+    for area_id in _typed(doc["areas"], list, "areas", errs):
         area_id = str(area_id)
-        if area_id not in confidence:
-            errs.append(f"confidence: missing entry for area {area_id}")
-            tail = 0.5
-        else:
-            tail = float(confidence[area_id])
+        tail = _num(confidence, area_id, "confidence", errs, default=0.5)
         areas.append(Area(
             area_id,
             tuple(b.id for b in buses if b.area_id == area_id),
@@ -383,7 +396,7 @@ def load_case(text: str | bytes | dict) -> Network:
             tail,
         ))
 
-    slack_doc = doc.get("slack")
+    slack_doc = _typed(doc.get("slack") or {}, dict, "slack", errs)
     if slack_doc:
         slack = (str(slack_doc.get("area")), str(slack_doc.get("bus")))
     elif areas and areas[0].bus_ids:

@@ -39,12 +39,9 @@ nearby start and has no global guarantee.  So the hinted walk stops after
 n + m_eq row sets, the order of the Newton system one cold interior-point
 iteration factors; a hint that has not settled by then is not a nearby
 start.  The cold path then runs unchanged: the interior point, its polish
-with a budget of 2 * m_ineq + 8 row sets, and its convergence check.  Only
-if none of these gives an optimal answer is the hint walked again with that
-full budget, and before phase 1, so no program the uncapped walk solved can
-fail.  An answer differs from the uncapped walk's only when the hinted walk
-would have succeeded after more than n + m_eq row sets and the cold path
-also succeeds.
+with a budget of 2 * m_ineq + 8 row sets, its convergence check, then phase
+1 and the primal active-set method.  As in OSQP's polish (Stellato et al.
+2020, sec. 5.1), no start is walked twice.
 """
 from __future__ import annotations
 
@@ -295,9 +292,6 @@ def _polish(qp, active: set[int], tol, budget):
     the first repeat, or after ``budget`` row sets, and returns None.  The
     caller sets the budget (``solve``).
     """
-    mi = len(qp.h_ineq)
-    if not mi:
-        return None
     feas_tol = qp._feas_tol
     active = set(active)
     seen = set()
@@ -322,13 +316,11 @@ def _polish(qp, active: set[int], tol, budget):
     return None
 
 
-def _mehrotra(qp, tol, max_iter, x0=None):
+def _mehrotra(qp, tol, max_iter):
     """Predictor-corrector iteration. Returns (x, y, z, s, iters, converged)."""
     n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
     q, c, a, b, g, h = qp.q, qp.c, qp.a_eq, qp.b_eq, qp.g_ineq, qp.h_ineq
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
-    elif me:
+    if me:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
         x = np.zeros(n)
@@ -379,26 +371,6 @@ def _mehrotra(qp, tol, max_iter, x0=None):
                 sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
                 if np.isfinite(sol).all():
                     return sol[:n], sol[n:]
-        raise _NumericalBreakdown
-        for rung, delta in enumerate(ladder):
-            if rung in singular:
-                continue
-            kkt_reg = kkt.copy()
-            kkt_reg[diagonal] += delta
-            try:
-                sol = np.linalg.solve(kkt_reg, rhs)
-            except np.linalg.LinAlgError:
-                singular.add(rung)
-                continue
-            if not np.isfinite(sol).all():
-                continue
-            # refinement may overflow on a near-singular system; the
-            # isfinite check below then retries with more regularization
-            with np.errstate(over="ignore", invalid="ignore"):
-                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-            if np.isfinite(sol).all():
-                return sol[:n], sol[n:]
         raise _NumericalBreakdown
 
     best = np.inf
@@ -523,9 +495,8 @@ def _phase1(qp, tol, max_iter):
     g1 = np.vstack([np.hstack([qp.g_ineq, -np.ones((mi, 1))]),
                     np.concatenate([np.zeros(n), [-1.0]])[None, :]])
     h1 = np.concatenate([qp.h_ineq, [1.0]])
-    p1 = QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1)
-    x, y, z, s, it, ok = _mehrotra(p1, tol, max_iter)
-    return p1, x, y, z, ok
+    x, y, z, s, it, ok = _mehrotra(QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1), tol, max_iter)
+    return x, y, z, ok
 
 
 def _optimal(qp, polished, iters) -> QpSolution:
@@ -536,7 +507,7 @@ def _optimal(qp, polished, iters) -> QpSolution:
 
 
 def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, initial: np.ndarray | None = None,
+          max_iter: int = DEFAULT_MAX_ITER,
           active_hint: tuple[int, ...] | None = None) -> QpSolution:
     """Solve to KKT residuals <= tol; deterministic for identical inputs.
 
@@ -545,20 +516,16 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     iterative caller); the hinted solution is accepted only after passing the
     full KKT validation.  It is tried before the equality-consistency check,
     which it makes redundant when it succeeds.  A hint that misses within its
-    short budget is left to the cold path, and its full walk is the last
-    resort before phase 1 (module docstring).
+    budget of n + m_eq row sets is left to the cold path (module docstring).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
-    hinted = active_hint is not None and mi
-    # walk budgets in row sets: n + me is the order of the Newton system that
-    # one cold iteration factors
-    full = 2 * mi + 8
-    short = min(n + me, full)
+    full = 2 * mi + 8  # the cold polish's budget in row sets
 
-    if hinted:
-        polished = _polish(qp, set(active_hint), tol, short)
+    if active_hint is not None and mi:
+        # n + me is the order of the Newton system one cold iteration factors
+        polished = _polish(qp, set(active_hint), tol, min(n + me, full))
         if polished is not None:
             return _optimal(qp, polished, 0)
 
@@ -574,7 +541,7 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
                               kkt_residuals(qp, x_ls, np.zeros(me), np.zeros(mi)),
                               qp.objective(x_ls), 0, certificate=(y_cert, np.zeros(mi)))
 
-    x, y, z, s, iters, converged = _mehrotra(qp, tol, max_iter, x0=initial)
+    x, y, z, s, iters, converged = _mehrotra(qp, tol, max_iter)
     polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol, full) if mi else None
     if polished is not None:
         return _optimal(qp, polished, iters)
@@ -583,14 +550,9 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
         if res.max() <= tol:
             return QpSolution("optimal", x, y, z, res, qp.objective(x), iters,
                               active_set=tuple(np.flatnonzero(z > s).tolist()))
-    if hinted and full > short:
-        # the last resort: the hint's walk with the cold polish's budget
-        polished = _polish(qp, set(active_hint), tol, full)
-        if polished is not None:
-            return _optimal(qp, polished, iters)
 
     # The main iteration failed: decide between infeasible and numeric trouble.
-    p1, x1, y1, z1, ok = _phase1(qp, max(tol, 1e-9), max_iter)
+    x1, y1, z1, ok = _phase1(qp, max(tol, 1e-9), max_iter)
     t_star = x1[-1] if ok else None
     if ok and t_star > 1e-6:
         y_cert = y1.copy()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flexmarket.cli import main
 
 
@@ -37,6 +39,16 @@ def test_unknown_case_reports_config_error(capsys):
 def test_bad_scenario_value(capsys):
     code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "compare",
                            "--scenario", "ramp_scale=abc")
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--solver-tol", "0"), ("--solver-tol", "-1"), ("--tol", "inf"),
+    ("--rho0", "nan"), ("--rho-k0", "nan"), ("--rho-k0", "inf"),
+])
+def test_bad_mechanism_setting_is_a_config_error(capsys, flag, value):
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "compare", flag, value)
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 

@@ -39,6 +39,12 @@ def test_rho_schedule_validation():
         RhoSchedule(rho0=4.0, k0=0.0, exponent=1.0)  # rho_1 > 1
 
 
+@pytest.mark.parametrize("setting", [{"consecutive": 0}, {"solver_max_iter": 0}])
+def test_mechanism_config_rejects_a_zero_count(setting):
+    with pytest.raises(ValueError):
+        MechanismConfig(**setting)
+
+
 def test_inertial_update_endpoints():
     prev = np.array([1.0, -2.0])
     fresh = np.array([3.0, 5.0])

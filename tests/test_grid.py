@@ -63,6 +63,28 @@ def test_parse_error_is_reported():
     assert any("parse error" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("path, value, where", [
+    (("demand",), [10.0], "demand"),
+    (("buses", 0), "A1", "buses[0]"),
+    (("areas",), {"A": "B"}, "areas"),
+    (("slack",), "A", "slack"),
+    (("confidence", "A"), "x", "confidence.A"),
+    (("tie_lines", 0, "capacity"), float("nan"), "tie_lines[AB].capacity"),
+    (("generators", 0, "p_max"), float("inf"), "generators[GA].p_max"),
+    (("generators", 0, "p_min"), 10 ** 400, "generators[GA].p_min"),
+])
+def test_misshapen_case_is_rejected_with_its_path(path, value, where):
+    doc = _toy2_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))  # NaN and Infinity travel as JSON literals
+    assert any(v.startswith(where + ":") for v in err.value.violations), err.value.violations
+
+
 def test_day_ahead_flow_must_fit_capacity():
     doc = _toy2_doc()
     doc["tie_lines"][0]["t_da"] = 120.0

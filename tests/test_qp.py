@@ -296,15 +296,6 @@ def test_parametric_continuity_under_objective_perturbation():
     assert ratios.max() <= 10.0 * max(ratios.min(), 1e-12)  # no blow-up as delta -> 0
 
 
-def test_initial_point_hint_is_accepted():
-    qp = _qp([[2.0]], [-4.0], g=[[1.0]], h=[1.0])
-    cold = solve(qp)
-    warm = solve(qp, initial=np.array([0.9]))
-    assert warm.status == "optimal"
-    assert warm.x == pytest.approx(cold.x, abs=1e-9)
-    assert warm.z == pytest.approx(cold.z, abs=1e-8)
-
-
 def test_deterministic_given_identical_inputs():
     rng = np.random.default_rng(5)
     qp = _random_instance(rng)
@@ -401,7 +392,7 @@ def _hinted_walks(full_budget=False):
 
     Returns the trace CSV and, per hinted solve, ``(program, hint, walks)``:
     ``walks`` lists ``(row sets solved, result)`` of each ``_polish`` call in
-    order, the hint's short walk first.  ``full_budget`` gives that walk the
+    order: the hint's walk, then the cold polish if the hint missed.  ``full_budget`` gives that walk the
     cold polish's ``2 * mi + 8`` row sets, as the walk had before it was
     capped.
     """
@@ -461,51 +452,20 @@ def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
     sizes = [(len(walks[0][0]), program.n + len(program.b_eq)) for program, _, walks in hinted if walks]
     over = [(steps, limit) for steps, limit in sizes if steps > limit]
     assert sizes and not over, f"row sets solved vs n + me: {over}"
+    # one walk from the hint and one from the interior point, never a re-walk
+    assert max(len(walks) for _, _, walks in hinted) <= 2
     assert any(walks[0][1] is None for _, _, walks in hinted if walks)  # some hints miss
     reference, _ = _hinted_walks(full_budget=True)
     assert csv == reference
 
 
 def test_a_missed_hint_changes_nothing_but_time():
-    # a hint whose short walk misses, and whose last-resort walk (third call:
-    # short walk, cold polish, last resort) does not answer either, gets the
-    # cold answer bit for bit
+    # a hint whose walk misses gets the cold answer bit for bit
     _, hinted = _hinted_walks()
-    missed = [(program, hint) for program, hint, walks in hinted if walks and walks[0][1] is None
-              and (len(walks) < 3 or walks[2][1] is None)]
+    missed = [(program, hint) for program, hint, walks in hinted if walks and walks[0][1] is None]
     assert missed
     for program, hint in missed:
         _same_bits(solve(program, active_hint=hint), solve(program))
-
-
-def test_last_resort_is_the_full_hinted_walk_before_phase1(monkeypatch):
-    qp = _qp(np.eye(2), [-4.0, -4.0], g=[[1.0, 1.0], [1.0, 0.0]], h=[1.0, 2.0])
-    hint = solve(qp).active_set
-    expected = solve(qp, active_hint=hint)
-    assert expected.iterations == 0  # the hint's walk answers
-    polish, mehrotra = qpmod._polish, qpmod._mehrotra
-    budgets, spent = [], []
-
-    def failing_polish(program, active, tol, budget):
-        # the hint's short walk and the cold polish fail; the last resort walks
-        budgets.append(budget)
-        return polish(program, active, tol, budget) if len(budgets) == 3 else None
-
-    def unconverged(*args, **kwargs):
-        x, y, z, s, iters, _ = mehrotra(*args, **kwargs)
-        spent.append(iters)
-        return x, y, z, s, iters, False
-
-    def no_phase1(*args):
-        raise AssertionError("phase 1 ran before the last-resort walk")
-
-    monkeypatch.setattr(qpmod, "_polish", failing_polish)
-    monkeypatch.setattr(qpmod, "_mehrotra", unconverged)
-    monkeypatch.setattr(qpmod, "_phase1", no_phase1)
-    sol = solve(qp, active_hint=hint)
-    assert budgets == [qp.n + len(qp.b_eq), 2 * len(qp.h_ineq) + 8, 2 * len(qp.h_ineq) + 8]
-    _same_bits(sol, expected)
-    assert sol.iterations == spent[0]  # the interior point ran; it is not a hint hit
 
 
 LADDER_4X8_S4 = Path(__file__).parent / "data" / "ladder_4x8_s4.json"
