@@ -9,11 +9,10 @@ centralized omniscient benchmark.
 from .grid import (Area, Bus, BUNDLED_CASES, CaseError, Generator, InternalLine, Network,
                    ScenarioModifiers, TieLine, apply_scenario, load_bundled, load_case,
                    save_case, validate)
-from .stochastic import (AggregateRequirement, aggregate_requirement, nodal_requirement,
-                         normal_cdf, normal_quantile)
+from .stochastic import AggregateRequirement, aggregate_requirement, normal_quantile
 from .qp import KktResiduals, QpSolution, QuadraticProgram, kkt_residuals, solve
 from .market import (AreaDecision, AreaDuals, ChanceConstrainedClearing, ClearingEngine,
-                     ClearingError, ClearingResult, TermsOfTrade, TieTerms, assemble, clear,
+                     ClearingError, ClearingResult, TermsOfTrade, TieTerms, clear,
                      evaluate_objective)
 from .coupling import (CouplingState, ExchangeMessage, MechanismConfig, MechanismRun,
                        RhoSchedule, TraceRecord, convergence_metrics, decode_message,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import qp as qpmod
+from . import coupling, qp as qpmod
 from .coupling import CouplingState
 from .grid import Network
 from .market import (REGULARIZATION, AreaDecision, AreaDuals, ClearingResult, Rows,
@@ -27,6 +27,7 @@ from .market import (REGULARIZATION, AreaDecision, AreaDuals, ClearingResult, Ro
 from .stochastic import aggregate_requirement
 
 SIGN_TOL = 1e-9
+CHECK_TOL = 1e-3  # bound on a limit's KKT residuals, objective gap and row violations
 
 
 def _sign(v: float) -> float:
@@ -54,7 +55,6 @@ class CentralSolution:
     tie_capacity: dict[str, CapacityDuals]  # keyed by tie id, stored orientation
     tie_flows: dict[str, float]  # t_da + dT on the stored orientation
     objective: float  # total generation cost at the optimum
-    slack_dual: float
     kkt_residual: float
 
 
@@ -163,7 +163,7 @@ class _CentralProblem:
         total_cost = sum(net.generator(g).cost(net.generator(g).p_da + dp)
                          for a in net.areas for g, dp in decisions[a.id].delta_p.items())
         return CentralSolution(decisions, duals, tie_capacity, tie_flows, total_cost,
-                               float(y[self.eq_slack]), sol.residuals.max())
+                               sol.residuals.max())
 
 
 def solve_centralized(net: Network, tol: float = qpmod.DEFAULT_TOL,
@@ -242,7 +242,7 @@ class FeasibilityReport:
     tie_definition: float
     tie_capacity: float
     aggregate: float
-    flags: tuple[str, ...]  # constraints violated beyond the tolerance
+    flags: tuple[str, ...]  # constraints violated beyond CHECK_TOL
 
     def max(self) -> float:
         return max(self.nodal, self.generator_box, self.ramp_box, self.internal_line,
@@ -256,8 +256,8 @@ _FEASIBILITY_GROUPS = {"nodal": "nodal", "gen_lo": "generator_box", "gen_hi": "g
                        "aggregate": "aggregate", "tie_def": "tie_definition"}
 
 
-def check_limit_feasibility(net: Network, clearings: dict[str, ClearingResult],
-                            tol: float = 1e-3) -> FeasibilityReport:
+def check_limit_feasibility(net: Network,
+                            clearings: dict[str, ClearingResult]) -> FeasibilityReport:
     """Evaluate the joint program's rows at the mechanism limit.
 
     Flags carry the program's row labels.  Capacity is checked on both
@@ -266,11 +266,11 @@ def check_limit_feasibility(net: Network, clearings: dict[str, ClearingResult],
     Mid-run iterates may legitimately violate tie capacity (it is enforced by
     prices, not hard-coded); violations are flagged, never raised.
     """
-    return _limit_feasibility(_CentralProblem(net), clearings, tol)
+    return _limit_feasibility(_CentralProblem(net), clearings)
 
 
-def _limit_feasibility(problem: _CentralProblem, clearings: dict[str, ClearingResult],
-                       tol: float) -> FeasibilityReport:
+def _limit_feasibility(problem: _CentralProblem,
+                       clearings: dict[str, ClearingResult]) -> FeasibilityReport:
     net = problem.net
     prog = problem.program
     x = problem.primal({a.id: clearings[a.id].decision for a in net.areas})
@@ -279,7 +279,7 @@ def _limit_feasibility(problem: _CentralProblem, clearings: dict[str, ClearingRe
 
     def record(group, label, viol):
         worst[group] = max(worst[group], viol)
-        if viol > tol:
+        if viol > CHECK_TOL:
             flags.append(f"{label}: {viol:.6g}")
 
     rows = ((prog.ineq_labels, np.maximum(prog.g_ineq @ x - prog.h_ineq, 0.0)),
@@ -309,7 +309,7 @@ class KktEquivalenceReport:
 
 def verify_kkt_equivalence(net: Network, state: CouplingState,
                            clearings: dict[str, ClearingResult],
-                           central: CentralSolution, tol: float = 1e-3) -> KktEquivalenceReport:
+                           central: CentralSolution) -> KktEquivalenceReport:
     """Certify the mechanism limit against the centralized KKT system.
 
     The candidate duals are the areas' own limit duals; the tie-capacity pair
@@ -318,12 +318,11 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     that the per-area problems price through their objectives.
     """
     gap = efficiency_gap(net, clearings, central).objective_gap
-    return _kkt_equivalence(_CentralProblem(net), state, clearings, gap, tol)
+    return _kkt_equivalence(_CentralProblem(net), state, clearings, gap)
 
 
 def _kkt_equivalence(problem: _CentralProblem, state: CouplingState,
-                     clearings: dict[str, ClearingResult], gap: float,
-                     tol: float) -> KktEquivalenceReport:
+                     clearings: dict[str, ClearingResult], gap: float) -> KktEquivalenceReport:
     net = problem.net
     prog = problem.program
     x = problem.primal({a.id: clearings[a.id].decision for a in net.areas})
@@ -350,8 +349,8 @@ def _kkt_equivalence(problem: _CentralProblem, state: CouplingState,
         if du.slack_angle is not None:
             y[problem.eq_slack] = du.slack_angle
     residuals = qpmod.kkt_residuals(prog, x, y, z)
-    passed = residuals.max() <= tol and gap <= tol
-    return KktEquivalenceReport(residuals, gap, k_lo, k_hi, tol, passed)
+    passed = residuals.max() <= CHECK_TOL and gap <= CHECK_TOL
+    return KktEquivalenceReport(residuals, gap, k_lo, k_hi, CHECK_TOL, passed)
 
 
 @dataclass(frozen=True)
@@ -373,16 +372,13 @@ def efficiency_gap(net: Network, clearings: dict[str, ClearingResult],
 
 
 def comparison_report(net: Network, state: CouplingState,
-                      clearings: dict[str, ClearingResult], central: CentralSolution,
-                      kkt_tol: float = 1e-3, nash_tol: float = 1e-4) -> dict:
+                      clearings: dict[str, ClearingResult], central: CentralSolution) -> dict:
     """JSON-ready comparison of a mechanism limit against the benchmark."""
-    from .coupling import verify_nash  # deferred: coupling sits below benchmark
-
     gap = efficiency_gap(net, clearings, central)
     problem = _CentralProblem(net)
-    kkt = _kkt_equivalence(problem, state, clearings, gap.objective_gap, kkt_tol)
-    feas = _limit_feasibility(problem, clearings, 1e-3)
-    nash = verify_nash(net, state, clearings, tol=nash_tol)
+    kkt = _kkt_equivalence(problem, state, clearings, gap.objective_gap)
+    feas = _limit_feasibility(problem, clearings)
+    nash = coupling.verify_nash(net, state, clearings)
     return {
         "objective_gap": gap.objective_gap,
         "flow_deviation": gap.flow_deviation,

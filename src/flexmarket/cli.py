@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import benchmark, coupling, grid
@@ -28,14 +29,10 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
-
-@dataclass(frozen=True)
-class Thresholds:
-    objective_gap: float = 1e-3
-    consensus: float = 1e-3
-    slackness: float = 1e-3
-    kkt: float = 1e-3
-    nash: float = 1e-4
+# exit thresholds on the last round's broadcasts (KKT and Nash: benchmark.CHECK_TOL
+# and coupling.NASH_TOL)
+CONSENSUS_THRESHOLD = 1e-3
+SLACKNESS_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,11 @@ class RunConfig:
     mechanism: MechanismConfig = field(default_factory=MechanismConfig)
     trace_path: str | None = None
     report_path: str | None = None
-    thresholds: Thresholds = field(default_factory=Thresholds)
+    objective_gap: float = 1e-3  # relative, against the centralized optimum
+
+    def __post_init__(self):
+        if not (0 <= self.objective_gap < math.inf):
+            raise ValueError("objective gap threshold must be finite and >= 0")
 
 
 class _CliError(Exception):
@@ -121,8 +122,8 @@ def cmd_run(config: RunConfig) -> int:
             "slackness": last.slackness,
         }
         checks["converged"] = run_result.converged
-        checks["consensus"] = last.consensus <= config.thresholds.consensus
-        checks["slackness"] = abs(last.slackness) <= config.thresholds.slackness
+        checks["consensus"] = last.consensus <= CONSENSUS_THRESHOLD
+        checks["slackness"] = abs(last.slackness) <= SLACKNESS_THRESHOLD
         if config.trace_path:
             _write(config.trace_path, coupling.trace_to_csv(run_result.trace))
         print(f"decentralized: {run_result.rounds} rounds, "
@@ -140,9 +141,8 @@ def cmd_run(config: RunConfig) -> int:
 
     if config.mode == "compare":
         comparison = benchmark.comparison_report(net, run_result.state, run_result.clearings,
-                                                 central, kkt_tol=config.thresholds.kkt,
-                                                 nash_tol=config.thresholds.nash)
-        checks["objective_gap"] = comparison["objective_gap"] <= config.thresholds.objective_gap
+                                                 central)
+        checks["objective_gap"] = comparison["objective_gap"] <= config.objective_gap
         checks["kkt"] = comparison["checks"]["kkt"]
         checks["nash"] = comparison["checks"]["nash"]
         del comparison["checks"]
@@ -176,7 +176,8 @@ def cmd_scenarios() -> int:
 
 
 def _parse_scenarios(pairs: list[str]) -> grid.ScenarioModifiers:
-    mods = grid.ScenarioModifiers()
+    """The modifiers named by KEY=VALUE pairs; a ValueError means an invalid value."""
+    mods: dict[str, float] = {}
     overrides: dict[str, float] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -186,19 +187,15 @@ def _parse_scenarios(pairs: list[str]) -> grid.ScenarioModifiers:
             value = float(raw)
         except ValueError:
             raise _CliError(EXIT_CONFIG, "config", f"--scenario {key}: {raw!r} is not a number")
-        if key == "generator_capacity_scale":
-            mods = replace(mods, generator_capacity_scale=value)
-        elif key == "ramp_scale":
-            mods = replace(mods, ramp_scale=value)
+        if key in ("generator_capacity_scale", "ramp_scale"):
+            mods[key] = value
         elif key == "demand_cov":
-            mods = replace(mods, demand_cov_override=value)
+            mods["demand_cov_override"] = value
         elif key.startswith("tie_capacity:"):
             overrides[key.split(":", 1)[1]] = value
         else:
             raise _CliError(EXIT_CONFIG, "config", f"unknown scenario modifier {key!r}")
-    if overrides:
-        mods = replace(mods, tie_capacity_overrides=overrides)
-    return mods
+    return grid.ScenarioModifiers(**mods, tie_capacity_overrides=overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="convergence threshold on the broadcast variables")
     p_run.add_argument("--solver-tol", type=float, default=MechanismConfig.solver_tol)
     p_run.add_argument("--warm-start", action="store_true")
-    p_run.add_argument("--objective-gap-threshold", type=float, default=Thresholds.objective_gap)
+    p_run.add_argument("--objective-gap-threshold", type=float, default=RunConfig.objective_gap)
 
     sub.add_parser("scenarios", help="list available scenario modifiers")
     return parser
@@ -255,14 +252,14 @@ def main(argv: list[str] | None = None) -> int:
                 rho=RhoSchedule(args.rho0, args.rho_k0, args.rho_exponent),
                 beta=args.beta, tol=args.tol, solver_tol=args.solver_tol,
                 warm_start=args.warm_start)
+            config = RunConfig(
+                case=args.case, mode=args.mode,
+                scenario=_parse_scenarios(args.scenario),
+                mechanism=mechanism,
+                trace_path=args.trace_path, report_path=args.report_path,
+                objective_gap=args.objective_gap_threshold)
         except ValueError as e:
             raise _CliError(EXIT_CONFIG, "config", str(e)) from e
-        config = RunConfig(
-            case=args.case, mode=args.mode,
-            scenario=_parse_scenarios(args.scenario),
-            mechanism=mechanism,
-            trace_path=args.trace_path, report_path=args.report_path,
-            thresholds=Thresholds(objective_gap=args.objective_gap_threshold))
         return cmd_run(config)
     except _CliError as e:
         payload = {"error": e.kind, "message": str(e)}

@@ -28,6 +28,9 @@ from .market import (ChanceConstrainedClearing, ClearingEngine, ClearingError,
 
 log = logging.getLogger("flexmarket.coupling")
 
+CONSECUTIVE = 5  # rounds below tol before declaring convergence
+NASH_TOL = 1e-4  # relative objective gain that counts as a profitable deviation
+
 
 class MechanismError(RuntimeError):
     def __init__(self, round_k: int, message: str):
@@ -85,7 +88,6 @@ class MechanismConfig:
     rho: RhoSchedule = field(default_factory=RhoSchedule)
     beta: float = 0.1  # capacity-price step, (0,1)
     tol: float = 1e-8  # convergence threshold on the broadcast variables
-    consecutive: int = 5  # rounds below tol before declaring convergence
     solver_tol: float = 1e-8
     solver_max_iter: int = 200
     warm_start: bool = False
@@ -98,8 +100,8 @@ class MechanismConfig:
         for name in ("tol", "solver_tol"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and > 0")
-        if self.solver_max_iter < 1 or self.consecutive < 1:
-            raise ValueError("solver_max_iter and consecutive must be >= 1")
+        if self.solver_max_iter < 1:
+            raise ValueError("solver_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -336,9 +338,9 @@ def run(net: Network, config: MechanismConfig | None = None,
                                    index.capacity, config.beta)
         trace.append(_record(index, k, x, mu, dx, clearings))
         streak = streak + 1 if dx < config.tol else 0
-        if streak >= config.consecutive:
+        if streak >= CONSECUTIVE:
             break
-    converged = streak >= config.consecutive
+    converged = streak >= CONSECUTIVE
     log.info("mechanism finished after %d rounds (converged=%s)", k, converged)
     state = CouplingState(k, *index.unflatten(x, mu), config.rho, config.beta)
     return MechanismRun(state, tuple(trace), clearings, converged, k)
@@ -371,18 +373,18 @@ def convergence_metrics(trace) -> ConvergenceMetrics:
 class NashGap:
     limit_objective: float
     best_objective: float
-    gap: float  # limit - best; <= tol at a Nash equilibrium
+    gap: float  # limit - best; <= tolerance at a Nash equilibrium
     tolerance: float
     passed: bool
 
 
-def verify_nash(net: Network, state: CouplingState, clearings: dict[str, ClearingResult],
-                tol: float = 1e-4) -> dict[str, NashGap]:
+def verify_nash(net: Network, state: CouplingState,
+                clearings: dict[str, ClearingResult]) -> dict[str, NashGap]:
     """No-profitable-unilateral-deviation check at the limit state.
 
     Each area is re-cleared once against the frozen limit terms, seeded with
     the rows its limit decision binds; the objective of its limit decision
-    must not exceed the re-cleared optimum by more than tol * (1 + |V_a|).
+    must not exceed the re-cleared optimum by more than NASH_TOL * (1 + |V_a|).
     """
     terms = _BroadcastIndex(net).state_terms(state)
     out = {}
@@ -390,7 +392,7 @@ def verify_nash(net: Network, state: CouplingState, clearings: dict[str, Clearin
         best = clear_area(net, a.id, terms[a.id], near=clearings[a.id].decision)
         v_limit = evaluate_objective(net, a.id, terms[a.id], clearings[a.id].decision)
         gap = v_limit - best.objective
-        tolerance = tol * (1.0 + abs(v_limit))
+        tolerance = NASH_TOL * (1.0 + abs(v_limit))
         out[a.id] = NashGap(v_limit, best.objective, gap, tolerance, gap <= tolerance)
     return out
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -100,7 +101,6 @@ class TieView:
     """
 
     tie_id: str
-    own_area: str
     own_bus: str
     neighbor_area: str
     neighbor_bus: str
@@ -149,10 +149,10 @@ class Network:
             if t.open:
                 continue
             if t.from_area == area_id:
-                views.append(TieView(t.id, area_id, t.from_bus, t.to_area, t.to_bus,
+                views.append(TieView(t.id, t.from_bus, t.to_area, t.to_bus,
                                      t.reactance, t.capacity, t.t_da, True))
             else:
-                views.append(TieView(t.id, area_id, t.to_bus, t.from_area, t.from_bus,
+                views.append(TieView(t.id, t.to_bus, t.from_area, t.from_bus,
                                      t.reactance, t.capacity, -t.t_da, False))
         return tuple(views)
 
@@ -173,12 +173,14 @@ class ScenarioModifiers:
     demand_cov_override: float | None = None
 
     def __post_init__(self):
-        if self.generator_capacity_scale <= 0:
-            raise ValueError("generator_capacity_scale must be > 0")
-        if self.ramp_scale <= 0:
-            raise ValueError("ramp_scale must be > 0")
-        if self.demand_cov_override is not None and self.demand_cov_override < 0:
-            raise ValueError("demand_cov_override must be >= 0")
+        for name in ("generator_capacity_scale", "ramp_scale"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
+        if self.demand_cov_override is not None and not (0 <= self.demand_cov_override < math.inf):
+            raise ValueError("demand_cov_override must be finite and >= 0")
+        for tie_id, capacity in self.tie_capacity_overrides.items():
+            if not math.isfinite(capacity):
+                raise ValueError(f"tie capacity override for {tie_id} must be finite")
 
 
 def _structural_violations(net: Network) -> list[str]:
@@ -269,15 +271,15 @@ def _connected(area: Area, net: Network) -> bool:
     return len(seen) == len(area.bus_ids)
 
 
-def validate(net: Network, autarky: bool = True) -> list[str]:
+def validate(net: Network) -> list[str]:
     """Return every violated invariant; empty means the network is sound.
 
-    With ``autarky=True`` each area's clearing problem is additionally solved
+    A structurally sound network has each area's clearing problem solved
     with all intertie flows forced to zero; an infeasible area (one that
     cannot meet local demand on its own) is reported as a violation.
     """
     out = _structural_violations(net)
-    if out or not autarky:
+    if out:
         return out
     from . import market  # deferred: market sits above grid in the layering
 
@@ -309,11 +311,26 @@ def _typed(value, kind, path, out):
     return kind()
 
 
+def _id(value, path, out):
+    """``value`` if it is a non-empty string; otherwise None, and an error."""
+    if isinstance(value, str) and value:
+        return value
+    out.append(f"{path}: expected a non-empty string")
+    return None
+
+
 def _entries(doc, key, out):
-    """The objects listed under ``doc[key]``; any other entry is reported and skipped."""
-    items = _typed(doc.get(key, []), list, key, out)
-    out.extend(f"{key}[{i}]: expected an object" for i, e in enumerate(items) if not isinstance(e, dict))
-    return [e for e in items if isinstance(e, dict)]
+    """(id, path, object) per object listed under ``doc[key]``; any other entry is
+    reported and skipped.  The path names an entry by its id, or by its position
+    when the id is not a non-empty string."""
+    found = []
+    for i, e in enumerate(_typed(doc.get(key, []), list, key, out)):
+        if not isinstance(e, dict):
+            out.append(f"{key}[{i}]: expected an object")
+            continue
+        entry_id = _id(e.get("id"), f"{key}[{i}].id", out)
+        found.append((entry_id, f"{key}[{entry_id or i}]", e))
+    return found
 
 
 def load_case(text: str | bytes | dict) -> Network:
@@ -340,9 +357,8 @@ def load_case(text: str | bytes | dict) -> Network:
     confidence = _typed(doc["confidence"], dict, "confidence", errs)
 
     buses = []
-    for b in _entries(doc, "buses", errs):
-        path = f"buses[{b.get('id', '?')}]"
-        entry = _typed(dem_buses.get(str(b.get("id")), {}), dict, f"demand.{path}", errs)
+    for bus_id, path, b in _entries(doc, "buses", errs):
+        entry = _typed(dem_buses.get(bus_id, {}), dict, f"demand.{path}", errs)
         mean = _num(entry, "mean", path, errs, required=False)
         if "std" in entry:
             std = _num(entry, "std", path, errs, required=False)
@@ -350,16 +366,15 @@ def load_case(text: str | bytes | dict) -> Network:
             std = cov * abs(mean)
         else:
             std = 0.0
-        buses.append(Bus(str(b.get("id")), str(b.get("area")), mean, std))
+        buses.append(Bus(bus_id, _id(b.get("area"), f"{path}.area", errs), mean, std))
     for bus_id in dem_buses:
         if bus_id not in {b.id for b in buses}:
             errs.append(f"demand.buses[{bus_id}]: unknown bus")
 
     gens = []
-    for g in _entries(doc, "generators", errs):
-        path = f"generators[{g.get('id', '?')}]"
+    for gen_id, path, g in _entries(doc, "generators", errs):
         gens.append(Generator(
-            str(g.get("id")), str(g.get("bus")),
+            gen_id, _id(g.get("bus"), f"{path}.bus", errs),
             _num(g, "cost_quadratic", path, errs),
             _num(g, "cost_linear", path, errs),
             _num(g, "cost_constant", path, errs, required=False),
@@ -370,21 +385,23 @@ def load_case(text: str | bytes | dict) -> Network:
             _num(g, "p_da", path, errs),
         ))
     lines = []
-    for l in _entries(doc, "lines", errs):
-        path = f"lines[{l.get('id', '?')}]"
-        lines.append(InternalLine(str(l.get("id")), str(l.get("from_bus")), str(l.get("to_bus")),
+    for line_id, path, l in _entries(doc, "lines", errs):
+        ends = [_id(l.get(k), f"{path}.{k}", errs) for k in ("from_bus", "to_bus")]
+        lines.append(InternalLine(line_id, *ends,
                                   _num(l, "reactance", path, errs), _num(l, "capacity", path, errs)))
     ties = []
-    for t in _entries(doc, "tie_lines", errs):
-        path = f"tie_lines[{t.get('id', '?')}]"
-        ties.append(TieLine(str(t.get("id")), str(t.get("from_area")), str(t.get("from_bus")),
-                            str(t.get("to_area")), str(t.get("to_bus")),
+    for tie_id, path, t in _entries(doc, "tie_lines", errs):
+        ends = [_id(t.get(k), f"{path}.{k}", errs)
+                for k in ("from_area", "from_bus", "to_area", "to_bus")]
+        ties.append(TieLine(tie_id, *ends,
                             _num(t, "reactance", path, errs), _num(t, "capacity", path, errs),
                             _num(t, "t_da", path, errs, required=False)))
 
     areas = []
-    for area_id in _typed(doc["areas"], list, "areas", errs):
-        area_id = str(area_id)
+    for i, area_id in enumerate(_typed(doc["areas"], list, "areas", errs)):
+        area_id = _id(area_id, f"areas[{i}]", errs)
+        if area_id is None:
+            continue
         tail = _num(confidence, area_id, "confidence", errs, default=0.5)
         areas.append(Area(
             area_id,
@@ -398,7 +415,8 @@ def load_case(text: str | bytes | dict) -> Network:
 
     slack_doc = _typed(doc.get("slack") or {}, dict, "slack", errs)
     if slack_doc:
-        slack = (str(slack_doc.get("area")), str(slack_doc.get("bus")))
+        slack = (_id(slack_doc.get("area"), "slack.area", errs),
+                 _id(slack_doc.get("bus"), "slack.bus", errs))
     elif areas and areas[0].bus_ids:
         slack = (areas[0].id, areas[0].bus_ids[0])
     else:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qp as qpmod
 from .grid import Network, TieView
-from .stochastic import AggregateRequirement, aggregate_requirement
+from .stochastic import aggregate_requirement
 
 # Tikhonov weight on the diagonal of the split-flow and angle blocks, which
 # the generation cost leaves only PSD.  Reported objectives are evaluated
@@ -244,14 +244,10 @@ class AreaProblem:
     structure, so the solver's memoized factorizations carry over.
     """
 
-    def __init__(self, net: Network, area_id: str, autarky: bool = False,
-                 requirement: AggregateRequirement | None = None):
+    def __init__(self, net: Network, area_id: str, autarky: bool = False):
         self.net = net
         self.area_id = area_id
-        if requirement is not None and requirement.area_id != area_id:
-            raise ValueError(f"requirement is for area {requirement.area_id}, not {area_id}")
         area = net.area(area_id)
-        self.requirement = requirement or aggregate_requirement(net, area_id)
         gens = tuple(area.generator_ids)
         ties = () if autarky else net.tie_views(area_id)
         buses = tuple(area.bus_ids)
@@ -292,8 +288,8 @@ class AreaProblem:
 
         ineq = Rows(nv)
         flows = [(v, ((var_tp[v.tie_id], 1.0), (var_tm[v.tie_id], -1.0))) for v in ties]
-        rows = add_area_rows(ineq, net, area_id, self.requirement.requirement,
-                             var_dp, var_theta, flows)
+        requirement = aggregate_requirement(net, area_id).requirement
+        rows = add_area_rows(ineq, net, area_id, requirement, var_dp, var_theta, flows)
         for v in ties:
             row = np.zeros(nv)
             row[var_tp[v.tie_id]] = -1.0
@@ -382,15 +378,7 @@ class AreaProblem:
                               willingness, sol.status, sol.residuals.max())
 
 
-def assemble(net: Network, area_id: str, terms: TermsOfTrade,
-             requirement: AggregateRequirement | None = None):
-    """Build one area's clearing QP. Returns (program, index map)."""
-    problem = AreaProblem(net, area_id, requirement=requirement)
-    return problem.assemble(terms), problem.index
-
-
 def clear(net: Network, area_id: str, terms: TermsOfTrade,
-          requirement: AggregateRequirement | None = None,
           tol: float = qpmod.DEFAULT_TOL, max_iter: int = qpmod.DEFAULT_MAX_ITER,
           near: AreaDecision | None = None) -> ClearingResult:
     """Clear one area at the given terms of trade.
@@ -403,7 +391,7 @@ def clear(net: Network, area_id: str, terms: TermsOfTrade,
     degenerate optimal face ``near`` can pick a different point of the face,
     at the same objective to solver tolerance.
     """
-    return AreaProblem(net, area_id, requirement=requirement).clear(terms, tol, max_iter, near)
+    return AreaProblem(net, area_id).clear(terms, tol, max_iter, near)
 
 
 def evaluate_objective(net: Network, area_id: str, terms: TermsOfTrade,

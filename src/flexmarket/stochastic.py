@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import Bus, Network
+from .grid import Network
 
 # Rational approximation for the inverse standard-normal CDF (Acklam's
 # coefficients, |rel err| < 1.2e-9), then one Halley step on the CDF to reach
@@ -42,19 +42,18 @@ def normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF, accurate to ~1e-15 for p in (0,1)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must be in (0,1), got {p}")
+    if p > 1.0 - _P_LOW:
+        # by symmetry; 1 - p is exact here, while refining near Phi(z) = 1 is not
+        return -normal_quantile(1.0 - p)
     if p < _P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         z = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
+    else:
         q = p - 0.5
         r = q * q
         z = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
              / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
     # Halley refinement of Phi(z) = p.
     err = normal_cdf(z) - p
     u = err / normal_pdf(z)
@@ -73,20 +72,11 @@ class AggregateRequirement:
     requirement: float  # mean_total + z * std_total
 
 
-def nodal_requirement(bus: Bus) -> float:
-    """Per-bus deterministic requirement: the forecast mean."""
-    return bus.mean_net_demand
-
-
-def aggregate_requirement(net: Network, area_id: str, t: float | None = None) -> AggregateRequirement:
-    """Area-wide requirement at confidence 1 - t (t defaults to the area's tail)."""
+def aggregate_requirement(net: Network, area_id: str) -> AggregateRequirement:
+    """Area-wide requirement at confidence 1 - t, t the area's confidence tail."""
     area = net.area(area_id)
-    if t is None:
-        t = area.confidence_tail
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"confidence tail must be in (0,1), got {t}")
     buses = [net.bus(b) for b in area.bus_ids]
     mean_total = sum(b.mean_net_demand for b in buses)
     std_total = math.sqrt(sum(b.demand_std ** 2 for b in buses))
-    z = normal_quantile(1.0 - t)
+    z = normal_quantile(1.0 - area.confidence_tail)
     return AggregateRequirement(area_id, mean_total, std_total, z, mean_total + z * std_total)

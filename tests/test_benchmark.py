@@ -294,6 +294,23 @@ def test_comparison_report_shape(toy2, toy2_run, toy2_central):
     json.dumps(report)  # serializable as-is
 
 
+def test_comparison_report_looks_up_verify_nash_at_call_time(toy2, toy2_run, toy2_central,
+                                                             monkeypatch):
+    # the benchmark's tracer times the Nash check by replacing this one name
+    from flexmarket import benchmark, coupling
+    result, _ = toy2_run
+    calls = []
+    real = coupling.verify_nash
+
+    def spy(net, *args, **kwargs):
+        calls.append(net)
+        return real(net, *args, **kwargs)
+
+    monkeypatch.setattr(coupling, "verify_nash", spy)
+    benchmark.comparison_report(toy2, result.state, result.clearings, toy2_central)
+    assert calls == [toy2]
+
+
 def test_efficiency_gap_zero_against_itself(toy2, toy2_central, toy2_run):
     result, _ = toy2_run
     # replace the limit by the centralized solution itself

@@ -53,6 +53,20 @@ def test_bad_mechanism_setting_is_a_config_error(capsys, flag, value):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--scenario", "ramp_scale=-1"), ("--scenario", "ramp_scale=nan"),
+    ("--scenario", "ramp_scale=inf"), ("--scenario", "generator_capacity_scale=0"),
+    ("--scenario", "generator_capacity_scale=inf"), ("--scenario", "demand_cov=-0.1"),
+    ("--scenario", "demand_cov=nan"), ("--scenario", "demand_cov=inf"),
+    ("--scenario", "tie_capacity:AB=nan"), ("--scenario", "tie_capacity:AB=inf"),
+    ("--objective-gap-threshold", "nan"), ("--objective-gap-threshold", "-1"),
+])
+def test_bad_input_value_is_a_config_error(capsys, flag, value):
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "compare", flag, value)
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
 def test_invalid_case_file_gets_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"areas": ["A"]}')

@@ -39,7 +39,7 @@ def test_rho_schedule_validation():
         RhoSchedule(rho0=4.0, k0=0.0, exponent=1.0)  # rho_1 > 1
 
 
-@pytest.mark.parametrize("setting", [{"consecutive": 0}, {"solver_max_iter": 0}])
+@pytest.mark.parametrize("setting", [{"solver_max_iter": 0}, {"max_rounds": 0}])
 def test_mechanism_config_rejects_a_zero_count(setting):
     with pytest.raises(ValueError):
         MechanismConfig(**setting)

@@ -72,6 +72,17 @@ def test_parse_error_is_reported():
     (("tie_lines", 0, "capacity"), float("nan"), "tie_lines[AB].capacity"),
     (("generators", 0, "p_max"), float("inf"), "generators[GA].p_max"),
     (("generators", 0, "p_min"), 10 ** 400, "generators[GA].p_min"),
+    # ids and id references must be non-empty strings, never str() of another value
+    (("generators", 0, "id"), None, "generators[0].id"),
+    (("generators", 0, "id"), {"a": 1}, "generators[0].id"),
+    (("generators", 1, "bus"), ["B1"], "generators[GB].bus"),
+    (("buses", 0, "area"), 7, "buses[A1].area"),
+    (("tie_lines", 0, "to_bus"), "", "tie_lines[AB].to_bus"),
+    (("tie_lines", 0, "from_area"), True, "tie_lines[AB].from_area"),
+    (("areas", 1), 2, "areas[1]"),
+    (("slack", "bus"), 0, "slack.bus"),
+    (("lines",), [{"id": "L", "from_bus": 3, "to_bus": "A1", "reactance": 0.1, "capacity": 1.0}],
+     "lines[L].from_bus"),
 ])
 def test_misshapen_case_is_rejected_with_its_path(path, value, where):
     doc = _toy2_doc()
@@ -216,4 +227,4 @@ def test_autarky_violation_reported():
     assert any("area[Y]" in v and "cannot meet local demand" in v for v in violations)
     assert not any("area[X]" in v for v in violations)
     # the probe is the only failure: structure itself is fine
-    assert validate(net, autarky=False) == []
+    assert len(violations) == 1

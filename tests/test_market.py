@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flexmarket import (ChanceConstrainedClearing, ClearingError, TermsOfTrade, TieTerms,
-                        aggregate_requirement, assemble, clear, evaluate_objective, load_case)
+                        clear, evaluate_objective, load_case)
 from flexmarket.market import AreaProblem, autarky_infeasibility
 from flexmarket.qp import QpDimensionError, QuadraticProgram, solve
 
@@ -14,10 +14,11 @@ def _terms(**kw):
 
 
 def test_assemble_toy2_structure(toy2):
-    program, index = assemble(toy2, "A", TermsOfTrade({"AB": ZERO}))
+    problem = AreaProblem(toy2, "A")
+    program = problem.assemble(TermsOfTrade({"AB": ZERO}))
     assert program.n == 4  # 1 dP + split pair + 1 theta
     assert "slack" in program.eq_labels
-    assert len(index.ties) == 1 and index.eq_slack is not None
+    assert len(problem.index.ties) == 1 and problem.index.eq_slack is not None
 
 
 def test_assemble_counts_on_multibus_area():
@@ -45,7 +46,7 @@ def test_assemble_counts_on_multibus_area():
         "demand": {"buses": {"X1": {"mean": 5.0}, "X3": {"mean": 5.0}, "Y1": {"mean": 5.0}}},
         "confidence": {"X": 0.5, "Y": 0.5},
     })
-    program, _ = assemble(net, "X", TermsOfTrade({"T": ZERO}))
+    program = AreaProblem(net, "X").assemble(TermsOfTrade({"T": ZERO}))
     assert program.n == 2 + 2 + 3  # dP per generator, split pair, theta per bus
     # nodal(3) + gen boxes(4) + ramps(4) + line sides(4) + aggregate + splits(2)
     assert len(program.h_ineq) == 3 + 4 + 4 + 4 + 1 + 2
@@ -54,8 +55,9 @@ def test_assemble_counts_on_multibus_area():
 
 
 def test_objective_reduces_to_generation_cost_when_terms_vanish(toy2):
-    program, index = assemble(toy2, "B", TermsOfTrade({"AB": ZERO}))
-    tp, tm = index.var_tp["AB"], index.var_tm["AB"]
+    problem = AreaProblem(toy2, "B")
+    program = problem.assemble(TermsOfTrade({"AB": ZERO}))
+    tp, tm = problem.index.var_tp["AB"], problem.index.var_tm["AB"]
     assert program.c[tp] == 0.0 and program.c[tm] == 0.0
     res = clear(toy2, "B", TermsOfTrade({"AB": ZERO}))
     assert res.objective == pytest.approx(res.generation_cost, abs=1e-12)
@@ -64,12 +66,6 @@ def test_objective_reduces_to_generation_cost_when_terms_vanish(toy2):
 def test_missing_tie_terms_rejected(toy2):
     with pytest.raises(KeyError):
         clear(toy2, "B", TermsOfTrade({}))
-
-
-def test_requirement_for_wrong_area_rejected(toy2):
-    req = aggregate_requirement(toy2, "A")
-    with pytest.raises(ValueError):
-        clear(toy2, "B", TermsOfTrade({"AB": ZERO}), requirement=req)
 
 
 def test_import_clears_at_marginal_cost(toy2):
@@ -110,7 +106,7 @@ def test_degenerate_dual_split_leaves_quote_invariant(toy2):
     # single-bus importer at t=0.5: nodal and aggregate rows coincide, so the
     # alpha/gamma split is arbitrary but their sum must not be
     terms = _terms(AB=(8.0, 0.0, 0.0))
-    program, index = assemble(toy2, "B", terms)
+    program = AreaProblem(toy2, "B").assemble(terms)
     straight = solve(program)
     # re-solve with the inequality rows in reverse order
     perm = np.arange(len(program.h_ineq))[::-1]

@@ -22,3 +22,39 @@ def test_no_statement_follows_a_jump():
              for path in sorted(PACKAGE.glob("*.py"))
              for jump, after in _unreachable(ast.parse(path.read_text(), filename=str(path)))]
     assert not found, f"unreachable statements: {found}"
+
+
+def _package_imports(tree, modules):
+    """(line, imported module, inside a function) for each relative import of a package module."""
+    in_function = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                if name in modules:
+                    yield node.lineno, name, id(node) in in_function
+
+
+def test_function_level_imports_only_break_cycles():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    imports = {m: list(_package_imports(tree, trees)) for m, tree in trees.items()}
+    top_level = {m: {target for _, target, inner in found if not inner}
+                 for m, found in imports.items()}
+
+    def reaches(start, goal):
+        todo, seen = [start], set()
+        while todo:
+            m = todo.pop()
+            if m == goal:
+                return True
+            if m not in seen:
+                seen.add(m)
+                todo.extend(top_level[m])
+        return False
+
+    # an import inside a function is needed only if importing at the top would close a cycle
+    needless = [f"{m}.py:{line}" for m, found in imports.items()
+                for line, target, inner in found if inner and not reaches(target, m)]
+    assert not needless, f"function-level imports a top-level import could replace: {needless}"
