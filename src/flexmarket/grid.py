@@ -319,17 +319,43 @@ def _id(value, path, out):
     return None
 
 
+# the fields each object of a case document may hold; any other is an error,
+# so that a misspelt optional field cannot silently take its default
+_FIELDS = {
+    "case": ("areas", "buses", "generators", "lines", "tie_lines", "demand", "confidence",
+             "slack"),
+    "buses": ("id", "area"),
+    "generators": ("id", "bus", "cost_quadratic", "cost_linear", "cost_constant", "p_min",
+                   "p_max", "ramp_down", "ramp_up", "p_da"),
+    "lines": ("id", "from_bus", "to_bus", "reactance", "capacity"),
+    "tie_lines": ("id", "from_area", "from_bus", "to_area", "to_bus", "reactance", "capacity",
+                  "t_da"),
+    "demand": ("buses", "cov"),
+    "demand.buses": ("mean", "std"),
+    "slack": ("area", "bus"),
+}
+
+
+def _unknown(obj, kind, path, out):
+    """Report each field of ``obj`` that _FIELDS[kind] does not list."""
+    for key in obj:
+        if key not in _FIELDS[kind]:
+            out.append(f"{path}.{key}: unknown field")
+
+
 def _entries(doc, key, out):
     """(id, path, object) per object listed under ``doc[key]``; any other entry is
-    reported and skipped.  The path names an entry by its id, or by its position
-    when the id is not a non-empty string."""
+    reported and skipped, and so is an unknown field.  The path names an entry
+    by its id, or by its position when the id is not a non-empty string."""
     found = []
     for i, e in enumerate(_typed(doc.get(key, []), list, key, out)):
         if not isinstance(e, dict):
             out.append(f"{key}[{i}]: expected an object")
             continue
         entry_id = _id(e.get("id"), f"{key}[{i}].id", out)
-        found.append((entry_id, f"{key}[{entry_id or i}]", e))
+        path = f"{key}[{entry_id or i}]"
+        _unknown(e, key, path, out)
+        found.append((entry_id, path, e))
     return found
 
 
@@ -350,8 +376,10 @@ def load_case(text: str | bytes | dict) -> Network:
             errs.append(f"case: missing top-level key {key}")
     if errs:
         raise CaseError(errs)
+    _unknown(doc, "case", "case", errs)
 
     demand = _typed(doc["demand"], dict, "demand", errs)
+    _unknown(demand, "demand", "demand", errs)
     cov = _num(demand, "cov", "demand", errs, required=False, default=None)
     dem_buses = _typed(demand.get("buses", {}), dict, "demand.buses", errs)
     confidence = _typed(doc["confidence"], dict, "confidence", errs)
@@ -359,6 +387,7 @@ def load_case(text: str | bytes | dict) -> Network:
     buses = []
     for bus_id, path, b in _entries(doc, "buses", errs):
         entry = _typed(dem_buses.get(bus_id, {}), dict, f"demand.{path}", errs)
+        _unknown(entry, "demand.buses", f"demand.{path}", errs)
         mean = _num(entry, "mean", path, errs, required=False)
         if "std" in entry:
             std = _num(entry, "std", path, errs, required=False)
@@ -412,8 +441,13 @@ def load_case(text: str | bytes | dict) -> Network:
             tuple(t.id for t in ties if area_id in (t.from_area, t.to_area)),
             tail,
         ))
+    area_ids = {a.id for a in areas}
+    for area_id in confidence:
+        if area_id not in area_ids:
+            errs.append(f"confidence.{area_id}: unknown area")
 
     slack_doc = _typed(doc.get("slack") or {}, dict, "slack", errs)
+    _unknown(slack_doc, "slack", "slack", errs)
     if slack_doc:
         slack = (_id(slack_doc.get("area"), "slack.area", errs),
                  _id(slack_doc.get("bus"), "slack.bus", errs))

@@ -38,10 +38,26 @@ The walk is a semismooth Newton method: it settles in a few steps from a
 nearby start and has no global guarantee.  So the hinted walk stops after
 n + m_eq row sets, the order of the Newton system one cold interior-point
 iteration factors; a hint that has not settled by then is not a nearby
-start.  The cold path then runs unchanged: the interior point, its polish
-with a budget of 2 * m_ineq + 8 row sets, its convergence check, then phase
-1 and the primal active-set method.  As in OSQP's polish (Stellato et al.
-2020, sec. 5.1), no start is walked twice.
+start.  The cold path then runs in four stages:
+
+1. The interior-point iteration.  Its Newton matrix keeps the constant +-A
+   blocks across iterations, and the predictor and the corrector share each
+   regularized matrix.
+2. The crossover, an early polish as in OSQP (Stellato et al. 2020, sec.
+   5.1).  Once an iterate's worst residual is below ``CROSSOVER_RESIDUAL``,
+   its binding set (z > s) is walked for at most ``CROSSOVER_BUDGET`` row
+   sets, the set and one add/drop correction.  No crossover walk starts
+   from a set an earlier walk of the same solve started from, the hint's
+   included.  A walk that validates is kept only if it is strictly
+   complementary: its binding rows must be exactly its rows with a positive
+   multiplier.  On a degenerate dual face an early set can validate
+   at the optimal x with multipliers on another vertex of that face, and the
+   full iteration would not return those; so the iteration goes on.
+3. The polish of the iteration's last iterate, with a budget of
+   2 * m_ineq + 8 row sets, then its convergence check.
+4. Phase 1 and the primal active-set method.
+
+``QpSolution.path`` names the stage that answered.
 """
 from __future__ import annotations
 
@@ -53,6 +69,11 @@ import numpy as np
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
+# an interior-point iterate crosses over to the polish once its worst
+# residual is below this, walking at most this many row sets from its binding
+# set: the set itself and one add/drop correction
+CROSSOVER_RESIDUAL = 1e-2
+CROSSOVER_BUDGET = 2
 
 
 class QpDimensionError(ValueError):
@@ -198,6 +219,9 @@ class QpSolution:
     certificate: tuple[np.ndarray, np.ndarray] | None = None
     # binding inequality rows; reusable as the hint of a nearby re-solve
     active_set: tuple[int, ...] = ()
+    # how solve reached it: hint | crossover | ipm+polish | ipm |
+    # phase1→active_set | failed (every status but optimal)
+    path: str = "failed"
 
 
 def kkt_residuals(qp: QuadraticProgram, x, y, z) -> KktResiduals:
@@ -316,8 +340,16 @@ def _polish(qp, active: set[int], tol, budget):
     return None
 
 
-def _mehrotra(qp, tol, max_iter):
-    """Predictor-corrector iteration. Returns (x, y, z, s, iters, converged)."""
+def _mehrotra(qp, tol, max_iter, walked=None):
+    """Predictor-corrector iteration.
+
+    Returns (x, y, z, s, iters, converged, polished).  ``walked`` switches on
+    the crossover: it holds the row sets walks of this solve started from,
+    and each iterate whose worst residual is below ``CROSSOVER_RESIDUAL``
+    walks from its binding set (z > s) if no walk started there, for at most
+    ``CROSSOVER_BUDGET`` row sets.  ``polished`` is the first strictly
+    complementary answer such a walk gives, or None.
+    """
     n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
     q, c, a, b, g, h = qp.q, qp.c, qp.a_eq, qp.b_eq, qp.g_ineq, qp.h_ineq
     if me:
@@ -327,6 +359,7 @@ def _mehrotra(qp, tol, max_iter):
     y = np.zeros(me)
     s = np.maximum(h - g @ x, 1.0) if mi else np.zeros(0)
     z = np.ones(mi)
+    peak = np.maximum.reduce
 
     # Static regularization keeps the saddle system factorable when the
     # scaling matrix degenerates; refinement steps restore accuracy.  delta is
@@ -336,32 +369,39 @@ def _mehrotra(qp, tol, max_iter):
     for _ in range(7):
         ladder.append(ladder[-1] * 100.0)
     diagonal = np.diag_indices(n + me)
+    # the +-A blocks are constant; each iteration writes only the (1, 1) block
+    kkt = np.zeros((n + me, n + me))
+    kkt[:n, n:] = -a.T
+    kkt[n:, :n] = a
 
-    def newton_rhs(kkt, singular, r_d, r_p, r_c, s):
+    def newton_rhs(regularized, r_d, r_p, r_c, s):
         """Solve the Newton system, climbing the delta ladder on failure.
 
         ``r_c / s`` is the scaled complementarity residual.  A tiny slack can
         overflow it, and no rung can make the solution of a non-finite
         right-hand side finite, so that breaks down at the first rung.
 
-        ``singular`` holds the rungs whose LU of ``kkt`` reported a singular
-        matrix.  That depends on the matrix alone, so they are skipped and
-        the set is extended; a retry for a non-finite solution depends on the
-        right-hand side and is not recorded.
+        ``regularized`` maps each rung of this iteration's ``kkt`` to its
+        regularized matrix, or to None where its LU reported a singular
+        matrix.  That depends on the matrix alone, so the predictor and the
+        corrector share the map; a retry for a non-finite solution depends on
+        the right-hand side and is not recorded.
         """
         # overflow here, in r_c / s or in a refinement step on a near-singular
         # system, is caught by the isfinite checks
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = np.concatenate([-r_d - g.T @ (r_c / s), -r_p])
             for rung, delta in enumerate(ladder):
-                if rung in singular:
+                if rung not in regularized:
+                    regularized[rung] = kkt.copy()
+                    regularized[rung][diagonal] += delta
+                kkt_reg = regularized[rung]
+                if kkt_reg is None:
                     continue
-                kkt_reg = kkt.copy()
-                kkt_reg[diagonal] += delta
                 try:
                     sol = np.linalg.solve(kkt_reg, rhs)
                 except np.linalg.LinAlgError:
-                    singular.add(rung)
+                    regularized[rung] = None
                     continue
                 if not np.isfinite(sol).all():
                     if not np.isfinite(rhs).all():
@@ -380,66 +420,74 @@ def _mehrotra(qp, tol, max_iter):
         r_p = a @ x - b if me else np.zeros(0)
         r_g = g @ x + s - h if mi else np.zeros(0)
         mu = float(s @ z / mi) if mi else 0.0
-        worst = max(np.max(np.abs(r_d), initial=0.0), np.max(np.abs(r_p), initial=0.0),
-                    np.max(np.abs(r_g), initial=0.0), np.max(np.abs(s * z), initial=0.0))
+        worst = max(peak(np.abs(r_d), initial=0.0), peak(np.abs(r_p), initial=0.0),
+                    peak(np.abs(r_g), initial=0.0), peak(np.abs(s * z), initial=0.0))
         if worst <= tol:
-            return x, y, z, s, it, True
+            return x, y, z, s, it, True, None
         if not mi:
             x, y, _ = _solve_active(qp, [])
-            return x, y, z, s, it, True
-        if np.max(np.abs(x), initial=0.0) > 1e13:
-            return x, y, z, s, it, False
+            return x, y, z, s, it, True, None
+        if walked is not None and worst < CROSSOVER_RESIDUAL:
+            rows = tuple(np.flatnonzero(z > s).tolist())
+            if rows not in walked:
+                walked.add(rows)
+                polished = _polish(qp, set(rows), tol, CROSSOVER_BUDGET)
+                # a binding row with a zero multiplier can leave the multipliers
+                # on another vertex of a degenerate dual face than the full
+                # iteration reaches: keep iterating
+                if polished is not None and qp.binding_rows(polished[0]) == tuple(
+                        (polished[2] > 0.0).nonzero()[0].tolist()):
+                    return x, y, z, s, it, False, polished
+        if peak(np.abs(x), initial=0.0) > 1e13:
+            return x, y, z, s, it, False, None
         if worst < 0.9 * best:
             best = worst
             stalled = 0
         else:
             stalled += 1
             if stalled > 25:
-                return x, y, z, s, it, False
+                return x, y, z, s, it, False, None
 
-        # one Newton matrix for the predictor and the corrector, which skips
-        # the regularization rungs whose LU the predictor found singular
+        # one Newton matrix for the predictor and the corrector, which share
+        # its regularized rungs and skip those whose LU was singular
         w = np.clip(z / s, 1e-14, 1e14)
-        kkt = np.zeros((n + me, n + me))
         kkt[:n, :n] = q + (g.T * w) @ g
-        kkt[:n, n:] = -a.T
-        kkt[n:, :n] = a
-        singular: set[int] = set()
+        regularized: dict[int, np.ndarray | None] = {}
         try:
             # predictor (affine scaling), rc = s*z
-            dx, dy = newton_rhs(kkt, singular, r_d, r_p, -s * z + z * r_g, s)
+            dx, dy = newton_rhs(regularized, r_d, r_p, -s * z + z * r_g, s)
             ds = -r_g - g @ dx
             dz = (-s * z - z * ds) / s
             alpha_aff = 1.0
             neg = ds < 0
-            if np.any(neg):
-                alpha_aff = min(alpha_aff, float(np.min(-s[neg] / ds[neg])))
+            if neg.any():
+                alpha_aff = min(alpha_aff, float((-s[neg] / ds[neg]).min()))
             neg = dz < 0
-            if np.any(neg):
-                alpha_aff = min(alpha_aff, float(np.min(-z[neg] / dz[neg])))
+            if neg.any():
+                alpha_aff = min(alpha_aff, float((-z[neg] / dz[neg]).min()))
             mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz) / mi)
             sigma = min((mu_aff / mu) ** 3, 1.0) if mu > 0 else 0.0
             # corrector
             rc = s * z - sigma * mu + ds * dz
-            dx, dy = newton_rhs(kkt, singular, r_d, r_p, -rc + z * r_g, s)
+            dx, dy = newton_rhs(regularized, r_d, r_p, -rc + z * r_g, s)
             ds = -r_g - g @ dx
             dz = (-rc - z * ds) / s
         except _NumericalBreakdown:
-            return x, y, z, s, it, False
+            return x, y, z, s, it, False, None
         alpha = 1.0
         neg = ds < 0
-        if np.any(neg):
-            alpha = min(alpha, 0.995 * float(np.min(-s[neg] / ds[neg])))
+        if neg.any():
+            alpha = min(alpha, 0.995 * float((-s[neg] / ds[neg]).min()))
         neg = dz < 0
-        if np.any(neg):
-            alpha = min(alpha, 0.995 * float(np.min(-z[neg] / dz[neg])))
+        if neg.any():
+            alpha = min(alpha, 0.995 * float((-z[neg] / dz[neg]).min()))
         if alpha < 1e-13:
-            return x, y, z, s, it, False
+            return x, y, z, s, it, False, None
         x = x + alpha * dx
         y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
-    return x, y, z, s, max_iter, False
+    return x, y, z, s, max_iter, False, None
 
 
 def _primal_active_set(qp, x0, tol, max_pivots=500):
@@ -495,15 +543,15 @@ def _phase1(qp, tol, max_iter):
     g1 = np.vstack([np.hstack([qp.g_ineq, -np.ones((mi, 1))]),
                     np.concatenate([np.zeros(n), [-1.0]])[None, :]])
     h1 = np.concatenate([qp.h_ineq, [1.0]])
-    x, y, z, s, it, ok = _mehrotra(QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1), tol, max_iter)
+    x, y, z, s, it, ok, _ = _mehrotra(QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1), tol, max_iter)
     return x, y, z, ok
 
 
-def _optimal(qp, polished, iters) -> QpSolution:
+def _optimal(qp, polished, iters, path) -> QpSolution:
     """The optimal solution of an active-set answer (x, y, z, residuals)."""
     px, py, pz, pres = polished
     return QpSolution("optimal", px, py, pz, pres, qp.objective(px), iters,
-                      active_set=tuple((pz > 0.0).nonzero()[0].tolist()))
+                      active_set=tuple((pz > 0.0).nonzero()[0].tolist()), path=path)
 
 
 def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
@@ -527,7 +575,7 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
         # n + me is the order of the Newton system one cold iteration factors
         polished = _polish(qp, set(active_hint), tol, min(n + me, full))
         if polished is not None:
-            return _optimal(qp, polished, 0)
+            return _optimal(qp, polished, 0, "hint")
 
     if me:
         if "pinv_a" not in qp._memo:
@@ -541,15 +589,19 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
                               kkt_residuals(qp, x_ls, np.zeros(me), np.zeros(mi)),
                               qp.objective(x_ls), 0, certificate=(y_cert, np.zeros(mi)))
 
-    x, y, z, s, iters, converged = _mehrotra(qp, tol, max_iter)
+    # the hint's walk started from its set; no crossover walk starts there again
+    walked = set() if active_hint is None else {tuple(sorted(active_hint))}
+    x, y, z, s, iters, converged, polished = _mehrotra(qp, tol, max_iter, walked)
+    if polished is not None:
+        return _optimal(qp, polished, iters, "crossover")
     polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol, full) if mi else None
     if polished is not None:
-        return _optimal(qp, polished, iters)
+        return _optimal(qp, polished, iters, "ipm+polish")
     if converged:
         res = kkt_residuals(qp, x, y, z)
         if res.max() <= tol:
             return QpSolution("optimal", x, y, z, res, qp.objective(x), iters,
-                              active_set=tuple(np.flatnonzero(z > s).tolist()))
+                              active_set=tuple(np.flatnonzero(z > s).tolist()), path="ipm")
 
     # The main iteration failed: decide between infeasible and numeric trouble.
     x1, y1, z1, ok = _phase1(qp, max(tol, 1e-9), max_iter)
@@ -566,7 +618,7 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
         # method from the interior point the feasibility program produced
         finished = _primal_active_set(qp, x1[:n], tol)
         if finished is not None:
-            return _optimal(qp, finished, iters)
+            return _optimal(qp, finished, iters, "phase1→active_set")
     if np.max(np.abs(x), initial=0.0) > 1e12:
         status = "unbounded"
     else:

@@ -96,6 +96,34 @@ def test_misshapen_case_is_rejected_with_its_path(path, value, where):
     assert any(v.startswith(where + ":") for v in err.value.violations), err.value.violations
 
 
+def _renamed(doc, old, new):
+    doc[new] = doc.pop(old)
+
+
+UNKNOWN_KEYS = [
+    # a misspelt optional field would otherwise load as its default (t_da 0.0)
+    (lambda doc: _renamed(doc["tie_lines"][0], "t_da", "tda"), "tie_lines[AB].tda"),
+    (lambda doc: doc["confidence"].update(Z=0.1), "confidence.Z"),
+    (lambda doc: doc["generators"][0].update(cost_qudratic=0.1), "generators[GA].cost_qudratic"),
+    (lambda doc: doc.update(notes="x"), "case.notes"),
+    (lambda doc: doc["demand"].update(cv=0.1), "demand.cv"),
+    (lambda doc: doc["demand"]["buses"]["A1"].update(sd=1.0), "demand.buses[A1].sd"),
+    (lambda doc: doc["slack"].update(angle=0.0), "slack.angle"),
+    (lambda doc: doc["buses"][1].update(zone="B"), "buses[B1].zone"),
+]
+
+
+@pytest.mark.parametrize("edit, where", UNKNOWN_KEYS, ids=[where for _, where in UNKNOWN_KEYS])
+def test_unknown_key_is_rejected_with_its_path(edit, where):
+    doc = _toy2_doc()
+    doc["tie_lines"][0]["t_da"] = 3.0
+    load_case(doc)
+    edit(doc)
+    with pytest.raises(CaseError) as err:
+        load_case(doc)
+    assert [v for v in err.value.violations if v.startswith(where + ":")], err.value.violations
+
+
 def test_day_ahead_flow_must_fit_capacity():
     doc = _toy2_doc()
     doc["tie_lines"][0]["t_da"] = 120.0

@@ -7,11 +7,14 @@ import pytest
 from flexmarket import (MechanismConfig, RhoSchedule, load_case, optimal_terms_of_trade, run,
                         solve_centralized, trace_to_csv)
 from flexmarket import qp as qpmod
+from flexmarket.benchmark import CentralizedInfeasible
+from flexmarket.coupling import MechanismError
 from flexmarket.market import clear
 from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_residuals,
                            solve)
 
 from oracles import active_set_enumeration
+from test_random_networks import _valid_networks
 
 
 def _qp(q, c, a=None, b=None, g=None, h=None, **kw):
@@ -391,15 +394,19 @@ def _hinted_walks(full_budget=False):
     """80 rounds of ``LADDER_4X8`` with each hinted solve's polish walks recorded.
 
     Returns the trace CSV and, per hinted solve, ``(program, hint, walks)``:
-    ``walks`` lists ``(row sets solved, result)`` of each ``_polish`` call in
-    order: the hint's walk, then the cold polish if the hint missed.  ``full_budget`` gives that walk the
-    cold polish's ``2 * mi + 8`` row sets, as the walk had before it was
-    capped.
+    ``walks`` lists ``(row sets solved, result, start, crossover)`` of each
+    ``_polish`` call in order: the hint's walk, then, if the hint missed, the
+    interior point's crossover walks (``crossover`` is True for a walk made
+    while ``_mehrotra`` runs) and the cold polish.  ``full_budget`` gives the
+    hint's walk the cold polish's ``2 * mi + 8`` row sets, as the walk had
+    before it was capped.
     """
     net = load_case(LADDER_4X8.read_text())
     solve_qp, polish, solve_active = qpmod.solve, qpmod._polish, qpmod._solve_active
+    mehrotra = qpmod._mehrotra
     hinted = []
     walks, rows = None, None  # the open hinted solve's walks, the open walk's row sets
+    in_ipm = False
 
     def recording_solve(program, *args, active_hint=None, **kwargs):
         nonlocal walks
@@ -411,16 +418,24 @@ def _hinted_walks(full_budget=False):
                 hinted.append((program, active_hint, walks))
             walks = None
 
+    def recording_mehrotra(*args):
+        nonlocal in_ipm
+        in_ipm = True
+        try:
+            return mehrotra(*args)
+        finally:
+            in_ipm = False
+
     def recording_polish(program, active, tol, *budget):
         nonlocal rows
         if full_budget and walks == []:
             budget = (2 * len(program.h_ineq) + 8,)
-        rows = []
+        rows, start = [], tuple(sorted(active))
         try:
             result = polish(program, active, tol, *budget)
         finally:
             if walks is not None:
-                walks.append((rows, result))
+                walks.append((rows, result, start, in_ipm))
             rows = None
         return result
 
@@ -431,6 +446,7 @@ def _hinted_walks(full_budget=False):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qpmod, "solve", recording_solve)
+        patch.setattr(qpmod, "_mehrotra", recording_mehrotra)
         patch.setattr(qpmod, "_polish", recording_polish)
         patch.setattr(qpmod, "_solve_active", recording_solve_active)
         result = run(net, MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1,
@@ -452,8 +468,25 @@ def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
     sizes = [(len(walks[0][0]), program.n + len(program.b_eq)) for program, _, walks in hinted if walks]
     over = [(steps, limit) for steps, limit in sizes if steps > limit]
     assert sizes and not over, f"row sets solved vs n + me: {over}"
-    # one walk from the hint and one from the interior point, never a re-walk
-    assert max(len(walks) for _, _, walks in hinted) <= 2
+    crossings = 0
+    for _, hint, walks in hinted:
+        if not walks:
+            continue
+        # the hint is walked once, first, and no later walk starts from it;
+        # each crossover walk starts from a row set not walked before in this
+        # solve and solves at most CROSSOVER_BUDGET row sets; outside the
+        # iteration only the cold polish walks, once and last
+        assert walks[0][2] == tuple(sorted(hint)) and not walks[0][3]
+        rest = [walk for walk in walks[1:] if not walk[3]]
+        assert len(rest) <= 1 and (not rest or rest[0] is walks[-1])
+        starts = [walks[0][2]]
+        for solved, _, start, crossover in walks[1:]:
+            assert start != starts[0]
+            if crossover:
+                assert start not in starts and len(solved) <= qpmod.CROSSOVER_BUDGET
+                starts.append(start)
+                crossings += 1
+    assert crossings  # missed hints reach the crossover
     assert any(walks[0][1] is None for _, _, walks in hinted if walks)  # some hints miss
     reference, _ = _hinted_walks(full_budget=True)
     assert csv == reference
@@ -491,3 +524,131 @@ def test_non_finite_newton_rhs_breaks_down_without_a_warning(monkeypatch):
                                           rho=RhoSchedule(1.0, 1.0, 0.6)))
     assert result.rounds == 20
     assert raised
+
+
+@pytest.fixture(scope="module")
+def network_12():
+    # network 12 of the randomized-network suite: its first cold program has a
+    # degenerate optimal dual face
+    return _valid_networks(20240951, 15)[12]
+
+
+def _cold_programs(net, rounds):
+    """The programs of every cold (unhinted) solve in ``rounds`` rounds of ``net``."""
+    programs = []
+    solve_qp = qpmod.solve
+
+    def recording_solve(program, *args, active_hint=None, **kwargs):
+        if active_hint is None:
+            programs.append(program)
+        return solve_qp(program, *args, active_hint=active_hint, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpmod, "solve", recording_solve)
+        run(net, MechanismConfig(max_rounds=rounds, tol=1e-8, rho=RhoSchedule(1.0, 1.0, 0.6)))
+    return programs
+
+
+def _solve_bits_and_trace(net, config, crossover):
+    """Raw bytes of every qp.solve result, the trace CSV or error, and the solve paths of one run."""
+    results, paths = [], []
+    solve_qp = qpmod.solve
+
+    def recording_solve(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        results.append((sol.status, sol.active_set, sol.x.tobytes(), sol.y.tobytes(),
+                        sol.z.tobytes()))
+        paths.append(sol.path)
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpmod, "solve", recording_solve)
+        if not crossover:
+            patch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
+        try:
+            trace = trace_to_csv(run(net, config).trace)
+        except MechanismError as err:
+            trace = f"{type(err).__name__}: {err}"
+    return results, trace, paths
+
+
+def test_crossover_changes_no_answer_in_four_runs(network_12):
+    # the crossover returns early, from the polish of an iterate's binding
+    # set; in these four runs every answer and every trace must be the one the
+    # full interior-point iteration and its polish give.  That is measured,
+    # not guaranteed: where the full iteration fails, the crossover can answer
+    # (test_crossover_answers_where_the_full_iteration_fails)
+    config = MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1, rho=RhoSchedule(1.0, 1.0, 0.6))
+    runs = [(load_case(path.read_text()), config) for path in (
+        LADDER_4X8, LADDER_4X8_S4, Path(__file__).parent / "data" / "ladder_8x4_s2.json")]
+    runs.append((network_12, MechanismConfig(max_rounds=150, tol=1e-8,
+                                             rho=RhoSchedule(1.0, 1.0, 0.6))))
+    crossed = 0
+    for net, cfg in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results, trace, paths = _solve_bits_and_trace(net, cfg, crossover=True)
+        reference, reference_trace, reference_paths = _solve_bits_and_trace(net, cfg, crossover=False)
+        assert "crossover" not in reference_paths
+        assert trace == reference_trace
+        assert results == reference
+        crossed += paths.count("crossover")
+    assert crossed
+
+
+def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_12):
+    # the first cold program of network 12: an early binding set polishes to
+    # a point that validates at the optimal x, but whose multipliers sit on
+    # another vertex of a degenerate dual face.  Row 1 binds there with a zero
+    # multiplier, so the answer is not strictly complementary and is refused
+    program = _cold_programs(network_12, 1)[0]
+    polish, validated = qpmod._polish, []
+
+    def recording_polish(program, active, tol, budget):
+        result = polish(program, active, tol, budget)
+        if budget == qpmod.CROSSOVER_BUDGET and result is not None:
+            validated.append(result)
+        return result
+
+    monkeypatch.setattr(qpmod, "_polish", recording_polish)
+    sol = solve(program)
+    assert len(validated) == 1
+    px, _, pz, _ = validated[0]
+    assert tuple((pz > 0.0).nonzero()[0].tolist()) == (0, 3, 12, 14, 16, 18)
+    assert program.binding_rows(px) == (0, 1, 3, 12, 14, 16, 18)
+    assert np.max(np.abs(px - sol.x)) < 1e-9
+    assert np.max(np.abs(pz - sol.z)) > 1.0
+    assert sol.path != "crossover"
+    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
+    _same_bits(sol, solve(program))
+
+
+def test_solution_path_names_the_route(monkeypatch, network_12):
+    one_bound = _qp([[2.0]], [0.0], g=[[-1.0]], h=[-1.0])
+    cold = solve(one_bound)
+    assert cold.path == "crossover" and cold.iterations > 0
+    hinted = solve(one_bound, active_hint=cold.active_set)
+    assert hinted.path == "hint" and hinted.iterations == 0
+    # no inequality rows: the iteration's own answer, with nothing to polish
+    assert solve(_qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0]], b=[2.0])).path == "ipm"
+    # contradictory bounds: every status but optimal
+    assert solve(_qp([[2.0]], [0.0], g=[[1.0], [-1.0]], h=[-1.0, -1.0])).path == "failed"
+    # the interior point ends where the guard refused the only early set, and
+    # phase 1 finishes with the primal active-set method
+    assert solve(_cold_programs(network_12, 1)[0]).path == "phase1→active_set"
+    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
+    polished = solve(one_bound)
+    assert polished.path == "ipm+polish"
+    _same_bits(polished, cold)
+
+
+def test_crossover_answers_where_the_full_iteration_fails(monkeypatch):
+    # the joint program of generated network 4x8 seed 6: the full iteration
+    # stalls far from the optimum, its polish misses, and the primal
+    # active-set method after phase 1 gives up.  The binding set of an early
+    # iterate is the strictly complementary optimum
+    net = load_case((Path(__file__).parent / "data" / "ladder_4x8_s6.json").read_text())
+    assert solve_centralized(net).kkt_residual <= DEFAULT_TOL
+    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
+    with pytest.raises(CentralizedInfeasible, match="iteration_limit"):
+        solve_centralized(net)

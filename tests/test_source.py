@@ -1,5 +1,6 @@
 """Checks over the package source itself."""
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flexmarket"
@@ -58,3 +59,21 @@ def test_function_level_imports_only_break_cycles():
     needless = [f"{m}.py:{line}" for m, found in imports.items()
                 for line, target, inner in found if inner and not reaches(target, m)]
     assert not needless, f"function-level imports a top-level import could replace: {needless}"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the package's one dependency (pyproject.toml); scipy may serve
+    # as an outside reference for checking results, never as an import here
+    allowed = set(sys.stdlib_module_names) | {"numpy", "flexmarket"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library and numpy: {found}"
