@@ -1,4 +1,4 @@
-"""Dense convex quadratic programming with primal and dual recovery.
+"""Dense strictly convex quadratic programming with primal and dual recovery.
 
 Standard form:
 
@@ -19,13 +19,15 @@ machine precision and picks the centered (minimum-norm) multiplier split when
 binding rows are linearly dependent, which keeps degenerate dual splits
 deterministic.
 
-A program's structure (Q, A, G and h) is stored read-only, and ``rebind``
-returns a program with new c and b that shares it, so an iterative caller
-validates the structure once.  Programs that share a structure also share
-the feasibility tolerance of h and a memo: the solver keeps the
-pseudo-inverse of A for the equality-consistency check and the KKT matrix
-and pseudo-inverse of the last active set it solved on, so a re-solve on an
-unchanged active set factors nothing.
+Q must be positive definite.  A program's structure (Q, A, G and h) is
+stored read-only, and ``rebind`` returns a program with new c and b that
+shares it, so an iterative caller validates the structure once.  Programs
+that share a structure also share the feasibility tolerance of h, the factor
+L^-T of Q = LL', and a memo: the solver keeps the pseudo-inverse of A for the
+equality-consistency check and the KKT matrix and pseudo-inverse of the last
+active set it solved on, so a re-solve on an unchanged active set factors
+nothing.  A new active set costs one SVD of its constraint rows scaled by
+L^-T, not of the whole KKT matrix (``_active_kkt``).
 
 A solve with an active-set hint first walks from the hint, before the
 equality-consistency check.  That order changes no answer: a hinted point is
@@ -55,7 +57,10 @@ start.  The cold path then runs in four stages:
    full iteration would not return those; so the iteration goes on.
 3. The polish of the iteration's last iterate, with a budget of
    2 * m_ineq + 8 row sets, then its convergence check.
-4. Phase 1 and the primal active-set method.
+4. Phase 1, whose iteration crosses over too, and the primal active-set
+   method.  Phase 1 proves the program infeasible when its least uniform
+   relaxation t* exceeds 1e-6 and it converged, or, unconverged, when its
+   multipliers verify as a Farkas certificate on the program itself.
 
 ``QpSolution.path`` names the stage that answered.
 """
@@ -74,6 +79,10 @@ DEFAULT_MAX_ITER = 200
 # set: the set itself and one add/drop correction
 CROSSOVER_RESIDUAL = 1e-2
 CROSSOVER_BUDGET = 2
+# an unconverged phase 1's multipliers certify infeasibility when, scaled to
+# max-norm 1, they balance G'z = A'y and leave a gap b'y - h'z, both to this,
+# and the gap outweighs the residual at the size of phase 1's point
+CERTIFICATE_TOL = 1e-6
 
 
 class QpDimensionError(ValueError):
@@ -135,6 +144,13 @@ class QuadraticProgram:
         object.__setattr__(self, "h_ineq", _read_only(h))
         # slack within which an inequality row counts as binding, or as not violated
         object.__setattr__(self, "_feas_tol", 1e-9 * (1.0 + float(np.max(np.abs(h), initial=0.0))))
+        # L^-T for Q = LL', which factors every active-set KKT matrix (_active_kkt)
+        try:
+            chol = np.linalg.cholesky(q)
+        except np.linalg.LinAlgError:
+            raise QpDimensionError("Q must be positive definite: its Cholesky "
+                                   "factorization failed") from None
+        object.__setattr__(self, "_l_inv_t", np.linalg.inv(chol).T)
         # factorizations of the frozen structure, shared by every rebind
         object.__setattr__(self, "_memo", {})
 
@@ -252,6 +268,16 @@ def _residuals(qp, x, y, z, slack) -> KktResiduals:
 def _active_kkt(qp, active):
     """KKT matrix of an active set and its pseudo-inverse.
 
+    With the sign of the A rows flipped, the matrix is [[Q, C'], [C, 0]] for
+    C = [-A; G_S], congruent through diag(L, I) to [[I, C~'], [C~, 0]] with
+    C~ = C L^-T, whose pseudo-inverse one SVD U S V' of C~ gives in closed
+    form: its x block is L^-T V_2 V_2' L^-1, V_2 spanning the null space of
+    C~ (the null-space method, Nocedal & Wright 2006, sec. 16.2).  As Q is
+    positive definite, the matrix has null space {0} x null(C') and range
+    R^n x range(C), which the congruence keeps, so this is exactly its
+    pseudo-inverse: minimum-norm duals, and least squares on an
+    inconsistent set.
+
     Both depend only on the frozen structure, so the last pair is kept in the
     program's memo; one entry bounds the memory, and an iterative caller
     whose binding set holds from round to round still factors once.
@@ -261,14 +287,30 @@ def _active_kkt(qp, active):
     if last is not None and last[0] == key:
         return last[1], last[2]
     g_act = qp.g_ineq[active]
-    n, me, ma = qp.n, len(qp.b_eq), len(active)
-    kkt = np.zeros((n + me + ma, n + me + ma))
+    n, me = qp.n, len(qp.b_eq)
+    rows = np.vstack([-qp.a_eq, g_act])
+    m = rows.shape[0]
+    kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = qp.q
-    kkt[:n, n:n + me] = -qp.a_eq.T
-    kkt[:n, n + me:] = g_act.T
+    kkt[:n, n:] = rows.T
     kkt[n:n + me, :n] = qp.a_eq
     kkt[n + me:, :n] = g_act
-    pinv = np.linalg.pinv(kkt, rcond=1e-13)
+    l_inv_t = qp._l_inv_t
+    # the full V only where the thin one lacks null-space columns
+    u, sigma, vt = np.linalg.svd(rows @ l_inv_t, full_matrices=m < n)
+    rank = int(np.count_nonzero(sigma > 1e-13 * sigma.max(initial=0.0)))
+    u, sigma = u[:, :rank], sigma[:rank]
+    scaled_v = l_inv_t @ vt.T
+    null_basis = scaled_v[:, rank:]
+    range_map = scaled_v[:, :rank] / sigma
+    u_scaled = u / sigma
+    pinv = np.empty((n + m, n + m))
+    pinv[:n, :n] = null_basis @ null_basis.T
+    pinv[:n, n:] = range_map @ u.T
+    pinv[n:, :n] = pinv[:n, n:].T
+    pinv[n:, n:] = -u_scaled @ u_scaled.T
+    # undo the sign flip of the A rows: it acts on the y columns
+    pinv[:, n:n + me] *= -1.0
     qp._memo["active"] = (key, kkt, pinv)
     return kkt, pinv
 
@@ -534,7 +576,12 @@ def _primal_active_set(qp, x0, tol, max_pivots=500):
 
 
 def _phase1(qp, tol, max_iter):
-    """Feasibility program: min t s.t. Ax = b, Gx - t <= h, -t <= 1."""
+    """Feasibility program: min t s.t. Ax = b, Gx - t <= h, -t <= 1.
+
+    Its iteration crosses over as a cold solve's does: on an infeasible
+    program the plain iteration can stop short of the optimum t* while the
+    polish of an early binding set reaches it exactly.
+    """
     n, mi = qp.n, len(qp.h_ineq)
     q1 = np.eye(n + 1) * 1e-9
     c1 = np.zeros(n + 1)
@@ -543,8 +590,28 @@ def _phase1(qp, tol, max_iter):
     g1 = np.vstack([np.hstack([qp.g_ineq, -np.ones((mi, 1))]),
                     np.concatenate([np.zeros(n), [-1.0]])[None, :]])
     h1 = np.concatenate([qp.h_ineq, [1.0]])
-    x, y, z, s, it, ok, _ = _mehrotra(QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1), tol, max_iter)
+    x, y, z, s, it, ok, polished = _mehrotra(QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1),
+                                             tol, max_iter, set())
+    if polished is not None:
+        return *polished[:3], True
     return x, y, z, ok
+
+
+def _certifies_infeasible(qp, y, z, x) -> bool:
+    """Whether (y, z), of max-norm at most 1, proves Ax = b, Gx <= h has no
+    solution as small as phase 1's point x.
+
+    For a solution x', z >= 0 gives (G'z - A'y)'x' <= h'z - b'y; so a gap
+    b'y - h'z > 0 rules out every x' of 1-norm below gap / max|G'z - A'y|.
+    The gap must exceed ``CERTIFICATE_TOL`` and the residual max|G'z - A'y|
+    must not, and together they must rule out every x' no larger than x in
+    that norm, or than 1.
+    """
+    stationarity = np.max(np.abs(qp.g_ineq.T @ z - qp.a_eq.T @ y), initial=0.0)
+    gap = qp.b_eq @ y - qp.h_ineq @ z
+    return bool((z >= 0.0).all()
+                and stationarity <= CERTIFICATE_TOL < gap
+                and gap > stationarity * max(1.0, float(np.sum(np.abs(x)))))
 
 
 def _optimal(qp, polished, iters, path) -> QpSolution:
@@ -605,17 +672,18 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
 
     # The main iteration failed: decide between infeasible and numeric trouble.
     x1, y1, z1, ok = _phase1(qp, max(tol, 1e-9), max_iter)
-    t_star = x1[-1] if ok else None
-    if ok and t_star > 1e-6:
-        y_cert = y1.copy()
-        z_cert = z1[:mi].copy()
-        nrm = max(np.max(np.abs(y_cert), initial=0.0), np.max(np.abs(z_cert), initial=0.0), 1.0)
-        res = kkt_residuals(qp, x, y, z)
-        return QpSolution("infeasible", x, y, z, res, qp.objective(x), iters,
-                          certificate=(y_cert / nrm, z_cert / nrm))
-    if ok:
+    if x1[-1] > 1e-6:
+        # phase 1's multipliers are a certificate of infeasibility if it
+        # converged, and otherwise once they verify on this program
+        nrm = max(np.max(np.abs(y1), initial=0.0), np.max(np.abs(z1[:mi]), initial=0.0), 1.0)
+        y_cert, z_cert = y1 / nrm, z1[:mi] / nrm
+        if ok or _certifies_infeasible(qp, y_cert, z_cert, x1[:n]):
+            res = kkt_residuals(qp, x, y, z)
+            return QpSolution("infeasible", x, y, z, res, qp.objective(x), iters,
+                              certificate=(y_cert, z_cert))
+    elif ok:
         # feasible after all: finish with the dependable primal active-set
-        # method from the interior point the feasibility program produced
+        # method from the point the feasibility program produced
         finished = _primal_active_set(qp, x1[:n], tol)
         if finished is not None:
             return _optimal(qp, finished, iters, "phase1→active_set")

@@ -234,24 +234,34 @@ def test_rebound_program_solves_like_a_fresh_one(toy2_congested):
 
 
 def test_memo_keeps_one_factorization_and_reuses_it(toy2_congested, monkeypatch):
+    # an active set is factored by one SVD of its constraint block, through the
+    # factor of Q that the structure computes once, at construction
     calls = []
-    pinv = np.linalg.pinv
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return pinv(*args, **kwargs)
+    def counted(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "pinv", counted)
-    hint, reused, refactored = None, 0, 0
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    hint, reused, refactored, factor = None, 0, 0, None
     for program in _sweep(toy2_congested):
+        if factor is None:
+            factor = program._l_inv_t
+        assert program._l_inv_t is factor  # every rebind shares it
         calls.clear()
         sol = solve(program, active_hint=hint)
+        assert "cholesky" not in calls
         # pinv(A) and one active-set factorization, however many sets the solve visited
         assert len(program._memo) <= 2
         if hint is not None and sol.active_set == hint and sol.iterations == 0:
             assert not calls
             reused += 1
         elif hint is not None:
-            refactored += bool(calls)
+            refactored += "svd" in calls
         hint = sol.active_set
     assert reused >= 15 and refactored >= 1

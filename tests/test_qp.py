@@ -1,4 +1,6 @@
+import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_
 
 from oracles import active_set_enumeration
 from test_random_networks import _valid_networks
+
+DATA = Path(__file__).parent / "data"
 
 
 def _qp(q, c, a=None, b=None, g=None, h=None, **kw):
@@ -85,6 +89,14 @@ def test_dimension_validation():
         _qp([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])  # asymmetric Q
     with pytest.raises(QpDimensionError):
         _qp([[2.0]], [0.0], var_labels=("x", "x"))
+
+
+def test_q_must_be_positive_definite():
+    # a singular positive semidefinite Q: the program is convex, not strictly
+    with pytest.raises(QpDimensionError, match="Cholesky"):
+        _qp([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(QpDimensionError, match="Cholesky"):
+        _qp(np.zeros((2, 2)), [1.0, 0.0], g=[[-1.0, 0.0]], h=[0.0])
 
 
 def test_structure_is_frozen_without_freezing_the_callers_arrays():
@@ -314,11 +326,24 @@ def test_dump_mentions_labels():
     assert "power" in text and "cap" in text and "<=" in text
 
 
+def _captured(name):
+    """A program stored in ``tests/data`` as JSON with repr floats, and its stored fields."""
+    data = json.loads((DATA / name).read_text())
+    program = QuadraticProgram(*(np.asarray(data[key], float) for key in
+                                 ("q", "c", "a_eq", "b_eq", "g_ineq", "h_ineq")),
+                               *(tuple(data.get(key, ())) for key in
+                                 ("var_labels", "eq_labels", "ineq_labels")))
+    return program, data
+
+
+LADDER_4X8 = DATA / "ladder_4x8_s0.json"
+
+
 def test_refinement_overflow_stays_silent():
     # a cold interior-point clear of A03 meets a near-singular Newton system
     # whose refinement step goes non-finite; the solver retries with more
     # regularization instead of leaking a numpy warning
-    net = load_case((Path(__file__).parent / "data" / "ladder_4x8_s0.json").read_text())
+    net = load_case(LADDER_4X8.read_text())
     terms = optimal_terms_of_trade(net, solve_centralized(net))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -326,7 +351,15 @@ def test_refinement_overflow_stays_silent():
     assert res.status == "optimal"
 
 
-LADDER_4X8 = Path(__file__).parent / "data" / "ladder_4x8_s0.json"
+def test_refinement_overflow_on_the_captured_program_stays_silent():
+    # the program of that clear's interior-point call, stored when the clear
+    # still reached the overflow: the program a clear builds depends on the
+    # solver's trajectory and on the BLAS thread count, the stored one does not
+    program, data = _captured("qp_singular_rungs.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        qpmod._mehrotra(program, data["tol"], data["max_iter"])
+        assert solve(program).status == "optimal"
 
 
 def test_polish_stops_at_first_repeated_active_set(monkeypatch):
@@ -361,13 +394,15 @@ def test_polish_stops_at_first_repeated_active_set(monkeypatch):
 
 
 def test_corrector_skips_the_rungs_the_predictor_found_singular(monkeypatch):
-    # the instance of test_refinement_overflow_stays_silent: its predictors
-    # meet Newton matrices whose LU is singular at the first regularization
-    # levels.  Singularity depends on the matrix alone, and the corrector
-    # shares the predictor's matrix, so no regularized matrix may be factored
-    # singular twice.
-    net = load_case(LADDER_4X8.read_text())
-    terms = optimal_terms_of_trade(net, solve_centralized(net))
+    # the interior-point call of an area clear of ladder_4x8_s0 (the fixture's
+    # origin): its predictors meet Newton matrices whose LU is singular at the
+    # first regularization levels.  Singularity depends on the matrix alone,
+    # and the corrector shares the predictor's matrix, so no regularized
+    # matrix may be factored singular twice
+    program, data = _captured("qp_singular_rungs.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert solve(program).status == "optimal"
     real_solve = np.linalg.solve
     singular, repeated = set(), []
 
@@ -384,9 +419,8 @@ def test_corrector_skips_the_rungs_the_predictor_found_singular(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = clear(net, "A03", terms["A03"])
-    assert res.status == "optimal"
-    assert singular  # the clear climbs the regularization ladder
+        qpmod._mehrotra(program, data["tol"], data["max_iter"])
+    assert singular  # the iteration climbs the regularization ladder
     assert not repeated, f"{len(repeated)} singular factorizations repeated"
 
 
@@ -395,9 +429,10 @@ def _hinted_walks(full_budget=False):
 
     Returns the trace CSV and, per hinted solve, ``(program, hint, walks)``:
     ``walks`` lists ``(row sets solved, result, start, crossover)`` of each
-    ``_polish`` call in order: the hint's walk, then, if the hint missed, the
-    interior point's crossover walks (``crossover`` is True for a walk made
-    while ``_mehrotra`` runs) and the cold polish.  ``full_budget`` gives the
+    ``_polish`` call on the solved program in order: the hint's walk, then, if
+    the hint missed, the interior point's crossover walks (``crossover`` is
+    True for a walk made while ``_mehrotra`` runs) and the cold polish.  Phase
+    1 walks a program of its own, and is not recorded.  ``full_budget`` gives the
     hint's walk the cold polish's ``2 * mi + 8`` row sets, as the walk had
     before it was capped.
     """
@@ -406,11 +441,12 @@ def _hinted_walks(full_budget=False):
     mehrotra = qpmod._mehrotra
     hinted = []
     walks, rows = None, None  # the open hinted solve's walks, the open walk's row sets
-    in_ipm = False
+    in_ipm, solving = False, None
 
     def recording_solve(program, *args, active_hint=None, **kwargs):
-        nonlocal walks
+        nonlocal walks, solving
         walks = None if active_hint is None else []
+        solving = program
         try:
             return solve_qp(program, *args, active_hint=active_hint, **kwargs)
         finally:
@@ -434,7 +470,7 @@ def _hinted_walks(full_budget=False):
         try:
             result = polish(program, active, tol, *budget)
         finally:
-            if walks is not None:
+            if walks is not None and program is solving:
                 walks.append((rows, result, start, in_ipm))
             rows = None
         return result
@@ -501,15 +537,23 @@ def test_a_missed_hint_changes_nothing_but_time():
         _same_bits(solve(program, active_hint=hint), solve(program))
 
 
-LADDER_4X8_S4 = Path(__file__).parent / "data" / "ladder_4x8_s4.json"
+LADDER_4X8_S4 = DATA / "ladder_4x8_s4.json"
 
 
 def test_non_finite_newton_rhs_breaks_down_without_a_warning(monkeypatch):
-    # in round 20, an interior-point iteration of one area's clear has slacks
-    # so small that (-rc + z * r_g) / s overflows.  No regularization can make
+    # an interior-point call of an area clear in the first 20 rounds of
+    # ladder_4x8_s4 reached slacks so small that (-rc + z * r_g) / s overflows
+    # (stored as the captured program below).  No regularization can make
     # that right-hand side's solution finite, so the iteration breaks down at
-    # the first rung, and no numpy warning leaks
+    # the first rung, no numpy warning leaks, and the mechanism runs on
     net = load_case(LADDER_4X8_S4.read_text())
+    program, data = _captured("qp_non_finite_rhs.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run(net, MechanismConfig(max_rounds=20, tol=1e-300, beta=0.1,
+                                          rho=RhoSchedule(1.0, 1.0, 0.6)))
+        assert solve(program).status == "optimal"
+    assert result.rounds == 20
     raised = []
 
     class RecordedBreakdown(qpmod._NumericalBreakdown):
@@ -520,10 +564,9 @@ def test_non_finite_newton_rhs_breaks_down_without_a_warning(monkeypatch):
     monkeypatch.setattr(qpmod, "_NumericalBreakdown", RecordedBreakdown)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = run(net, MechanismConfig(max_rounds=20, tol=1e-300, beta=0.1,
-                                          rho=RhoSchedule(1.0, 1.0, 0.6)))
-    assert result.rounds == 20
+        *_, converged, _ = qpmod._mehrotra(program, data["tol"], data["max_iter"])
     assert raised
+    assert not converged
 
 
 @pytest.fixture(scope="module")
@@ -604,9 +647,10 @@ def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_1
     program = _cold_programs(network_12, 1)[0]
     polish, validated = qpmod._polish, []
 
-    def recording_polish(program, active, tol, budget):
-        result = polish(program, active, tol, budget)
-        if budget == qpmod.CROSSOVER_BUDGET and result is not None:
+    def recording_polish(walked, active, tol, budget):
+        result = polish(walked, active, tol, budget)
+        # phase 1 crosses over on a program of its own
+        if walked is program and budget == qpmod.CROSSOVER_BUDGET and result is not None:
             validated.append(result)
         return result
 
@@ -652,3 +696,156 @@ def test_crossover_answers_where_the_full_iteration_fails(monkeypatch):
     monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
     with pytest.raises(CentralizedInfeasible, match="iteration_limit"):
         solve_centralized(net)
+
+
+def _kernel_programs(seed, count, flat):
+    """Random strictly convex programs for the active-set kernel.
+
+    ``flat`` gives about 40% of the variables the 1e-9 curvature of the
+    regularized ones, and appends to G a copy of its first row and a row that
+    depends on two others; otherwise Q is well conditioned.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, me, mi = int(rng.integers(3, 9)), int(rng.integers(0, 3)), int(rng.integers(3, 6))
+        if flat:
+            curvature = rng.uniform(0.5, 2.0, n)
+            curvature[rng.random(n) < 0.4] = 1e-9
+            q = np.diag(curvature)
+        else:
+            m = rng.normal(size=(n, n))
+            q = m @ m.T + np.eye(n)
+        g = rng.normal(size=(mi, n))
+        if flat:
+            g = np.vstack([g, g[0], g[1] - 2.0 * g[2]])
+        yield _qp(q, rng.normal(size=n), a=rng.normal(size=(me, n)), b=rng.normal(size=me),
+                  g=g, h=rng.normal(size=len(g)))
+
+
+def test_active_kkt_meets_the_penrose_conditions():
+    # on duplicated and dependent rows and 1e-9 curvature.  KP and PK are the
+    # orthogonal projectors on the ranges of K and K': diag(I, D Pi D) and
+    # diag(I, Pi), for Pi the projector on the range of C = [-A; G] and D the
+    # sign flip of the A rows.  They hold absolutely, except where C meets
+    # P's null-space block, whose entries reach 1e9; those products, and
+    # PKP = P, are measured against their own scale
+    for program in _kernel_programs(20241019, 100, flat=True):
+        n, me, mi = program.n, len(program.b_eq), len(program.h_ineq)
+        kkt, pinv = qpmod._active_kkt(program, list(range(mi)))
+        k, p = np.max(np.abs(kkt)), np.max(np.abs(pinv))
+        rows = np.vstack([-program.a_eq, program.g_ineq])
+        range_c = rows @ np.linalg.pinv(rows, rcond=1e-13)
+        flip = np.concatenate([-np.ones(me), np.ones(mi)])
+
+        def projector(block):
+            matrix = np.eye(n + me + mi)
+            matrix[n:, n:] = block
+            return matrix
+
+        kp_error = np.abs(kkt @ pinv - projector(flip[:, None] * range_c * flip))
+        pk_error = np.abs(pinv @ kkt - projector(range_c))
+        assert max(np.max(kp_error[n:, :n]), np.max(pk_error[:n, n:])) <= 1e-10 * k * p
+        kp_error[n:, :n] = pk_error[:n, n:] = 0.0
+        assert max(np.max(kp_error), np.max(pk_error)) <= 1e-8
+        assert np.max(np.abs(pinv @ kkt @ pinv - pinv)) <= 1e-8 * p * k * p
+
+
+def test_active_kkt_agrees_with_the_svd_of_the_whole_matrix():
+    for program in _kernel_programs(20241020, 100, flat=False):
+        kkt, pinv = qpmod._active_kkt(program, list(range(len(program.h_ineq))))
+        reference = np.linalg.pinv(kkt, rcond=1e-13)
+        assert np.max(np.abs(pinv - reference)) <= 1e-10 * max(1.0, np.max(np.abs(reference)))
+
+
+def test_active_solve_is_the_minimum_norm_least_squares_answer():
+    # rows 0 and 1 bound x0 by 1 and by 2: no point meets both, so the answer
+    # is the least-squares x0 = 1.5, with the multiplier split evenly
+    program = _qp(np.diag([2.0, 1.0]), [0.0, 0.0], g=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                  h=[1.0, 2.0, 0.5])
+    x, _, z = qpmod._solve_active(program, [0, 1, 2])
+    assert np.max(np.abs(x - [1.5, 0.5])) <= 1e-14
+    assert np.max(np.abs(z - [-1.5, -1.5, -0.5])) <= 1e-14
+    kkt, pinv = qpmod._active_kkt(program, [0, 1, 2])
+    rhs = np.array([0.0, 0.0, 1.0, 2.0, 0.5])
+    assert np.max(np.abs(pinv @ rhs - np.linalg.lstsq(kkt, rhs, rcond=None)[0])) <= 1e-14
+
+
+def _exact_solution(rows):
+    """One solution, free variables at zero, of the rational system ``rows``
+    (each row its coefficients and then its right-hand side), or None."""
+    rows = [row[:] for row in rows]
+    pivots, rank = [], 0
+    for col in range(len(rows[0]) - 1):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [v - row[col] * w for v, w in zip(row, rows[rank])]
+        pivots.append(col)
+        rank += 1
+    if any(row[-1] for row in rows[rank:]):
+        return None
+    solution = [Fraction(0)] * (len(rows[0]) - 1)
+    for row, col in zip(rows, pivots):
+        solution[col] = row[-1]
+    return solution
+
+
+def test_active_solve_matches_the_exact_least_squares_x_on_a_degenerate_set():
+    # a binding set of a ladder pass: its rows are dependent and, in exact
+    # arithmetic, inconsistent.  Every least-squares solution has the same x;
+    # find it in rationals by projecting the constraint right-hand side on
+    # the range of C = [-A; G], then solving the consistent system
+    program, _ = _captured("qp_degenerate_active_set.json")
+    n = program.n
+
+    def exact(matrix):
+        return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(matrix)]
+
+    rows = exact(np.vstack([-program.a_eq, program.g_ineq]))
+    (rhs,) = exact(np.concatenate([-program.b_eq, program.h_ineq]))
+    assert _exact_solution([r + [v] for r, v in zip(rows, rhs)]) is None  # inconsistent
+    normal = [[sum(r[i] * r[j] for r in rows) for j in range(n)]
+              + [sum(r[i] * v for r, v in zip(rows, rhs))] for i in range(n)]
+    u = _exact_solution(normal)
+    projected = [sum(r[j] * u[j] for j in range(n)) for r in rows]
+    q, (c,) = exact(program.q), exact(program.c)
+    saddle = ([q[i] + [r[i] for r in rows] + [-c[i]] for i in range(n)]
+              + [r + [Fraction(0)] * len(rows) + [v] for r, v in zip(rows, projected)])
+    x_exact = np.array([float(v) for v in _exact_solution(saddle)[:n]])
+    x, _, _ = qpmod._solve_active(program, list(range(len(program.h_ineq))))
+    assert np.max(np.abs(x - x_exact)) <= 1e-9
+
+
+def test_phase_one_certifies_an_infeasible_program(monkeypatch):
+    # area A00's program in round 53 of generated network 24x2-s0 is
+    # infeasible; HiGHS finds its least uniform relaxation of the inequality
+    # rows t* = 0.042341554046.  Phase 1 crosses over to that optimum
+    program, _ = _captured("qp_24x2_s0_round53_a00.json")
+    x1, _, _, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
+    assert converged and x1[-1] == pytest.approx(0.042341554046, abs=1e-11)
+    assert solve(program).status == "infeasible"
+    # without the crossover, phase 1 stops unconverged, and its multipliers
+    # must verify as a certificate on the program itself
+    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
+    x1, _, _, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
+    assert not converged and x1[-1] == pytest.approx(0.042341554046, abs=1e-8)
+    sol = solve(program)
+    assert sol.status == "infeasible"
+    y, z = sol.certificate
+    assert np.min(z) >= 0.0
+    assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-7
+    assert program.b_eq @ y - program.h_ineq @ z > 1e-3
+
+
+def test_a_near_certificate_of_a_feasible_program_is_not_accepted():
+    # x <= 1000 and (1 + 1e-7) x >= 1000 + 5e-5 both hold for x in
+    # [999.99995, 1000].  z = (1, 1) leaves a residual G'z of 1e-7 and a gap
+    # of 5e-5, each within its tolerance, but rules out only solutions of
+    # size below 500, smaller than the point phase 1 would stop at
+    program = _qp([[1.0]], [0.0], g=[[1.0], [-(1.0 + 1e-7)]], h=[1000.0, -(1000.0 + 5e-5)])
+    y, z = np.zeros(0), np.array([1.0, 1.0])
+    assert not qpmod._certifies_infeasible(program, y, z, np.array([1000.0]))
