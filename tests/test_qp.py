@@ -91,6 +91,19 @@ def test_dimension_validation():
         _qp([[2.0]], [0.0], var_labels=("x", "x"))
 
 
+def test_solve_rejects_a_non_finite_tol_and_too_few_iterations():
+    # tol = nan would fail every comparison (iteration_limit on a solvable
+    # program), tol = inf would pass every validation
+    program = _qp(np.eye(2), [-1.0, -1.0], g=[[1.0, 1.0]], h=[1.0])
+    assert solve(program).status == "optimal"
+    for tol in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(ValueError, match="tol"):
+            solve(program, tol=tol)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(program, max_iter=max_iter)
+
+
 def test_q_must_be_positive_definite():
     # a singular positive semidefinite Q: the program is convex, not strictly
     with pytest.raises(QpDimensionError, match="Cholesky"):
@@ -276,6 +289,16 @@ def _random_instance(rng):
 
 
 def test_matches_active_set_enumeration_oracle():
+    _check_against_the_oracle()
+
+
+def test_interior_point_route_matches_the_oracle(monkeypatch):
+    # the same programs with the dual method switched off
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
+    _check_against_the_oracle()
+
+
+def _check_against_the_oracle():
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 60:
@@ -496,10 +519,12 @@ def _same_bits(mine, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
+def test_hinted_walk_solves_at_most_n_plus_me_row_sets(monkeypatch):
     # n + me is the order of the Newton system one cold iteration factors; a
     # hint that has not settled within that many row sets is left to the cold
-    # path, and no answer of this run may change for it
+    # path, and no answer of this run may change for it.  The interior-point
+    # route is forced, so that its crossover walks are checked too
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     csv, hinted = _hinted_walks()
     sizes = [(len(walks[0][0]), program.n + len(program.b_eq)) for program, _, walks in hinted if walks]
     over = [(steps, limit) for steps, limit in sizes if steps > limit]
@@ -615,12 +640,14 @@ def _solve_bits_and_trace(net, config, crossover):
     return results, trace, paths
 
 
-def test_crossover_changes_no_answer_in_four_runs(network_12):
+def test_crossover_changes_no_answer_in_four_runs(monkeypatch, network_12):
     # the crossover returns early, from the polish of an iterate's binding
     # set; in these four runs every answer and every trace must be the one the
     # full interior-point iteration and its polish give.  That is measured,
     # not guaranteed: where the full iteration fails, the crossover can answer
-    # (test_crossover_answers_where_the_full_iteration_fails)
+    # (test_crossover_answers_where_the_full_iteration_fails).  The
+    # interior-point route is forced
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     config = MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1, rho=RhoSchedule(1.0, 1.0, 0.6))
     runs = [(load_case(path.read_text()), config) for path in (
         LADDER_4X8, LADDER_4X8_S4, Path(__file__).parent / "data" / "ladder_8x4_s2.json")]
@@ -644,6 +671,7 @@ def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_1
     # a point that validates at the optimal x, but whose multipliers sit on
     # another vertex of a degenerate dual face.  Row 1 binds there with a zero
     # multiplier, so the answer is not strictly complementary and is refused
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     program = _cold_programs(network_12, 1)[0]
     polish, validated = qpmod._polish, []
 
@@ -669,8 +697,13 @@ def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_1
 
 def test_solution_path_names_the_route(monkeypatch, network_12):
     one_bound = _qp([[2.0]], [0.0], g=[[-1.0]], h=[-1.0])
+    dual = solve(one_bound)
+    assert dual.path == "dual" and dual.iterations > 0
+    # the interior-point routes, with the dual method switched off
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     cold = solve(one_bound)
     assert cold.path == "crossover" and cold.iterations > 0
+    _same_bits(dual, cold)
     hinted = solve(one_bound, active_hint=cold.active_set)
     assert hinted.path == "hint" and hinted.iterations == 0
     # no inequality rows: the iteration's own answer, with nothing to polish
@@ -823,8 +856,12 @@ def test_active_solve_matches_the_exact_least_squares_x_on_a_degenerate_set():
 def test_phase_one_certifies_an_infeasible_program(monkeypatch):
     # area A00's program in round 53 of generated network 24x2-s0 is
     # infeasible; HiGHS finds its least uniform relaxation of the inequality
-    # rows t* = 0.042341554046.  Phase 1 crosses over to that optimum
+    # rows t* = 0.042341554046.  Phase 1 crosses over to that optimum.  The
+    # dual method, whose multipliers solve checks beside phase 1's, is
+    # switched off, so that the certificates checked below are phase 1's
     program, _ = _captured("qp_24x2_s0_round53_a00.json")
+    assert solve(program).status == "infeasible"
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     x1, _, _, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
     assert converged and x1[-1] == pytest.approx(0.042341554046, abs=1e-11)
     assert solve(program).status == "infeasible"
@@ -849,3 +886,125 @@ def test_a_near_certificate_of_a_feasible_program_is_not_accepted():
     program = _qp([[1.0]], [0.0], g=[[1.0], [-(1.0 + 1e-7)]], h=[1000.0, -(1000.0 + 5e-5)])
     y, z = np.zeros(0), np.array([1.0, 1.0])
     assert not qpmod._certifies_infeasible(program, y, z, np.array([1000.0]))
+
+
+def test_duplicate_rows_answer_by_the_dual_method_with_a_symmetric_split():
+    # the dual method keeps only independent rows, so it ends with one copy
+    # active and the whole multiplier 2 on it; the polish of the binding rows
+    # of its answer splits it evenly
+    program = _qp([[2.0]], [-4.0], g=[[1.0], [1.0]], h=[1.0, 1.0])
+    rows, x, _, z, _ = qpmod._dual_active_set(program, 10)
+    assert rows == (0,) and x == pytest.approx([1.0]) and z == pytest.approx([2.0, 0.0])
+    sol = solve(program)
+    assert sol.status == "optimal" and sol.path == "dual" and sol.iterations > 0
+    assert sol.z == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert sol.active_set == (0, 1)
+
+
+def test_a_repeated_consistent_equality_is_skipped_not_called_infeasible():
+    # x1 + x2 = 2 stated three times, once scaled by -2: the copies add no
+    # primal step, and the method must skip them rather than stop on them
+    program = _qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0], [1.0, 1.0], [-2.0, -2.0]],
+                  b=[2.0, 2.0, -4.0], g=[[1.0, 0.0]], h=[0.5])
+    rows, x, _, _, _ = qpmod._dual_active_set(program, 20)
+    assert rows == (0,) and x == pytest.approx([0.5, 1.5])
+    sol = solve(program)
+    assert sol.status == "optimal" and sol.path == "dual"
+    assert sol.x == pytest.approx([0.5, 1.5], abs=1e-12)
+    # the minimum-norm split of the equality multiplier 1.5 over the copies
+    assert sol.y == pytest.approx([0.25, 0.25, -0.5], abs=1e-12)
+    assert sol.z == pytest.approx([1.0], abs=1e-12)
+
+
+def test_the_unconstrained_minimum_counts_as_a_step():
+    # a tracer counts an optimal answer with 0 iterations as a hint hit; the
+    # dual method's answer is cold even when its first point is optimal
+    sol = solve(_qp([[2.0]], [0.0], g=[[1.0]], h=[1.0]))
+    assert sol.path == "dual" and sol.iterations == 1
+
+
+def test_dual_method_is_skipped_above_its_order(monkeypatch):
+    # n + m_eq = 41 is above DUAL_ORDER: the interior point answers
+    n = qpmod.DUAL_ORDER + 1
+    program = _qp(np.eye(n), -np.ones(n), g=np.ones((1, n)), h=[1.0])
+    sol = solve(program)
+    assert sol.status == "optimal" and sol.path == "crossover"
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", n)
+    dual = solve(program)
+    assert dual.path == "dual"
+    assert np.max(np.abs(dual.x - sol.x)) <= 1e-12
+
+
+def test_dual_method_falls_back_on_a_degenerate_dual_face(network_12):
+    # the first cold program of network 12: the dual method's polished answer
+    # binds a row with a zero multiplier, so it is refused as the crossover's
+    # is, and the interior-point route answers
+    program = _cold_programs(network_12, 1)[0]
+    assert program.n + len(program.b_eq) <= qpmod.DUAL_ORDER
+    rows, *_ = qpmod._dual_active_set(program, 100)
+    polished = qpmod._polish(program, set(rows), DEFAULT_TOL, 100)
+    assert polished is not None and not qpmod._strictly_complementary(program, polished)
+    assert qpmod._dual_stage(program, DEFAULT_TOL, 100, set()) == (None, None)
+    assert solve(program).path == "phase1→active_set"
+
+
+def test_dual_method_certifies_an_infeasible_program(monkeypatch):
+    # area A00's program in round 2 of generated network 8x4-s0: the dual
+    # method stops on a row it can neither add nor make room for, and its
+    # multipliers (1 on that row, -r on the active rows) are a certificate.
+    # Phase 1 relaxes the program by t* = 0.9989 but stops unconverged, and
+    # its own multipliers do not verify; the method's do, at the size of
+    # phase 1's point
+    program, _ = _captured("qp_8x4_s0_round2_a00.json")
+    rows, _, y_stop, z_stop, _ = qpmod._dual_active_set(program, 100)
+    assert rows is None
+    assert qpmod._dual_stage(program, DEFAULT_TOL, 100, set())[1] is not None
+    x1, y1, z1, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
+    assert not converged and x1[-1] > 0.99
+    assert qpmod._certifies_infeasible(program, y_stop, z_stop, x1[:-1])
+    scale = max(np.max(np.abs(y1)), np.max(np.abs(z1[:-1])), 1.0)
+    assert not qpmod._certifies_infeasible(program, y1 / scale, z1[:-1] / scale, x1[:-1])
+    sol = solve(program)
+    assert sol.status == "infeasible" and sol.path == "failed"
+    y, z = sol.certificate
+    assert y.tobytes() == y_stop.tobytes() and z.tobytes() == z_stop.tobytes()
+    assert np.min(z) >= 0.0 and max(np.max(np.abs(y)), np.max(np.abs(z))) == 1.0
+    assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-10
+    assert program.b_eq @ y - program.h_ineq @ z > 0.1
+    # the interior-point route stops short of a verdict on this program
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
+    assert solve(program).status == "iteration_limit"
+
+
+def test_a_stop_that_does_not_certify_is_left_to_the_interior_point():
+    # x1 <= 0 and x1 + 1e-11 x2 >= 1e-7 hold for x2 >= 1e4: the second row is
+    # independent of the first by less than the method can tell, so it stops
+    # there, but its multipliers leave a gap of 1e-7, below
+    # CERTIFICATE_TOL, and the interior point finds the optimum
+    program = _qp(np.eye(2), [-1.0, 0.0], g=[[1.0, 0.0], [-1.0, -1e-11]], h=[0.0, -1e-7])
+    rows, x, y, z, _ = qpmod._dual_active_set(program, 10)
+    assert rows is None and not qpmod._certifies_infeasible(program, y, z, x)
+    sol = solve(program)
+    assert sol.status == "optimal" and sol.path != "dual"
+    assert sol.x == pytest.approx([0.0, 1e4], abs=1e-6)
+
+
+@pytest.mark.parametrize("bound", [2e-6, 1e-5])
+def test_a_stop_is_no_verdict_at_the_methods_own_point(monkeypatch, bound):
+    # x1 <= 0 and x1 + 1e-11 x2 >= bound hold for x2 >= bound * 1e11.  The
+    # method stops on the second row at x = 0 with a gap of ``bound`` against
+    # a residual of 1e-11: its multipliers rule out only the solutions of
+    # 1-norm below bound * 1e11, and its point, of norm 0, bounds none.  So
+    # they decide nothing by themselves, and solve answers as the
+    # interior-point route does.  That route proves nothing at 2e-6; at 1e-5
+    # phase 1's regularization prices x2 = 1e6 above a relaxation t = 5e-6,
+    # and both routes answer infeasible
+    program = _qp(np.eye(2), [-1.0, 0.0], g=[[1.0, 0.0], [-1.0, -1e-11]], h=[0.0, -bound])
+    rows, x, y, z, _ = qpmod._dual_active_set(program, 10)
+    assert rows is None and np.max(np.abs(x)) == 0.0
+    assert qpmod._certifies_infeasible(program, y, z, x)
+    sol = solve(program)
+    if bound == 2e-6:
+        assert sol.status != "infeasible"
+    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
+    assert solve(program).status == sol.status
