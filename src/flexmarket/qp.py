@@ -14,7 +14,8 @@ residuals meet the requested tolerance.
 
 A cold solve finds its binding set with the Goldfarb–Idnani dual active-set
 method on small programs and with an infeasible-start Mehrotra
-predictor-corrector on large ones; either is followed by an active-set
+predictor-corrector on large ones, and the dual method decides wherever the
+interior point fails; either is followed by an active-set
 "polish" that re-solves the equality-constrained KKT system by minimum-norm
 least squares.  The polish both sharpens residuals to near machine precision
 and picks the centered (minimum-norm) multiplier split when binding rows are
@@ -55,12 +56,10 @@ start.  The cold path then runs in five stages:
    time.  The size rule does not tell area from joint programs: the small
    joint programs (9, 17 and 31) take the dual method too.
    The method's rows are polished, and once more from the polished point's
-   binding rows; the answer is kept under the crossover's
+   binding rows; the answer is kept here only under the crossover's
    strict-complementarity guard (below).  Any other outcome leaves the
    solve to the stages below, and no crossover walk starts from a set its
-   polishes started from.  Where the method stops on a row it can neither
-   add nor make room for, its multipliers go on to stage 4 as a second
-   candidate certificate.
+   polishes started from.
 1. The interior-point iteration.  Its Newton matrix keeps the constant +-A
    blocks across iterations, and the predictor and the corrector share each
    regularized matrix.
@@ -76,14 +75,13 @@ start.  The cold path then runs in five stages:
    full iteration would not return those; so the iteration goes on.
 3. The polish of the iteration's last iterate, with a budget of
    2 * m_ineq + 8 row sets, then its convergence check.
-4. Phase 1, whose iteration crosses over too, and the primal active-set
-   method.  Phase 1 proves the program infeasible when its least uniform
-   relaxation t* exceeds 1e-6 and it converged, or, unconverged, when its
-   multipliers or the dual method's verify as a Farkas certificate on the
-   program itself, at the size of phase 1's point.  A certificate with a
-   residual rules out only the solutions up to some size; phase 1's point
-   is the one measure of size the solver has, which is why the dual
-   method's multipliers wait for it.
+4. The dual method decides, at any order; it runs at most once per solve,
+   so stage 0's outcome is reused.  Its polished answer stands without the
+   guard, which only picks the interior point's vertex of a degenerate dual
+   face.  Where the method stops on a row it can neither add nor make room
+   for, its multipliers prove the program infeasible if they rule out every
+   solution of 1-norm up to ``CERTIFICATE_RADIUS``; a program feasible only
+   farther out is never called infeasible.
 
 ``QpSolution.path`` names the stage that answered.
 """
@@ -105,11 +103,12 @@ CROSSOVER_BUDGET = 2
 # a cold solve starts with the dual active-set method when the order n + m_eq
 # of the interior point's Newton system is at most this (module docstring)
 DUAL_ORDER = 40
-# past an unconverged phase 1, its multipliers or the dual method's certify
-# infeasibility when, scaled to max-norm 1, they balance G'z = A'y and leave a
-# gap b'y - h'z, both to this, and the gap outweighs the residual at the size
-# of phase 1's point
+# the dual method's multipliers at a stop certify infeasibility when, scaled to
+# max-norm 1, they balance G'z = A'y and leave a gap b'y - h'z, both to the
+# tolerance, and the gap / residual rules out every solution of 1-norm up to the
+# radius (the generated networks' stops reach 1.5e10 and more)
 CERTIFICATE_TOL = 1e-6
+CERTIFICATE_RADIUS = 1e9
 
 
 class QpDimensionError(ValueError):
@@ -263,9 +262,10 @@ class QpSolution:
     # binding inequality rows; reusable as the hint of a nearby re-solve
     active_set: tuple[int, ...] = ()
     # how solve reached it: hint | dual | crossover | ipm+polish | ipm |
-    # phase1→active_set | failed (every status but optimal).  ``iterations``
-    # is 0 for a hint, the dual method's steps (at least 1) for dual, and
-    # the interior point's iterations otherwise
+    # failed (every status but optimal).  ``dual`` is stage 0 or 4 of the
+    # module docstring.  ``iterations`` is 0 for a hint, the dual method's
+    # steps (at least 1) for dual, and the interior point's iterations
+    # otherwise
     path: str = "failed"
 
 
@@ -411,7 +411,7 @@ def _polish(qp, active: set[int], tol, budget):
     return None
 
 
-def _strictly_complementary(qp, polished) -> bool:
+def _strictly_complementary(qp, x, z) -> bool:
     """Whether an active-set answer's binding rows are exactly its rows with a
     positive multiplier.
 
@@ -419,7 +419,7 @@ def _strictly_complementary(qp, polished) -> bool:
     multipliers on another vertex of that face than the full iteration
     reaches; a row that binds with a zero multiplier shows it.
     """
-    return qp.binding_rows(polished[0]) == tuple((polished[2] > 0.0).nonzero()[0].tolist())
+    return qp.binding_rows(x) == tuple((z > 0.0).nonzero()[0].tolist())
 
 
 def _dual_active_set(qp, max_steps):
@@ -437,8 +437,8 @@ def _dual_active_set(qp, max_steps):
     rows: a row whose normal lies in the span of the active normals is
     skipped if it is an equality (the equality check has made it consistent)
     and otherwise moves the multipliers alone.  An add extends the factors by
-    one Gram-Schmidt column (the step's own projection); a drop refactors
-    them.
+    one Gram-Schmidt column (the step's own projection, orthogonalized
+    twice); a drop refactors them.
 
     Returns ``(rows, x, y, z, steps)``: ``rows`` is None when a row can be
     neither added nor made room for, and (y, z) are then the multipliers 1 on
@@ -489,6 +489,11 @@ def _dual_active_set(qp, max_steps):
             steps += 1
             part = basis.T @ d
             free = d - basis @ part
+            # a second Gram-Schmidt pass, as one leaves a nearly dependent add
+            # far from orthogonal: "twice is enough" (Daniel et al. 1976)
+            extra = basis.T @ free
+            part += extra
+            free -= basis @ extra
             r = np.linalg.solve(tri, part) if active else part
             # the largest dual step before an active inequality multiplier
             # turns negative, and the row that limits it
@@ -529,7 +534,7 @@ def _dual_active_set(qp, max_steps):
 
 
 def _dual_stage(qp, tol, budget, walked):
-    """A cold solve's first stage: ``(answer, certificate)``.
+    """The dual method's answer: ``(answer, certificate)``.
 
     ``answer`` is the dual method's optimal answer, or None.  The method's
     rows are polished at ``budget``, and the polished point's binding rows
@@ -537,15 +542,15 @@ def _dual_stage(qp, tol, budget, walked):
     its multipliers sit on one of them, where the polish of the binding rows
     splits them at the minimum norm.  The binding rows are read at the
     polished point because the method's own point can miss its rows by more
-    than the feasibility tolerance.  The answer is kept only if it is
-    strictly complementary, as a crossover's is, and the sets the polishes
-    started from join ``walked``, so no crossover walk starts there again.
+    than the feasibility tolerance.  Where the second polish fails, the first
+    one's answer stands, under stage 0's guard as any answer.  The sets the
+    polishes started from join ``walked``, so no crossover walk starts there
+    again.
 
     ``certificate`` is the method's multipliers where it stopped on a row it
     can neither add nor make room for, else None.  They rule out only the
-    solutions of 1-norm below gap / residual, and the method's point says
-    nothing of how large a solution must be; so ``solve`` checks them where
-    it checks phase 1's, at phase 1's point.
+    solutions of 1-norm below gap / residual; ``solve`` calls the program
+    infeasible only if that reaches ``CERTIFICATE_RADIUS``.
     """
     outcome = _dual_active_set(qp, budget + len(qp.b_eq))
     if outcome is None:
@@ -555,15 +560,10 @@ def _dual_stage(qp, tol, budget, walked):
         return None, (y, z)
     walked.add(rows)
     polished = _polish(qp, set(rows), tol, budget)
-    if polished is None:
-        return None, None
-    binding = qp.binding_rows(polished[0])
-    if binding != rows:
+    if polished is not None and (binding := qp.binding_rows(polished[0])) != rows:
         walked.add(binding)
-        polished = _polish(qp, set(binding), tol, budget)
-    if polished is None or not _strictly_complementary(qp, polished):
-        return None, None
-    return _optimal(qp, polished, steps, "dual"), None
+        polished = _polish(qp, set(binding), tol, budget) or polished
+    return (None if polished is None else _optimal(qp, polished, steps, "dual")), None
 
 
 def _mehrotra(qp, tol, max_iter, walked=None):
@@ -659,7 +659,7 @@ def _mehrotra(qp, tol, max_iter, walked=None):
                 walked.add(rows)
                 polished = _polish(qp, set(rows), tol, CROSSOVER_BUDGET)
                 # otherwise keep iterating (_strictly_complementary)
-                if polished is not None and _strictly_complementary(qp, polished):
+                if polished is not None and _strictly_complementary(qp, polished[0], polished[2]):
                     return x, y, z, s, it, False, polished
         if peak(np.abs(x), initial=0.0) > 1e13:
             return x, y, z, s, it, False, None
@@ -713,86 +713,20 @@ def _mehrotra(qp, tol, max_iter, walked=None):
     return x, y, z, s, max_iter, False, None
 
 
-def _primal_active_set(qp, x0, tol, max_pivots=500):
-    """Single-pivot primal active-set solve from a feasible point.
-
-    Slow but dependable: used when the interior-point path fails (typically
-    on instances with an unbounded optimal dual face, e.g. exactly opposite
-    box rows both binding).  Strict convexity makes every nonzero step
-    decrease the objective, and single-row pivots with lowest-index
-    tie-breaking avoid the cycling a simultaneous add/drop heuristic allows.
-    """
-    n, mi = qp.n, len(qp.h_ineq)
-    g, h = qp.g_ineq, qp.h_ineq
-    x = np.asarray(x0, dtype=float).copy()
-    feas_tol = qp._feas_tol
-    work: set[int] = set()
-    for _ in range(max_pivots):
-        rows = sorted(work)
-        xw, y, z = _solve_active(qp, rows)
-        d = xw - x
-        if np.max(np.abs(d), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0)):
-            negative = [i for i in rows if z[i] < -feas_tol]
-            if not negative:
-                z = np.maximum(z, 0.0)
-                res = kkt_residuals(qp, xw, y, z)
-                if not res.max() <= tol:
-                    return None
-                return xw, y, z, res
-            work.discard(negative[0])
-            continue
-        gd = g @ d if mi else np.zeros(0)
-        slack = h - g @ x if mi else np.zeros(0)
-        alpha, blocker = 1.0, None
-        for i in range(mi):
-            if i in work or gd[i] <= 1e-12:
-                continue
-            ratio = max(slack[i], 0.0) / gd[i]
-            if ratio < alpha - 1e-15 or (ratio < alpha + 1e-15 and blocker is not None and i < blocker):
-                alpha, blocker = min(ratio, alpha), i
-        x = x + alpha * d
-        if blocker is not None:
-            work.add(blocker)
-    return None
-
-
-def _phase1(qp, tol, max_iter):
-    """Feasibility program: min t s.t. Ax = b, Gx - t <= h, -t <= 1.
-
-    Its iteration crosses over as a cold solve's does: on an infeasible
-    program the plain iteration can stop short of the optimum t* while the
-    polish of an early binding set reaches it exactly.
-    """
-    n, mi = qp.n, len(qp.h_ineq)
-    q1 = np.eye(n + 1) * 1e-9
-    c1 = np.zeros(n + 1)
-    c1[-1] = 1.0
-    a1 = np.hstack([qp.a_eq, np.zeros((len(qp.b_eq), 1))])
-    g1 = np.vstack([np.hstack([qp.g_ineq, -np.ones((mi, 1))]),
-                    np.concatenate([np.zeros(n), [-1.0]])[None, :]])
-    h1 = np.concatenate([qp.h_ineq, [1.0]])
-    x, y, z, s, it, ok, polished = _mehrotra(QuadraticProgram(q1, c1, a1, qp.b_eq, g1, h1),
-                                             tol, max_iter, set())
-    if polished is not None:
-        return *polished[:3], True
-    return x, y, z, ok
-
-
-def _certifies_infeasible(qp, y, z, x) -> bool:
+def _certifies_infeasible(qp, y, z) -> bool:
     """Whether (y, z), of max-norm at most 1, proves Ax = b, Gx <= h has no
-    solution as small as phase 1's point x.
+    solution of 1-norm up to ``CERTIFICATE_RADIUS``.
 
     For a solution x', z >= 0 gives (G'z - A'y)'x' <= h'z - b'y; so a gap
     b'y - h'z > 0 rules out every x' of 1-norm below gap / max|G'z - A'y|.
     The gap must exceed ``CERTIFICATE_TOL`` and the residual max|G'z - A'y|
-    must not, and together they must rule out every x' no larger than x in
-    that norm, or than 1.
+    must not, and their ratio must exceed the radius.
     """
     stationarity = np.max(np.abs(qp.g_ineq.T @ z - qp.a_eq.T @ y), initial=0.0)
     gap = qp.b_eq @ y - qp.h_ineq @ z
     return bool((z >= 0.0).all()
                 and stationarity <= CERTIFICATE_TOL < gap
-                and gap > stationarity * max(1.0, float(np.sum(np.abs(x)))))
+                and gap > stationarity * CERTIFICATE_RADIUS)
 
 
 def _optimal(qp, polished, iters, path) -> QpSolution:
@@ -841,11 +775,12 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
 
     # the hint's walk started from its set; no crossover walk starts there again
     walked = set() if active_hint is None else {tuple(sorted(active_hint))}
-    stop = None  # the dual method's multipliers where it stopped on a row
+    stage = None  # the dual stage's (answer, certificate); the method runs once
     if n + me <= DUAL_ORDER:
-        dual, stop = _dual_stage(qp, tol, full, walked)
-        if dual is not None:
-            return dual
+        stage = _dual_stage(qp, tol, full, walked)
+        answer = stage[0]
+        if answer is not None and _strictly_complementary(qp, answer.x, answer.z):
+            return answer
     x, y, z, s, iters, converged, polished = _mehrotra(qp, tol, max_iter, walked)
     if polished is not None:
         return _optimal(qp, polished, iters, "crossover")
@@ -858,29 +793,12 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
             return QpSolution("optimal", x, y, z, res, qp.objective(x), iters,
                               active_set=tuple(np.flatnonzero(z > s).tolist()), path="ipm")
 
-    # The main iteration failed: decide between infeasible and numeric trouble.
-    x1, y1, z1, ok = _phase1(qp, max(tol, 1e-9), max_iter)
-    if x1[-1] > 1e-6:
-        # phase 1's multipliers are a certificate of infeasibility if it
-        # converged; otherwise they, or the dual method's where it stopped,
-        # are once they verify on this program at the size of phase 1's point
-        nrm = max(np.max(np.abs(y1), initial=0.0), np.max(np.abs(z1[:mi]), initial=0.0), 1.0)
-        candidates = [(y1 / nrm, z1[:mi] / nrm)] + ([stop] if stop is not None else [])
-        verified = [cert for cert in candidates if _certifies_infeasible(qp, *cert, x1[:n])]
-        if ok or verified:
-            y_cert, z_cert = candidates[0] if ok else verified[0]
-            res = kkt_residuals(qp, x, y, z)
-            return QpSolution("infeasible", x, y, z, res, qp.objective(x), iters,
-                              certificate=(y_cert, z_cert))
-    elif ok:
-        # feasible after all: finish with the dependable primal active-set
-        # method from the point the feasibility program produced
-        finished = _primal_active_set(qp, x1[:n], tol)
-        if finished is not None:
-            return _optimal(qp, finished, iters, "phase1→active_set")
-    if np.max(np.abs(x), initial=0.0) > 1e12:
-        status = "unbounded"
-    else:
-        status = "iteration_limit"
+    # the interior point failed: the dual method decides, at any order
+    answer, stop = stage if stage is not None else _dual_stage(qp, tol, full, walked)
+    if answer is not None:
+        return answer
     res = kkt_residuals(qp, x, y, z)
+    if stop is not None and _certifies_infeasible(qp, *stop):
+        return QpSolution("infeasible", x, y, z, res, qp.objective(x), iters, certificate=stop)
+    status = "unbounded" if np.max(np.abs(x), initial=0.0) > 1e12 else "iteration_limit"
     return QpSolution(status, x, y, z, res, qp.objective(x), iters)

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flexmarket import (MechanismConfig, RhoSchedule, load_case, optimal_terms_of_trade, run,
-                        solve_centralized, trace_to_csv)
+from flexmarket import (MechanismConfig, RhoSchedule, load_bundled, load_case,
+                        optimal_terms_of_trade, run, solve_centralized, trace_to_csv)
 from flexmarket import qp as qpmod
-from flexmarket.benchmark import CentralizedInfeasible
+from flexmarket.benchmark import _CentralProblem
 from flexmarket.coupling import MechanismError
 from flexmarket.market import clear
 from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_residuals,
@@ -454,8 +454,8 @@ def _hinted_walks(full_budget=False):
     ``walks`` lists ``(row sets solved, result, start, crossover)`` of each
     ``_polish`` call on the solved program in order: the hint's walk, then, if
     the hint missed, the interior point's crossover walks (``crossover`` is
-    True for a walk made while ``_mehrotra`` runs) and the cold polish.  Phase
-    1 walks a program of its own, and is not recorded.  ``full_budget`` gives the
+    True for a walk made while ``_mehrotra`` runs), the cold polish and, if
+    that misses, the dual method's polishes.  ``full_budget`` gives the
     hint's walk the cold polish's ``2 * mi + 8`` row sets, as the walk had
     before it was capped.
     """
@@ -536,10 +536,12 @@ def test_hinted_walk_solves_at_most_n_plus_me_row_sets(monkeypatch):
         # the hint is walked once, first, and no later walk starts from it;
         # each crossover walk starts from a row set not walked before in this
         # solve and solves at most CROSSOVER_BUDGET row sets; outside the
-        # iteration only the cold polish walks, once and last
+        # iteration the cold polish walks once, after every crossover walk,
+        # and only if it misses do the last stage's two polishes follow
         assert walks[0][2] == tuple(sorted(hint)) and not walks[0][3]
         rest = [walk for walk in walks[1:] if not walk[3]]
-        assert len(rest) <= 1 and (not rest or rest[0] is walks[-1])
+        assert len(rest) <= 3 and all(a is b for a, b in zip(rest, walks[len(walks) - len(rest):]))
+        assert len(rest) <= 1 or rest[0][1] is None
         starts = [walks[0][2]]
         for solved, _, start, crossover in walks[1:]:
             assert start != starts[0]
@@ -670,15 +672,16 @@ def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_1
     # the first cold program of network 12: an early binding set polishes to
     # a point that validates at the optimal x, but whose multipliers sit on
     # another vertex of a degenerate dual face.  Row 1 binds there with a zero
-    # multiplier, so the answer is not strictly complementary and is refused
+    # multiplier, so the answer is not strictly complementary and is refused.
+    # The full iteration fails on this program, and the last stage, which has
+    # no guard, returns the dual method's answer on that same vertex
     monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     program = _cold_programs(network_12, 1)[0]
     polish, validated = qpmod._polish, []
 
     def recording_polish(walked, active, tol, budget):
         result = polish(walked, active, tol, budget)
-        # phase 1 crosses over on a program of its own
-        if walked is program and budget == qpmod.CROSSOVER_BUDGET and result is not None:
+        if budget == qpmod.CROSSOVER_BUDGET and result is not None:
             validated.append(result)
         return result
 
@@ -688,9 +691,9 @@ def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_1
     px, _, pz, _ = validated[0]
     assert tuple((pz > 0.0).nonzero()[0].tolist()) == (0, 3, 12, 14, 16, 18)
     assert program.binding_rows(px) == (0, 1, 3, 12, 14, 16, 18)
+    assert sol.path == "dual"
     assert np.max(np.abs(px - sol.x)) < 1e-9
-    assert np.max(np.abs(pz - sol.z)) > 1.0
-    assert sol.path != "crossover"
+    assert np.max(np.abs(pz - sol.z)) < 1e-9
     monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
     _same_bits(sol, solve(program))
 
@@ -711,8 +714,8 @@ def test_solution_path_names_the_route(monkeypatch, network_12):
     # contradictory bounds: every status but optimal
     assert solve(_qp([[2.0]], [0.0], g=[[1.0], [-1.0]], h=[-1.0, -1.0])).path == "failed"
     # the interior point ends where the guard refused the only early set, and
-    # phase 1 finishes with the primal active-set method
-    assert solve(_cold_programs(network_12, 1)[0]).path == "phase1→active_set"
+    # the last stage's dual method answers
+    assert solve(_cold_programs(network_12, 1)[0]).path == "dual"
     monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
     polished = solve(one_bound)
     assert polished.path == "ipm+polish"
@@ -721,14 +724,30 @@ def test_solution_path_names_the_route(monkeypatch, network_12):
 
 def test_crossover_answers_where_the_full_iteration_fails(monkeypatch):
     # the joint program of generated network 4x8 seed 6: the full iteration
-    # stalls far from the optimum, its polish misses, and the primal
-    # active-set method after phase 1 gives up.  The binding set of an early
-    # iterate is the strictly complementary optimum
+    # stalls far from the optimum and its polish misses.  The binding set of
+    # an early iterate is the strictly complementary optimum; without the
+    # crossover, the last stage's dual method answers to the same residual
     net = load_case((Path(__file__).parent / "data" / "ladder_4x8_s6.json").read_text())
-    assert solve_centralized(net).kkt_residual <= DEFAULT_TOL
+    solve_qp, paths = qpmod.solve, []
+
+    def recording_solve(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        paths.append(sol.path)
+        return sol
+
+    monkeypatch.setattr(qpmod, "solve", recording_solve)
+    crossed = solve_centralized(net)
+    assert crossed.kkt_residual <= DEFAULT_TOL and paths == ["crossover"]
     monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-    with pytest.raises(CentralizedInfeasible, match="iteration_limit"):
-        solve_centralized(net)
+    last = solve_centralized(net)
+    assert paths[1:] == ["dual"] and last.kkt_residual == pytest.approx(crossed.kkt_residual)
+
+
+def test_the_last_stage_answers_a_joint_program_the_interior_point_cannot():
+    # the joint program of generated network 8x4 seed 7: the interior point,
+    # its crossover and its polish all fail, and the dual method answers
+    net = load_case((DATA / "ladder_8x4_s7.json").read_text())
+    assert solve_centralized(net).kkt_residual <= DEFAULT_TOL
 
 
 def _kernel_programs(seed, count, flat):
@@ -853,39 +872,34 @@ def test_active_solve_matches_the_exact_least_squares_x_on_a_degenerate_set():
     assert np.max(np.abs(x - x_exact)) <= 1e-9
 
 
-def test_phase_one_certifies_an_infeasible_program(monkeypatch):
+def test_the_last_stage_certifies_an_infeasible_program(monkeypatch):
     # area A00's program in round 53 of generated network 24x2-s0 is
     # infeasible; HiGHS finds its least uniform relaxation of the inequality
-    # rows t* = 0.042341554046.  Phase 1 crosses over to that optimum.  The
-    # dual method, whose multipliers solve checks beside phase 1's, is
-    # switched off, so that the certificates checked below are phase 1's
+    # rows t* = 0.042341554046.  Every route ends in the dual method's stop,
+    # whose multipliers must verify as a certificate on the program itself
     program, _ = _captured("qp_24x2_s0_round53_a00.json")
-    assert solve(program).status == "infeasible"
+    routes = [solve(program)]
     monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    x1, _, _, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
-    assert converged and x1[-1] == pytest.approx(0.042341554046, abs=1e-11)
-    assert solve(program).status == "infeasible"
-    # without the crossover, phase 1 stops unconverged, and its multipliers
-    # must verify as a certificate on the program itself
+    routes.append(solve(program))
     monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-    x1, _, _, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
-    assert not converged and x1[-1] == pytest.approx(0.042341554046, abs=1e-8)
-    sol = solve(program)
-    assert sol.status == "infeasible"
-    y, z = sol.certificate
-    assert np.min(z) >= 0.0
-    assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-7
-    assert program.b_eq @ y - program.h_ineq @ z > 1e-3
+    routes.append(solve(program))
+    for sol in routes:
+        assert sol.status == "infeasible"
+        y, z = sol.certificate
+        assert np.min(z) >= 0.0
+        residual = np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y))
+        gap = program.b_eq @ y - program.h_ineq @ z
+        assert residual <= 1e-7 and gap > 1e-3 and gap > residual * qpmod.CERTIFICATE_RADIUS
 
 
 def test_a_near_certificate_of_a_feasible_program_is_not_accepted():
     # x <= 1000 and (1 + 1e-7) x >= 1000 + 5e-5 both hold for x in
     # [999.99995, 1000].  z = (1, 1) leaves a residual G'z of 1e-7 and a gap
     # of 5e-5, each within its tolerance, but rules out only solutions of
-    # size below 500, smaller than the point phase 1 would stop at
+    # size below 500, far inside CERTIFICATE_RADIUS
     program = _qp([[1.0]], [0.0], g=[[1.0], [-(1.0 + 1e-7)]], h=[1000.0, -(1000.0 + 5e-5)])
     y, z = np.zeros(0), np.array([1.0, 1.0])
-    assert not qpmod._certifies_infeasible(program, y, z, np.array([1000.0]))
+    assert not qpmod._certifies_infeasible(program, y, z)
 
 
 def test_duplicate_rows_answer_by_the_dual_method_with_a_symmetric_split():
@@ -916,6 +930,21 @@ def test_a_repeated_consistent_equality_is_skipped_not_called_infeasible():
     assert sol.z == pytest.approx([1.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["toy2", "toy2-congested", "tri3"])
+def test_dual_methods_point_keeps_its_active_rows(name):
+    # the bundled joint programs: tri3's has nearly dependent adds (curvature
+    # down to 5.8e-12 of |J'n|^2), after which one Gram-Schmidt pass leaves
+    # the step far from orthogonal to the active rows, and the point misses
+    # them by up to 3.6e-3.  The second pass keeps every active row within
+    # the feasibility tolerance
+    program = _CentralProblem(load_bundled(name)).program
+    rows, x, _, _, _ = qpmod._dual_active_set(program, 100)
+    assert rows is not None
+    slack = program.h_ineq[list(rows)] - program.g_ineq[list(rows)] @ x
+    assert np.max(np.abs(slack), initial=0.0) <= program._feas_tol
+    assert np.max(np.abs(program.a_eq @ x - program.b_eq)) <= program._feas_tol
+
+
 def test_the_unconstrained_minimum_counts_as_a_step():
     # a tracer counts an optimal answer with 0 iterations as a hint hit; the
     # dual method's answer is cold even when its first point is optimal
@@ -935,45 +964,47 @@ def test_dual_method_is_skipped_above_its_order(monkeypatch):
     assert np.max(np.abs(dual.x - sol.x)) <= 1e-12
 
 
-def test_dual_method_falls_back_on_a_degenerate_dual_face(network_12):
+def test_dual_method_falls_back_on_a_degenerate_dual_face(monkeypatch, network_12):
     # the first cold program of network 12: the dual method's polished answer
-    # binds a row with a zero multiplier, so it is refused as the crossover's
-    # is, and the interior-point route answers
+    # binds a row with a zero multiplier, so stage 0 refuses it as the
+    # crossover's guard would, and the interior point runs.  It fails, and the
+    # last stage returns the refused answer without running the method again
     program = _cold_programs(network_12, 1)[0]
     assert program.n + len(program.b_eq) <= qpmod.DUAL_ORDER
-    rows, *_ = qpmod._dual_active_set(program, 100)
-    polished = qpmod._polish(program, set(rows), DEFAULT_TOL, 100)
-    assert polished is not None and not qpmod._strictly_complementary(program, polished)
-    assert qpmod._dual_stage(program, DEFAULT_TOL, 100, set()) == (None, None)
-    assert solve(program).path == "phase1→active_set"
+    answer, certificate = qpmod._dual_stage(program, DEFAULT_TOL, 100, set())
+    assert certificate is None and answer.path == "dual"
+    assert not qpmod._strictly_complementary(program, answer.x, answer.z)
+    method, runs = qpmod._dual_active_set, []
+
+    def counting_method(*args):
+        runs.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(qpmod, "_dual_active_set", counting_method)
+    _same_bits(solve(program), answer)
+    assert len(runs) == 1
 
 
 def test_dual_method_certifies_an_infeasible_program(monkeypatch):
     # area A00's program in round 2 of generated network 8x4-s0: the dual
     # method stops on a row it can neither add nor make room for, and its
-    # multipliers (1 on that row, -r on the active rows) are a certificate.
-    # Phase 1 relaxes the program by t* = 0.9989 but stops unconverged, and
-    # its own multipliers do not verify; the method's do, at the size of
-    # phase 1's point
+    # multipliers (1 on that row, -r on the active rows) are a certificate:
+    # residual 1e-12 against a gap of 0.115.  The interior point stops short
+    # of a verdict, so the certificate decides on either route
     program, _ = _captured("qp_8x4_s0_round2_a00.json")
     rows, _, y_stop, z_stop, _ = qpmod._dual_active_set(program, 100)
     assert rows is None
     assert qpmod._dual_stage(program, DEFAULT_TOL, 100, set())[1] is not None
-    x1, y1, z1, converged = qpmod._phase1(program, DEFAULT_TOL, qpmod.DEFAULT_MAX_ITER)
-    assert not converged and x1[-1] > 0.99
-    assert qpmod._certifies_infeasible(program, y_stop, z_stop, x1[:-1])
-    scale = max(np.max(np.abs(y1)), np.max(np.abs(z1[:-1])), 1.0)
-    assert not qpmod._certifies_infeasible(program, y1 / scale, z1[:-1] / scale, x1[:-1])
-    sol = solve(program)
-    assert sol.status == "infeasible" and sol.path == "failed"
-    y, z = sol.certificate
-    assert y.tobytes() == y_stop.tobytes() and z.tobytes() == z_stop.tobytes()
-    assert np.min(z) >= 0.0 and max(np.max(np.abs(y)), np.max(np.abs(z))) == 1.0
-    assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-10
-    assert program.b_eq @ y - program.h_ineq @ z > 0.1
-    # the interior-point route stops short of a verdict on this program
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    assert solve(program).status == "iteration_limit"
+    assert qpmod._certifies_infeasible(program, y_stop, z_stop)
+    for order in (qpmod.DUAL_ORDER, 0):
+        monkeypatch.setattr(qpmod, "DUAL_ORDER", order)
+        sol = solve(program)
+        assert sol.status == "infeasible" and sol.path == "failed"
+        y, z = sol.certificate
+        assert y.tobytes() == y_stop.tobytes() and z.tobytes() == z_stop.tobytes()
+        assert np.min(z) >= 0.0 and max(np.max(np.abs(y)), np.max(np.abs(z))) == 1.0
+        assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-10
+        assert program.b_eq @ y - program.h_ineq @ z > 0.1
 
 
 def test_a_stop_that_does_not_certify_is_left_to_the_interior_point():
@@ -983,28 +1014,24 @@ def test_a_stop_that_does_not_certify_is_left_to_the_interior_point():
     # CERTIFICATE_TOL, and the interior point finds the optimum
     program = _qp(np.eye(2), [-1.0, 0.0], g=[[1.0, 0.0], [-1.0, -1e-11]], h=[0.0, -1e-7])
     rows, x, y, z, _ = qpmod._dual_active_set(program, 10)
-    assert rows is None and not qpmod._certifies_infeasible(program, y, z, x)
+    assert rows is None and not qpmod._certifies_infeasible(program, y, z)
     sol = solve(program)
     assert sol.status == "optimal" and sol.path != "dual"
     assert sol.x == pytest.approx([0.0, 1e4], abs=1e-6)
 
 
-@pytest.mark.parametrize("bound", [2e-6, 1e-5])
+@pytest.mark.parametrize("bound", [2e-6, 1e-5, 1e-3])
 def test_a_stop_is_no_verdict_at_the_methods_own_point(monkeypatch, bound):
-    # x1 <= 0 and x1 + 1e-11 x2 >= bound hold for x2 >= bound * 1e11.  The
-    # method stops on the second row at x = 0 with a gap of ``bound`` against
-    # a residual of 1e-11: its multipliers rule out only the solutions of
-    # 1-norm below bound * 1e11, and its point, of norm 0, bounds none.  So
-    # they decide nothing by themselves, and solve answers as the
-    # interior-point route does.  That route proves nothing at 2e-6; at 1e-5
-    # phase 1's regularization prices x2 = 1e6 above a relaxation t = 5e-6,
-    # and both routes answer infeasible
+    # x1 <= 0 and x1 + 1e-11 x2 >= bound hold for x2 >= bound * 1e11, out to
+    # 1e8.  The method stops on the second row at x = 0 with a gap of
+    # ``bound`` against a residual of 1e-11: its multipliers rule out only the
+    # solutions of 1-norm below bound * 1e11, inside CERTIFICATE_RADIUS, and
+    # its point, of norm 0, bounds none.  So they prove nothing, and no route
+    # may call the program infeasible
     program = _qp(np.eye(2), [-1.0, 0.0], g=[[1.0, 0.0], [-1.0, -1e-11]], h=[0.0, -bound])
     rows, x, y, z, _ = qpmod._dual_active_set(program, 10)
     assert rows is None and np.max(np.abs(x)) == 0.0
-    assert qpmod._certifies_infeasible(program, y, z, x)
-    sol = solve(program)
-    if bound == 2e-6:
-        assert sol.status != "infeasible"
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    assert solve(program).status == sol.status
+    assert not qpmod._certifies_infeasible(program, y, z)
+    for order in (qpmod.DUAL_ORDER, 0):
+        monkeypatch.setattr(qpmod, "DUAL_ORDER", order)
+        assert solve(program).status != "infeasible"
