@@ -39,7 +39,13 @@ def _sign(v: float) -> float:
 
 
 class CentralizedInfeasible(RuntimeError):
-    pass
+    """Centralized clearing failed; carries the solver status and, as detail,
+    its path, iterations and worst KKT residual."""
+
+    def __init__(self, status: str, detail: str = ""):
+        self.status = status
+        self.detail = detail
+        super().__init__(f"centralized clearing: {status}{': ' + detail if detail else ''}")
 
 
 @dataclass(frozen=True)
@@ -166,13 +172,25 @@ class _CentralProblem:
                                sol.residuals.max())
 
 
+def _central_problem(net: Network) -> _CentralProblem:
+    """The joint clearing problem, built on first use and then shared by the
+    solve and every check for the network's lifetime."""
+    key = ("central",)
+    if key not in net._programs:
+        net._programs[key] = _CentralProblem(net)
+    return net._programs[key]
+
+
 def solve_centralized(net: Network, tol: float = qpmod.DEFAULT_TOL,
                       max_iter: int = qpmod.DEFAULT_MAX_ITER) -> CentralSolution:
     """Solve the omniscient joint clearing problem."""
-    problem = _CentralProblem(net)
+    problem = _central_problem(net)
     sol = qpmod.solve(problem.program, tol=tol, max_iter=max_iter)
+    # the checks share the joint program but never solve it, so the solve's
+    # factorizations would only hold memory for the network's lifetime
+    problem.program._memo.clear()
     if sol.status != "optimal":
-        raise CentralizedInfeasible(f"centralized clearing: {sol.status}")
+        raise CentralizedInfeasible(sol.status, sol.describe())
     return problem.extract(sol)
 
 
@@ -266,12 +284,7 @@ def check_limit_feasibility(net: Network,
     Mid-run iterates may legitimately violate tie capacity (it is enforced by
     prices, not hard-coded); violations are flagged, never raised.
     """
-    return _limit_feasibility(_CentralProblem(net), clearings)
-
-
-def _limit_feasibility(problem: _CentralProblem,
-                       clearings: dict[str, ClearingResult]) -> FeasibilityReport:
-    net = problem.net
+    problem = _central_problem(net)
     prog = problem.program
     x = problem.primal({a.id: clearings[a.id].decision for a in net.areas})
     worst = dict.fromkeys([*_FEASIBILITY_GROUPS.values(), "tie_capacity"], 0.0)
@@ -318,12 +331,7 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     that the per-area problems price through their objectives.
     """
     gap = efficiency_gap(net, clearings, central).objective_gap
-    return _kkt_equivalence(_CentralProblem(net), state, clearings, gap)
-
-
-def _kkt_equivalence(problem: _CentralProblem, state: CouplingState,
-                     clearings: dict[str, ClearingResult], gap: float) -> KktEquivalenceReport:
-    net = problem.net
+    problem = _central_problem(net)
     prog = problem.program
     x = problem.primal({a.id: clearings[a.id].decision for a in net.areas})
     y = np.zeros(len(prog.b_eq))
@@ -375,9 +383,8 @@ def comparison_report(net: Network, state: CouplingState,
                       clearings: dict[str, ClearingResult], central: CentralSolution) -> dict:
     """JSON-ready comparison of a mechanism limit against the benchmark."""
     gap = efficiency_gap(net, clearings, central)
-    problem = _CentralProblem(net)
-    kkt = _kkt_equivalence(problem, state, clearings, gap.objective_gap)
-    feas = _limit_feasibility(problem, clearings)
+    kkt = verify_kkt_equivalence(net, state, clearings, central)
+    feas = check_limit_feasibility(net, clearings)
     nash = coupling.verify_nash(net, state, clearings)
     return {
         "objective_gap": gap.objective_gap,

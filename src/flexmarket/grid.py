@@ -125,6 +125,9 @@ class Network:
         object.__setattr__(self, "_gens", {g.id: g for g in self.generators})
         object.__setattr__(self, "_lines", {l.id: l for l in self.lines})
         object.__setattr__(self, "_ties", {t.id: t for t in self.tie_lines})
+        # the clearing programs built from this network, by market and
+        # benchmark, once each: the network is frozen, so they never go stale
+        object.__setattr__(self, "_programs", {})
 
     def area(self, area_id: str) -> Area:
         return self._areas[area_id]

@@ -33,11 +33,13 @@ REGULARIZATION = 1e-9
 
 
 class ClearingError(RuntimeError):
-    """Area clearing failed; carries the area id and solver status."""
+    """Area clearing failed; carries the area id, the solver status and, as
+    detail, its path, iterations and worst KKT residual."""
 
     def __init__(self, area_id: str, status: str, detail: str = ""):
         self.area_id = area_id
         self.status = status
+        self.detail = detail
         super().__init__(f"area[{area_id}]: clearing {status}{': ' + detail if detail else ''}")
 
 
@@ -96,6 +98,9 @@ class ClearingResult:
     willingness_to_pay: dict[str, float]  # per tie: gamma + alpha[own bus]
     status: str
     kkt_residual: float
+    # binding inequality rows of the program; reusable as the hint of the
+    # area's next clear (ChanceConstrainedClearing)
+    active_set: tuple[int, ...] = ()
 
 
 class Rows:
@@ -241,7 +246,10 @@ class AreaProblem:
     """Pre-assembled clearing problem; per-round terms only touch c and b.
 
     The program is validated once; each round rebinds c and b onto its frozen
-    structure, so the solver's memoized factorizations carry over.
+    structure, so the solver's memoized factorizations carry over.  It keeps
+    no caller's state: a clear's hint comes from its caller, and the memo
+    holds only what the active set determines, so one problem can serve
+    every caller (``_area_problem``).
     """
 
     def __init__(self, net: Network, area_id: str, autarky: bool = False):
@@ -304,9 +312,6 @@ class AreaProblem:
         self._program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(),
                                                tuple(var_labels), tuple(eq.labels),
                                                tuple(ineq.labels))
-        # performance cache only: the binding set of the previous clear seeds
-        # the next solve; results are KKT-validated, so it never changes them
-        self._active_hint: tuple[int, ...] | None = None
 
     def assemble(self, terms: TermsOfTrade) -> qpmod.QuadraticProgram:
         """Bind the terms of trade into the cached structure."""
@@ -322,20 +327,20 @@ class AreaProblem:
 
     def clear(self, terms: TermsOfTrade, tol: float = qpmod.DEFAULT_TOL,
               max_iter: int = qpmod.DEFAULT_MAX_ITER,
-              near: AreaDecision | None = None) -> ClearingResult:
-        """Clear at the terms of trade.
+              near: AreaDecision | None = None,
+              hint: tuple[int, ...] | None = None) -> ClearingResult:
+        """Clear at the terms of trade; cold unless seeded.
 
-        ``near``, a decision expected to be close to the answer, seeds the
-        solve with the rows that bind at it, in place of the previous clear's
-        binding set.
+        ``hint``, a binding set such as a previous result's ``active_set``,
+        seeds the solve.  ``near``, a decision expected to be close to the
+        answer, seeds it instead with the rows that bind at it.
         """
         program = self.assemble(terms)
-        hint = self._active_hint if near is None else program.binding_rows(self._primal(near))
+        if near is not None:
+            hint = program.binding_rows(self._primal(near))
         sol = qpmod.solve(program, tol=tol, max_iter=max_iter, active_hint=hint)
         if sol.status != "optimal":
-            self._active_hint = None
-            raise ClearingError(self.area_id, sol.status)
-        self._active_hint = sol.active_set
+            raise ClearingError(self.area_id, sol.status, sol.describe())
         return self._extract(terms, sol, tol)
 
     def _primal(self, decision: AreaDecision) -> np.ndarray:
@@ -375,13 +380,27 @@ class AreaProblem:
                 + 0.5 * t.capacity_price * abs(delta_t[v.tie_id])
             willingness[v.tie_id] = duals.reliability_price + duals.nodal_price[v.own_bus]
         return ClearingResult(self.area_id, decision, duals, objective, gen_cost,
-                              willingness, sol.status, sol.residuals.max())
+                              willingness, sol.status, sol.residuals.max(), sol.active_set)
+
+
+def _area_problem(net: Network, area_id: str) -> AreaProblem:
+    """The area's clearing problem, built on first use and then shared by
+    every caller for the network's lifetime."""
+    key = ("area", area_id)
+    if key not in net._programs:
+        net._programs[key] = AreaProblem(net, area_id)
+    return net._programs[key]
 
 
 def clear(net: Network, area_id: str, terms: TermsOfTrade,
           tol: float = qpmod.DEFAULT_TOL, max_iter: int = qpmod.DEFAULT_MAX_ITER,
           near: AreaDecision | None = None) -> ClearingResult:
     """Clear one area at the given terms of trade.
+
+    The clear runs on the area's problem that the network shares with the
+    clearing engine and the certification checks, which saves rebuilding
+    it; it stays cold unless given ``near``, as no caller's binding set
+    seeds it.
 
     ``near`` is a decision the caller expects the clearing to reproduce or
     nearly so, such as a limit or benchmark decision under certification.
@@ -391,7 +410,7 @@ def clear(net: Network, area_id: str, terms: TermsOfTrade,
     degenerate optimal face ``near`` can pick a different point of the face,
     at the same objective to solver tolerance.
     """
-    return AreaProblem(net, area_id).clear(terms, tol, max_iter, near)
+    return _area_problem(net, area_id).clear(terms, tol, max_iter, near)
 
 
 def evaluate_objective(net: Network, area_id: str, terms: TermsOfTrade,
@@ -430,14 +449,25 @@ class ClearingEngine(Protocol):
 
 
 class ChanceConstrainedClearing:
-    """Default engine: the chance-constrained clearing above, cached per area."""
+    """Default engine: the chance-constrained clearing above, on the network's
+    shared area problems, each clear seeded with the area's previous binding set."""
 
     def __init__(self, net: Network, tol: float = qpmod.DEFAULT_TOL,
                  max_iter: int = qpmod.DEFAULT_MAX_ITER):
         self.net = net
         self.tol = tol
         self.max_iter = max_iter
-        self._problems = {a.id: AreaProblem(net, a.id) for a in net.areas}
+        self._problems = {a.id: _area_problem(net, a.id) for a in net.areas}
+        # performance cache only: results are KKT-validated, so a hint never
+        # changes them
+        self._hints: dict[str, tuple[int, ...] | None] = dict.fromkeys(self._problems)
 
     def clear_area(self, area_id: str, terms: TermsOfTrade) -> ClearingResult:
-        return self._problems[area_id].clear(terms, self.tol, self.max_iter)
+        try:
+            result = self._problems[area_id].clear(terms, self.tol, self.max_iter,
+                                                   hint=self._hints[area_id])
+        except ClearingError:
+            self._hints[area_id] = None
+            raise
+        self._hints[area_id] = result.active_set
+        return result

@@ -268,6 +268,11 @@ class QpSolution:
     # otherwise
     path: str = "failed"
 
+    def describe(self) -> str:
+        """The path, iterations and worst KKT residual, for a failure message."""
+        return (f"path {self.path}, {self.iterations} iterations, "
+                f"max KKT residual {self.residuals.max():.3g}")
+
 
 def kkt_residuals(qp: QuadraticProgram, x, y, z) -> KktResiduals:
     """Max-norm KKT residuals of a candidate primal-dual point."""

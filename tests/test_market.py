@@ -1,8 +1,16 @@
+import re
+import threading
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from flexmarket import (ChanceConstrainedClearing, ClearingError, TermsOfTrade, TieTerms,
-                        clear, evaluate_objective, load_case)
+from flexmarket import (ChanceConstrainedClearing, ClearingError, MechanismConfig, TermsOfTrade,
+                        TieTerms, clear, evaluate_objective, load_bundled, load_case,
+                        optimal_terms_of_trade, run, solve_centralized, trace_to_csv,
+                        verify_fixed_point, verify_nash)
+from flexmarket.benchmark import CentralizedInfeasible
 from flexmarket.market import AreaProblem, autarky_infeasibility
 from flexmarket.qp import QpDimensionError, QuadraticProgram, solve
 
@@ -179,8 +187,10 @@ def test_autarky_probe(toy2):
     assert autarky_infeasibility(toy2, "B") is None
 
 
-def test_zero_capacity_tie_is_excluded():
-    net = load_case({
+def _islands(y_capacity: float):
+    """Two one-bus areas whose only tie has zero capacity; Y meets its 10 MW
+    of demand with up to ``y_capacity`` MW of its own."""
+    return load_case({
         "areas": ["X", "Y"],
         "buses": [{"id": "X1", "area": "X"}, {"id": "Y1", "area": "Y"}],
         "generators": [
@@ -188,7 +198,7 @@ def test_zero_capacity_tie_is_excluded():
              "cost_constant": 0.0, "p_min": 0.0, "p_max": 100.0,
              "ramp_down": -50.0, "ramp_up": 50.0, "p_da": 0.0},
             {"id": "GY", "bus": "Y1", "cost_quadratic": 0.5, "cost_linear": 0.0,
-             "cost_constant": 0.0, "p_min": 0.0, "p_max": 100.0,
+             "cost_constant": 0.0, "p_min": 0.0, "p_max": y_capacity,
              "ramp_down": -50.0, "ramp_up": 50.0, "p_da": 0.0},
         ],
         "tie_lines": [{"id": "XY", "from_area": "X", "from_bus": "X1", "to_area": "Y",
@@ -196,6 +206,25 @@ def test_zero_capacity_tie_is_excluded():
         "demand": {"buses": {"X1": {"mean": 0.0}, "Y1": {"mean": 10.0}}},
         "confidence": {"X": 0.5, "Y": 0.5},
     })
+
+
+def test_failures_name_the_solver_path_iterations_and_residual():
+    # with 6 MW of its own, area Y can cover its 10 MW neither alone nor jointly
+    net = _islands(6.0)
+    assert autarky_infeasibility(net, "Y") is not None
+    with pytest.raises(ClearingError) as area:
+        clear(net, "Y", TermsOfTrade({}))
+    with pytest.raises(CentralizedInfeasible) as central:
+        solve_centralized(net)
+    for err in (area.value, central.value):
+        assert err.status == "infeasible"
+        assert re.fullmatch(r"path failed, [1-9]\d* iterations, max KKT residual \S+",
+                            err.detail), err.detail
+        assert str(err).endswith(f"infeasible: {err.detail}")
+
+
+def test_zero_capacity_tie_is_excluded():
+    net = _islands(100.0)
     assert net.tie_views("Y") == ()
     res = AreaProblem(net, "Y").clear(TermsOfTrade({}))
     assert res.decision.delta_p["GY"] == pytest.approx(10.0, abs=1e-7)
@@ -265,3 +294,96 @@ def test_memo_keeps_one_factorization_and_reuses_it(toy2_congested, monkeypatch)
             refactored += "svd" in calls
         hint = sol.active_set
     assert reused >= 15 and refactored >= 1
+
+
+def _as_bytes(result) -> tuple:
+    """Every decision and dual of a clear, as the bytes of its values, and the
+    result's repr."""
+    parts = []
+    for group in (result.decision, result.duals):
+        for f in fields(group):
+            value = getattr(group, f.name)
+            values = list(value.values()) if isinstance(value, dict) else [value]
+            parts.append(np.array(values, dtype=float).tobytes())
+    return (*parts, repr(result))
+
+
+def test_shared_problems_carry_no_caller_state():
+    # the engine and both checks clear on the network's shared area problems;
+    # a clear afterwards must not see their binding sets or factorizations.
+    # Here a cold clear of A05 at the optimal terms stops elsewhere on its
+    # optimal face than one seeded with the fixed-point check's binding rows.
+    case = (Path(__file__).parent / "data" / "ladder_8x4_s2.json").read_text()
+    net, fresh = load_case(case), load_case(case)
+    result = run(net, MechanismConfig(max_rounds=3))
+    central = solve_centralized(net)
+    verify_fixed_point(net, central)
+    verify_nash(net, result.state, result.clearings)
+    terms = optimal_terms_of_trade(net, central)
+    for a in net.areas:
+        shared, own = (clear(n, a.id, terms[a.id]) for n in (net, fresh))
+        assert _as_bytes(shared) == _as_bytes(own)
+
+
+class _Turns:
+    """Two mechanism runs that take turns, one round of clears each."""
+
+    def __init__(self, clears_per_round: int):
+        self.cond = threading.Condition()
+        self.turn = 0
+        self.done = [False, False]
+        self.per_round = clears_per_round
+
+    def pass_turn(self, me: int):
+        with self.cond:
+            if not self.done[1 - me]:
+                self.turn = 1 - me
+                self.cond.notify_all()
+
+    def finish(self, me: int):
+        with self.cond:
+            self.done[me] = True
+            self.turn = 1 - me
+            self.cond.notify_all()
+
+
+class _InTurn:
+    """An engine that clears only in its run's turn."""
+
+    def __init__(self, engine, turns: _Turns, me: int):
+        self.engine, self.turns, self.me, self.clears = engine, turns, me, 0
+
+    def clear_area(self, area_id, terms):
+        turns = self.turns
+        with turns.cond:
+            assert turns.cond.wait_for(lambda: turns.turn == self.me, timeout=60)
+        out = self.engine.clear_area(area_id, terms)
+        self.clears += 1
+        if self.clears % turns.per_round == 0:
+            turns.pass_turn(self.me)
+        return out
+
+
+def test_engines_sharing_a_network_keep_their_own_hints():
+    # two runs at different capacity-price steps, interleaved round by round on
+    # one network's shared problems, each give the trace they give alone
+    configs = (MechanismConfig(max_rounds=80), MechanismConfig(max_rounds=80, beta=0.5))
+    alone = [trace_to_csv(run(load_bundled("toy2-congested"), cfg).trace) for cfg in configs]
+    net = load_bundled("toy2-congested")
+    turns = _Turns(len(net.areas))
+    engines = [_InTurn(ChanceConstrainedClearing(net), turns, me) for me in (0, 1)]
+    traces = [None, None]
+
+    def run_in_turn(me):
+        try:
+            traces[me] = trace_to_csv(run(net, configs[me], engine=engines[me]).trace)
+        finally:
+            turns.finish(me)
+
+    threads = [threading.Thread(target=run_in_turn, args=(i,)) for i in range(len(configs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert traces == alone

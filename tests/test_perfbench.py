@@ -3,30 +3,24 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from flexmarket import benchmark, market, verify_fixed_point, verify_nash
+from flexmarket import (MechanismConfig, benchmark, clear, comparison_report, grid,
+                        load_bundled, market, optimal_terms_of_trade, qp, run,
+                        solve_centralized, verify_fixed_point, verify_nash)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
-    # the tracer swaps each name in its owner's namespace; a name renamed or
-    # deleted in the package would make `perfbench/run.py --trace 1` fail
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for owner, name, *_ in (*tracing.TARGETS, *tracing.COUNTED):
-        assert name in owner.__dict__, f"{owner.__name__}.{name}"
+    return tracing
 
 
-def test_certification_clears_pass_the_traced_names(tri3, tri3_run, tri3_central, monkeypatch):
-    # the tracer times the certification clears at these two names; a check
-    # that cleared some other way would leave their spans reading 0
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    traced = {(owner, name) for owner, name, *_ in tracing.TARGETS}
-    calls = Counter()
-    for owner, name in ((benchmark, "clear_area_fn"), (market.AreaProblem, "clear")):
+def _count_calls(monkeypatch, names, calls: Counter):
+    """Count the calls through each (owner, name), which the tracer must wrap."""
+    traced = {(owner, name) for owner, name, *_ in _tracing().TARGETS}
+    for owner, name in names:
         assert (owner, name) in traced
         original = owner.__dict__[name]
 
@@ -35,6 +29,22 @@ def test_certification_clears_pass_the_traced_names(tri3, tri3_run, tri3_central
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+
+
+def test_every_traced_name_resolves():
+    # the tracer swaps each name in its owner's namespace; a name renamed or
+    # deleted in the package would make `perfbench/run.py --trace 1` fail
+    tracing = _tracing()
+    for owner, name, *_ in (*tracing.TARGETS, *tracing.COUNTED):
+        assert name in owner.__dict__, f"{owner.__name__}.{name}"
+
+
+def test_certification_clears_pass_the_traced_names(tri3, tri3_run, tri3_central, monkeypatch):
+    # the tracer times the certification clears at these two names; a check
+    # that cleared some other way would leave their spans reading 0
+    calls = Counter()
+    _count_calls(monkeypatch, ((benchmark, "clear_area_fn"), (market.AreaProblem, "clear")),
+                 calls)
     areas = len(tri3.areas)
     verify_fixed_point(tri3, tri3_central)
     assert calls == {"clear_area_fn": areas, "clear": areas}
@@ -42,3 +52,38 @@ def test_certification_clears_pass_the_traced_names(tri3, tri3_run, tri3_central
     result, _ = tri3_run
     verify_nash(tri3, result.state, result.clearings)
     assert calls == {"clear": areas}
+
+
+def test_a_report_passes_the_traced_check_names(tri3, tri3_run, tri3_central, monkeypatch):
+    # the tracer times the report's KKT and feasibility checks at these names
+    calls = Counter()
+    _count_calls(monkeypatch, ((benchmark, "verify_kkt_equivalence"),
+                               (benchmark, "check_limit_feasibility")), calls)
+    result, _ = tri3_run
+    benchmark.comparison_report(tri3, result.state, result.clearings, tri3_central)
+    assert calls == {"verify_kkt_equivalence": 1, "check_limit_feasibility": 1}
+
+
+def test_each_program_is_built_once_per_network(monkeypatch):
+    # the engine, the certification checks and the report share the network's
+    # area and joint programs; only the autarky probe builds a program of its own
+    builds = Counter()
+    build = qp.QuadraticProgram
+
+    def counted(*args, **kwargs):
+        program = build(*args, **kwargs)
+        labels = " ".join(program.var_labels)
+        builds["joint" if "dT[" in labels else "area" if "dT+[" in labels else "autarky"] += 1
+        return program
+
+    monkeypatch.setattr(qp, "QuadraticProgram", counted)
+    net = load_bundled("tri3")
+    assert grid.validate(net) == []
+    result = run(net, MechanismConfig(max_rounds=20))
+    central = solve_centralized(net)
+    terms = optimal_terms_of_trade(net, central)
+    verify_fixed_point(net, central, terms)
+    clearings = {a.id: clear(net, a.id, terms[a.id]) for a in net.areas}
+    comparison_report(net, result.state, clearings, central)
+    areas = len(net.areas)
+    assert builds == {"area": areas, "autarky": areas, "joint": 1}
