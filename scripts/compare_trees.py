@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Compare one pass of each benchmark workload under two source trees.
+
+    python3 scripts/compare_trees.py OLD_TREE NEW_TREE [--workload ladder] [--seed 1]
+
+Each tree is a source checkout.  For each tree and workload a child
+interpreter, with one BLAS thread, imports ``flexmarket`` from the tree's
+``src/`` and the benchmark's ``workloads`` module from its ``perfbench/``,
+and runs one pass as ``perfbench/run.py`` does: ``set_up``, then ``work`` on
+every case.  It records per case the rounds, the trace CSV, the comparison
+report, any error, and the path of every ``qp.solve`` (cold solves apart).
+
+Printed per case: the rounds on both trees, whether the trace and report
+are byte-identical, the largest |difference| per trace column and per
+numeric report field (fields that differ in kind, such as a flag, are
+printed with both values), and the solve paths on each tree.  Times are not
+compared: use ``perfbench/run.py`` for that.
+"""
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from collections import Counter
+
+WORKLOADS = ("bundled-compare", "ladder", "cold-certify")
+
+
+def capture(tree, workload, seed):
+    """One pass of ``workload`` under ``tree``, as a JSON-ready list per case."""
+    import tempfile
+    from pathlib import Path
+
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    import workloads
+    from flexmarket import qp
+
+    solve, paths = qp.solve, []
+
+    def recording_solve(*args, active_hint=None, **kwargs):
+        sol = solve(*args, active_hint=active_hint, **kwargs)
+        paths[-1].append(("hinted " if active_hint is not None else "cold ") + sol.path)
+        return sol
+
+    qp.solve = recording_solve
+    out = []
+    with tempfile.TemporaryDirectory() as scratch:
+        paths.append([])
+        cases = workloads.set_up(workloads.specs(workload, seed))
+        setup_paths = paths.pop()
+        for case in cases:
+            paths.append([])
+            res = workloads.work(case, Path(scratch))
+            out.append({"name": case.spec.name, "error": res.error,
+                        "rounds": res.run.rounds if res.run is not None else None,
+                        "csv": res.csv, "report": res.report,
+                        "paths": dict(Counter(paths.pop()))})
+    return {"setup_paths": dict(Counter(setup_paths)), "cases": out}
+
+
+def run_child(tree, workload, seed):
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-I", os.path.abspath(__file__), "--capture", tree,
+                           "--workload", workload, "--seed", str(seed)],
+                          capture_output=True, text=True, env=env, check=False)
+    if done.returncode:
+        sys.exit(f"{tree} {workload}: child failed\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def column_deltas(old_csv, new_csv):
+    """Largest |difference| per column over the rows both traces have."""
+    old = list(csv.DictReader(io.StringIO(old_csv)))
+    new = list(csv.DictReader(io.StringIO(new_csv)))
+    deltas = {}
+    for a, b in zip(old, new):
+        for key in a.keys() | b.keys():
+            deltas[key] = max(deltas.get(key, 0.0), leaf_delta(a.get(key), b.get(key)))
+    return deltas
+
+
+def leaf_delta(a, b):
+    """|a - b| for two numbers or numeric strings, 0 if equal, else inf."""
+    if a == b:
+        return 0.0
+    try:
+        return abs(float(a) - float(b))
+    except (TypeError, ValueError):
+        return math.inf
+
+
+def flatten(value, prefix=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from flatten(item, f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from flatten(item, f"{prefix}[{k}]")
+    else:
+        yield prefix, value
+
+
+def report_deltas(old, new):
+    """Largest |difference| per report field, and the fields that differ in kind."""
+    old, new = dict(flatten(old or {})), dict(flatten(new or {}))
+    numeric, other = {}, {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if isinstance(a, bool) or isinstance(b, bool) or not (
+                isinstance(a, (int, float)) and isinstance(b, (int, float))):
+            if a != b:
+                other[key] = (a, b)
+        else:
+            numeric[key] = abs(a - b)
+    return numeric, other
+
+
+def show(values, indent="    "):
+    for key, delta in sorted(values.items(), key=lambda kv: (-kv[1], kv[0])):
+        if delta:
+            print(f"{indent}{key}: {delta:.3g}")
+
+
+def compare(old_tree, new_tree, workload, seed):
+    old, new = run_child(old_tree, workload, seed), run_child(new_tree, workload, seed)
+    print(f"== {workload} (seed {seed})")
+    print(f"  set-up solve paths: {old['setup_paths']} -> {new['setup_paths']}")
+    for a, b in zip(old["cases"], new["cases"]):
+        print(f"  {a['name']}: rounds {a['rounds']} -> {b['rounds']}; "
+              f"trace {'identical' if a['csv'] == b['csv'] else 'differs'}, "
+              f"report {'identical' if a['report'] == b['report'] else 'differs'}")
+        if a["error"] or b["error"]:
+            print(f"    errors: {a['error']} -> {b['error']}")
+        if a["csv"] != b["csv"]:
+            print("    trace columns, max |diff|:")
+            show(column_deltas(a["csv"], b["csv"]), "      ")
+        if a["report"] != b["report"]:
+            numeric, other = report_deltas(a["report"], b["report"])
+            print("    report fields, max |diff|:")
+            show(numeric, "      ")
+            for key, (x, y) in other.items():
+                print(f"      {key}: {x!r} -> {y!r}")
+        print(f"    solve paths: {a['paths']} -> {b['paths']}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--capture", metavar="TREE", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.capture:
+        print(json.dumps(capture(args.capture, args.workload[0], args.seed)))
+        return
+    if len(args.trees) != 2:
+        parser.error("give two source trees")
+    for workload in args.workload or WORKLOADS:
+        compare(*args.trees, workload, args.seed)
+
+
+if __name__ == "__main__":
+    main()

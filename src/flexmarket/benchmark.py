@@ -231,8 +231,8 @@ def verify_fixed_point(net: Network, sol: CentralSolution,
     """Re-clear every area at the optimal terms and compare to the benchmark.
 
     Each re-clear is seeded with the rows the area's benchmark decision binds,
-    so a fixed point is confirmed without a cold interior-point solve, and a
-    re-clear that lands elsewhere still reports its full deviation.
+    so a fixed point is confirmed by the hint's walk without a cold solve, and
+    a re-clear that lands elsewhere still reports its full deviation.
     """
     terms = terms or optimal_terms_of_trade(net, sol)
     deviations = {}

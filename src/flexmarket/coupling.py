@@ -25,6 +25,7 @@ from .grid import Network
 from .market import (ChanceConstrainedClearing, ClearingEngine, ClearingError,
                      ClearingResult, TermsOfTrade, TieTerms, clear as clear_area,
                      evaluate_objective)
+from .qp import DEFAULT_MAX_ITER
 
 log = logging.getLogger("flexmarket.coupling")
 
@@ -89,7 +90,7 @@ class MechanismConfig:
     beta: float = 0.1  # capacity-price step, (0,1)
     tol: float = 1e-8  # convergence threshold on the broadcast variables
     solver_tol: float = 1e-8
-    solver_max_iter: int = 200
+    solver_max_iter: int = DEFAULT_MAX_ITER
     warm_start: bool = False
 
     def __post_init__(self):

@@ -12,14 +12,12 @@ tightening h (dV/dh = -z).  Duals are first-class outputs: downstream code
 trades on them, so an optimal solution must carry multipliers whose KKT
 residuals meet the requested tolerance.
 
-A cold solve finds its binding set with the Goldfarb–Idnani dual active-set
-method on small programs and with an infeasible-start Mehrotra
-predictor-corrector on large ones, and the dual method decides wherever the
-interior point fails; either is followed by an active-set
-"polish" that re-solves the equality-constrained KKT system by minimum-norm
-least squares.  The polish both sharpens residuals to near machine precision
-and picks the centered (minimum-norm) multiplier split when binding rows are
-linearly dependent, which keeps degenerate dual splits deterministic.
+A solve finds its binding set with the Goldfarb–Idnani dual active-set
+method, followed by an active-set "polish" that re-solves the
+equality-constrained KKT system by minimum-norm least squares.  The polish
+both sharpens residuals to near machine precision and picks the centered
+(minimum-norm) multiplier split when binding rows are linearly dependent,
+which keeps degenerate dual splits deterministic.
 
 Q must be positive definite.  A program's structure (Q, A, G and h) is
 stored read-only, and ``rebind`` returns a program with new c and b that
@@ -40,50 +38,26 @@ does (the default tol, for up to 100 equality rows).
 
 The walk is a semismooth Newton method: it settles in a few steps from a
 nearby start and has no global guarantee.  So the hinted walk stops after
-n + m_eq row sets, the order of the Newton system one cold interior-point
-iteration factors; a hint that has not settled by then is not a nearby
-start.  The cold path then runs in five stages:
+n + m_eq row sets.  The cold method, where it drops no row, reaches its
+optimum in at most n + 1 steps, one per independent active row, and each of
+its steps updates its factors where each row set of a walk takes a fresh
+SVD; a hint that has not settled within n + m_eq row sets is no nearer a
+start than the cold method's own.  The cold path then runs:
 
-0. The dual method (``_dual_active_set``), for programs whose Newton order
-   n + m_eq is at most ``DUAL_ORDER``.  From the unconstrained minimum it
-   adds the equality rows, then the most violated inequality row at a time,
-   dropping rows whose multiplier would turn negative; it is exact and
-   finite, and takes about one step per binding row, where each
-   interior-point iteration makes six LU solves of its Newton matrix.  A
-   step costs more the more rows are active, so on the benchmark's larger
-   joint programs (n + m_eq of 69 to 193) the interior point is the faster;
-   on its area programs (up to 33) the dual method took 0.3 to 0.85 of its
-   time.  The size rule does not tell area from joint programs: the small
-   joint programs (9, 17 and 31) take the dual method too.
-   The method's rows are polished, and once more from the polished point's
-   binding rows; the answer is kept here only under the crossover's
-   strict-complementarity guard (below).  Any other outcome leaves the
-   solve to the stages below, and no crossover walk starts from a set its
-   polishes started from.
-1. The interior-point iteration.  Its Newton matrix keeps the constant +-A
-   blocks across iterations, and the predictor and the corrector share each
-   regularized matrix.
-2. The crossover, an early polish as in OSQP (Stellato et al. 2020, sec.
-   5.1).  Once an iterate's worst residual is below ``CROSSOVER_RESIDUAL``,
-   its binding set (z > s) is walked for at most ``CROSSOVER_BUDGET`` row
-   sets, the set and one add/drop correction.  No crossover walk starts
-   from a set an earlier walk of the same solve started from, the hint's
-   included.  A walk that validates is kept only if it is strictly
-   complementary: its binding rows must be exactly its rows with a positive
-   multiplier.  On a degenerate dual face an early set can validate
-   at the optimal x with multipliers on another vertex of that face, and the
-   full iteration would not return those; so the iteration goes on.
-3. The polish of the iteration's last iterate, with a budget of
-   2 * m_ineq + 8 row sets, then its convergence check.
-4. The dual method decides, at any order; it runs at most once per solve,
-   so stage 0's outcome is reused.  Its polished answer stands without the
-   guard, which only picks the interior point's vertex of a degenerate dual
-   face.  Where the method stops on a row it can neither add nor make room
-   for, its multipliers prove the program infeasible if they rule out every
+1. The dual method (``_dual_active_set``).  From the unconstrained minimum
+   it adds the equality rows, then the most violated inequality row at a
+   time, dropping rows whose multiplier would turn negative; it is exact and
+   finite, and takes about one step per binding row.  ``max_iter`` caps its
+   steps.
+2. Its rows are polished, then the polished point's binding rows, then the
+   answer's support (``_dual_answer``).
+3. Where the method stops on a row it can neither add nor make room for,
+   its multipliers prove the program infeasible if they rule out every
    solution of 1-norm up to ``CERTIFICATE_RADIUS``; a program feasible only
-   farther out is never called infeasible.
+   farther out is never called infeasible.  Anything else that gives no
+   answer is ``iteration_limit``.
 
-``QpSolution.path`` names the stage that answered.
+``QpSolution.path`` names the route that answered.
 """
 from __future__ import annotations
 
@@ -94,15 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 200
-# an interior-point iterate crosses over to the polish once its worst
-# residual is below this, walking at most this many row sets from its binding
-# set: the set itself and one add/drop correction
-CROSSOVER_RESIDUAL = 1e-2
-CROSSOVER_BUDGET = 2
-# a cold solve starts with the dual active-set method when the order n + m_eq
-# of the interior point's Newton system is at most this (module docstring)
-DUAL_ORDER = 40
+# a cap on the dual method's steps; solve also caps them at 2 * m_ineq + m_eq
+# + 8, so this binds only on programs of about 500 rows or more (the
+# benchmark's workloads and screens take at most 391 steps)
+DEFAULT_MAX_ITER = 1000
 # the dual method's multipliers at a stop certify infeasibility when, scaled to
 # max-norm 1, they balance G'z = A'y and leave a gap b'y - h'z, both to the
 # tolerance, and the gap / residual rules out every solution of 1-norm up to the
@@ -113,10 +82,6 @@ CERTIFICATE_RADIUS = 1e9
 
 class QpDimensionError(ValueError):
     pass
-
-
-class _NumericalBreakdown(Exception):
-    """Internal: the Newton system could not be solved to a usable direction."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -249,7 +214,7 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class QpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal | infeasible | iteration_limit
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -261,11 +226,9 @@ class QpSolution:
     certificate: tuple[np.ndarray, np.ndarray] | None = None
     # binding inequality rows; reusable as the hint of a nearby re-solve
     active_set: tuple[int, ...] = ()
-    # how solve reached it: hint | dual | crossover | ipm+polish | ipm |
-    # failed (every status but optimal).  ``dual`` is stage 0 or 4 of the
-    # module docstring.  ``iterations`` is 0 for a hint, the dual method's
-    # steps (at least 1) for dual, and the interior point's iterations
-    # otherwise
+    # how solve reached it: hint (the hint's walk), dual (the cold path of the
+    # module docstring) or failed (every status but optimal).  ``iterations``
+    # is 0 for a hint and the dual method's steps, at least 1, otherwise
     path: str = "failed"
 
     def describe(self) -> str:
@@ -380,12 +343,15 @@ def _solve_active(qp, active):
 def _polish(qp, active: set[int], tol, budget):
     """Refine to an exact active-set solution from a starting guess.
 
-    Constraints an interior-point endpoint leaves ambiguous (weakly active
+    Constraints a start leaves ambiguous (a hint from a nearby program, the
+    dual method's independent rows beside duplicate or dependent binding
     rows, the split-flow common mode at zero capacity price) are settled by
     adding violated rows and dropping negative multipliers until the KKT
-    system is consistent.  The pseudo-inverse keeps duals at the minimum-norm
-    point of the optimal dual face, which makes degenerate multiplier splits
-    symmetric and deterministic.
+    system is consistent.  A row counts as violated below a slack of
+    -min(feasibility tolerance, tol): validation allows a violation of tol
+    only, so a row violated by more must join the set.  The pseudo-inverse
+    keeps duals at the minimum-norm point of the optimal dual face, which
+    makes degenerate multiplier splits symmetric and deterministic.
 
     Each step depends only on the current set, so a set that comes round
     again starts a cycle that can never end consistent: the walk gives up at
@@ -393,6 +359,7 @@ def _polish(qp, active: set[int], tol, budget):
     caller sets the budget (``solve``).
     """
     feas_tol = qp._feas_tol
+    violation = min(feas_tol, tol)
     active = set(active)
     seen = set()
     for _ in range(budget):
@@ -402,7 +369,7 @@ def _polish(qp, active: set[int], tol, budget):
         seen.add(tuple(rows))
         x, y, z = _solve_active(qp, rows)
         slack = qp.h_ineq - qp.g_ineq @ x
-        violated = [i for i in (slack < -feas_tol).nonzero()[0].tolist() if i not in active]
+        violated = [i for i in (slack < -violation).nonzero()[0].tolist() if i not in active]
         # z is zero off the set, so these are the set's negative multipliers
         negative = (z < -feas_tol).nonzero()[0].tolist()
         if not violated and not negative:
@@ -416,17 +383,6 @@ def _polish(qp, active: set[int], tol, budget):
     return None
 
 
-def _strictly_complementary(qp, x, z) -> bool:
-    """Whether an active-set answer's binding rows are exactly its rows with a
-    positive multiplier.
-
-    On a degenerate dual face an early set can validate at the optimal x with
-    multipliers on another vertex of that face than the full iteration
-    reaches; a row that binds with a zero multiplier shows it.
-    """
-    return qp.binding_rows(x) == tuple((z > 0.0).nonzero()[0].tolist())
-
-
 def _dual_active_set(qp, max_steps):
     """The Goldfarb–Idnani dual active-set method (Math. Programming 27, 1983).
 
@@ -438,31 +394,45 @@ def _dual_active_set(qp, max_steps):
     normals N, a row n is added by moving x along J U2 U2' J'n, which keeps
     the active rows satisfied, and the multipliers u along (-r, 1) with
     r = R^-1 U1' J'n.  An active inequality row whose multiplier reaches zero
-    first is dropped and the step goes on.  The method keeps only independent
-    rows: a row whose normal lies in the span of the active normals is
-    skipped if it is an equality (the equality check has made it consistent)
-    and otherwise moves the multipliers alone.  An add extends the factors by
-    one Gram-Schmidt column (the step's own projection, orthogonalized
-    twice); a drop refactors them.
+    first is dropped and the step goes on.  The equality rows lead the active
+    list and are never dropped.
 
-    Returns ``(rows, x, y, z, steps)``: ``rows`` is None when a row can be
-    neither added nor made room for, and (y, z) are then the multipliers 1 on
-    that row and -r on the active rows, a Farkas certificate of max-norm 1 if
-    the program is infeasible; otherwise ``rows`` are the active inequality
-    rows at the optimum and (y, z) its multipliers.  ``steps`` counts the
-    steps, the unconstrained minimum included.  Returns None after
-    ``max_steps`` of them.
+    The method keeps only independent rows: a row whose normal lies in the
+    span of the active normals is skipped if it is an equality (the equality
+    check has made it consistent) and otherwise moves the multipliers alone.
+    Where such a row limits no multiplier, the method stops on it unless its
+    normal keeps a positive part outside the span and the stop's multipliers
+    do not prove the program infeasible (``_certifies_infeasible``): then it
+    takes the primal step out to the row, however long, and adds it.
+
+    U1, R and R^-1 live in n x n buffers, updated in place as in Goldfarb
+    and Idnani's sec. 4.  An add appends one Gram-Schmidt column to U1 (the
+    step's own projection, orthogonalized twice), the column (r', rho)' to R
+    and (-r'/rho, 1/rho)' to R^-1.  A drop of column i leaves R upper
+    Hessenberg from row i on: one QR of that trailing block re-triangularizes
+    it and rotates the trailing columns of U1, and the trailing columns of
+    R^-1 are rebuilt from its unchanged leading block.
+
+    Returns ``(rows, x, y, z, steps, proof)``.  (y, z) are the multipliers of
+    the active rows at x.  ``rows`` are the active inequality rows at the
+    optimum, or None where the method stopped or ran out of steps.
+    ``proof`` is the stop's multipliers, 1 on the row stopped on and -r on
+    the active rows scaled to max-norm 1, where they prove the program
+    infeasible, else None.  ``steps`` counts the steps, the unconstrained
+    minimum included; the method gives up after ``max_steps`` of them.
     """
-    me = len(qp.b_eq)
+    n, me = qp.n, len(qp.b_eq)
     j = qp._l_inv_t
     normals = np.vstack([qp.a_eq, -qp.g_ineq])
     bounds = np.concatenate([qp.b_eq, -qp.h_ineq])
     x = -(j @ (j.T @ qp.c))
-    if not (np.isfinite(x).all() and np.isfinite(bounds).all()):
-        return None
-    active, columns, u = [], [], np.zeros(0)  # active rows, their J'n, their multipliers
-    basis, tri = np.zeros((len(x), 0)), np.zeros((0, 0))  # J'N = basis tri
     sign = np.ones(len(bounds))
+    active, u = [], np.zeros(0)  # active rows (equalities first), their multipliers
+    equalities = 0  # the active equality rows, which lead ``active``
+    # J'N = basis[:, :q] tri[:q, :q] for q active rows, inverse = tri^-1; no
+    # write puts a nonzero below the diagonal of either, so the entries left
+    # of column q in row q are zero when an add makes it the last row
+    basis, tri, inverse = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
 
     def split(rows, values):
         """(y, z) of multipliers ``values`` on rows ``rows`` (signed normals)."""
@@ -472,16 +442,18 @@ def _dual_active_set(qp, max_steps):
         return w[:me], w[me:]
 
     steps = 1
-    equalities = iter(range(me))
+    if not (np.isfinite(x).all() and np.isfinite(bounds).all()):
+        return (None, x, *split([], []), steps, None)
+    pending = iter(range(me))
     while True:
-        p = next(equalities, None)
+        p = next(pending, None)
         if p is None:
             slack = qp.h_ineq - qp.g_ineq @ x
-            slack[[k - me for k in active if k >= me]] = np.inf
+            slack[[k - me for k in active[equalities:]]] = np.inf
             worst = int(np.argmin(slack)) if len(slack) else -1
             if worst < 0 or slack[worst] >= -qp._feas_tol:
-                y, z = split(active, u)
-                return tuple(sorted(k - me for k in active if k >= me)), x, y, z, steps
+                rows = tuple(sorted(k - me for k in active[equalities:]))
+                return (rows, x, *split(active, u), steps, None)
             p = me + worst
         if p < me and normals[p] @ x > bounds[p]:
             sign[p] = -1.0
@@ -490,232 +462,94 @@ def _dual_active_set(qp, max_steps):
         added = 0.0  # the multiplier of row p
         while True:
             if steps >= max_steps:
-                return None
+                return (None, x, *split(active, u), steps, None)
             steps += 1
-            part = basis.T @ d
-            free = d - basis @ part
+            q = len(active)
+            part = basis[:, :q].T @ d
+            free = d - basis[:, :q] @ part
             # a second Gram-Schmidt pass, as one leaves a nearly dependent add
             # far from orthogonal: "twice is enough" (Daniel et al. 1976)
-            extra = basis.T @ free
+            extra = basis[:, :q].T @ free
             part += extra
-            free -= basis @ extra
-            r = np.linalg.solve(tri, part) if active else part
+            free -= basis[:, :q] @ extra
+            r = inverse[:q, :q] @ part
             # the largest dual step before an active inequality multiplier
-            # turns negative, and the row that limits it
+            # turns negative, and the row that limits it (the first, on a tie)
             limit, drop = np.inf, None
-            for i, k in enumerate(active):
-                if k >= me and r[i] > 0.0 and u[i] / r[i] < limit:
-                    limit, drop = u[i] / r[i], i
+            rising = np.flatnonzero(r[equalities:] > 0.0) + equalities
+            if len(rising):
+                ratios = u[rising] / r[rising]
+                first = int(np.argmin(ratios))
+                limit, drop = ratios[first], int(rising[first])
             curvature = free @ free
-            if curvature <= 1e-20 * (d @ d):
-                # n lies in the span of the active normals: no primal step
-                if p < me:
-                    break  # a dependent, consistent equality: skip it
-                if drop is None:
-                    y, z = split(active + [p], np.append(-r, 1.0) / max(1.0, np.max(np.abs(r))))
-                    return None, x, y, z, steps
-                step = limit
+            dependent = curvature <= 1e-20 * (d @ d) or q == n
+            if dependent and p < me:
+                break  # a dependent, consistent equality: skip it
+            if dependent and drop is None:
+                # n lies in the span of the active normals as far as the
+                # method can tell, and no multiplier makes room for it
+                scale = max(1.0, np.max(np.abs(r), initial=0.0))
+                stop = split(active + [p], np.append(-r, 1.0) / scale)
+                certified = _certifies_infeasible(qp, *stop)
+                if certified or not (curvature > 0.0 and q < n):
+                    return (None, x, *split(active, u), steps, stop if certified else None)
+                # not proved infeasible: the primal step out to the row
+            if dependent and drop is not None:
+                step = limit  # no primal step
             else:
                 step = min(limit, (bound - normal @ x) / curvature)
                 x = x + step * (j @ free)
             u = u - step * r
             added += step
             if drop is None or step < limit:
-                q = len(active)
-                grown = np.zeros((q + 1, q + 1))
-                grown[:q, :q], grown[:q, q] = tri, part
-                grown[q, q] = math.sqrt(curvature)
-                basis, tri = np.column_stack([basis, free / grown[q, q]]), grown
+                rho = math.sqrt(curvature)
+                basis[:, q] = free / rho
+                tri[:q, q], tri[q, q] = part, rho
+                inverse[:q, q], inverse[q, q] = -r / rho, 1.0 / rho
                 active.append(p)
-                columns.append(d)
+                equalities += p < me
                 u = np.append(u, added)
                 break
-            del active[drop], columns[drop]
-            u = np.delete(u, drop)
-            if active:
-                basis, tri = np.linalg.qr(np.column_stack(columns))
-            else:
-                basis, tri = np.zeros((len(x), 0)), np.zeros((0, 0))
+            # drop column ``drop``: R without it is upper Hessenberg from row
+            # ``drop`` on, and only that trailing block needs new factors
+            i, q = drop, q - 1
+            del active[i]
+            u = np.delete(u, i)
+            if i < q:
+                rotation, block = np.linalg.qr(tri[i:q + 1, i + 1:q + 1])
+                basis[:, i:q] = basis[:, i:q + 1] @ rotation
+                tri[:i, i:q] = tri[:i, i + 1:q + 1]
+                tri[i:q, i:q] = block
+                block_inverse = np.linalg.inv(block)
+                inverse[:i, i:q] = -(inverse[:i, :i] @ tri[:i, i:q]) @ block_inverse
+                inverse[i:q, i:q] = block_inverse
 
 
-def _dual_stage(qp, tol, budget, walked):
-    """The dual method's answer: ``(answer, certificate)``.
+def _dual_answer(qp, rows, tol, budget):
+    """The polished answer ``(x, y, z, residuals)`` of the dual method's rows, or None.
 
-    ``answer`` is the dual method's optimal answer, or None.  The method's
-    rows are polished at ``budget``, and the polished point's binding rows
-    once more: the method keeps only independent rows, so on duplicate rows
-    its multipliers sit on one of them, where the polish of the binding rows
-    splits them at the minimum norm.  The binding rows are read at the
+    The method's rows are polished at ``budget``, then the polished point's
+    binding rows: the method keeps only independent rows, so on duplicate
+    rows its multipliers sit on one of them, where the polish of the binding
+    rows splits them at the minimum norm.  The binding rows are read at the
     polished point because the method's own point can miss its rows by more
-    than the feasibility tolerance.  Where the second polish fails, the first
-    one's answer stands, under stage 0's guard as any answer.  The sets the
-    polishes started from join ``walked``, so no crossover walk starts there
-    again.
-
-    ``certificate`` is the method's multipliers where it stopped on a row it
-    can neither add nor make room for, else None.  They rule out only the
-    solutions of 1-norm below gap / residual; ``solve`` calls the program
-    infeasible only if that reaches ``CERTIFICATE_RADIUS``.
+    than the feasibility tolerance.  Last, an answer whose support (its rows
+    with a positive multiplier) differs from the rows it was polished from is
+    polished once more from its support, the set a re-solve hinted with the
+    answer's ``active_set`` starts from; that re-solve then factors nothing
+    new.  Where a later polish fails, the earlier answer stands.
     """
-    outcome = _dual_active_set(qp, budget + len(qp.b_eq))
-    if outcome is None:
-        return None, None
-    rows, _, y, z, steps = outcome
-    if rows is None:
-        return None, (y, z)
-    walked.add(rows)
-    polished = _polish(qp, set(rows), tol, budget)
-    if polished is not None and (binding := qp.binding_rows(polished[0])) != rows:
-        walked.add(binding)
-        polished = _polish(qp, set(binding), tol, budget) or polished
-    return (None if polished is None else _optimal(qp, polished, steps, "dual")), None
-
-
-def _mehrotra(qp, tol, max_iter, walked=None):
-    """Predictor-corrector iteration.
-
-    Returns (x, y, z, s, iters, converged, polished).  ``walked`` switches on
-    the crossover: it holds the row sets walks of this solve started from,
-    and each iterate whose worst residual is below ``CROSSOVER_RESIDUAL``
-    walks from its binding set (z > s) if no walk started there, for at most
-    ``CROSSOVER_BUDGET`` row sets.  ``polished`` is the first strictly
-    complementary answer such a walk gives, or None.
-    """
-    n, me, mi = qp.n, len(qp.b_eq), len(qp.h_ineq)
-    q, c, a, b, g, h = qp.q, qp.c, qp.a_eq, qp.b_eq, qp.g_ineq, qp.h_ineq
-    if me:
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-    else:
-        x = np.zeros(n)
-    y = np.zeros(me)
-    s = np.maximum(h - g @ x, 1.0) if mi else np.zeros(0)
-    z = np.ones(mi)
-    peak = np.maximum.reduce
-
-    # Static regularization keeps the saddle system factorable when the
-    # scaling matrix degenerates; refinement steps restore accuracy.  delta is
-    # scaled to the problem data, NOT the scaling-augmented matrix, and grows
-    # x100 per rung.
-    ladder = [1e-11 * (1.0 + float(np.max(np.abs(q))))]
-    for _ in range(7):
-        ladder.append(ladder[-1] * 100.0)
-    diagonal = np.diag_indices(n + me)
-    # the +-A blocks are constant; each iteration writes only the (1, 1) block
-    kkt = np.zeros((n + me, n + me))
-    kkt[:n, n:] = -a.T
-    kkt[n:, :n] = a
-
-    def newton_rhs(regularized, r_d, r_p, r_c, s):
-        """Solve the Newton system, climbing the delta ladder on failure.
-
-        ``r_c / s`` is the scaled complementarity residual.  A tiny slack can
-        overflow it, and no rung can make the solution of a non-finite
-        right-hand side finite, so that breaks down at the first rung.
-
-        ``regularized`` maps each rung of this iteration's ``kkt`` to its
-        regularized matrix, or to None where its LU reported a singular
-        matrix.  That depends on the matrix alone, so the predictor and the
-        corrector share the map; a retry for a non-finite solution depends on
-        the right-hand side and is not recorded.
-        """
-        # overflow here, in r_c / s or in a refinement step on a near-singular
-        # system, is caught by the isfinite checks
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = np.concatenate([-r_d - g.T @ (r_c / s), -r_p])
-            for rung, delta in enumerate(ladder):
-                if rung not in regularized:
-                    regularized[rung] = kkt.copy()
-                    regularized[rung][diagonal] += delta
-                kkt_reg = regularized[rung]
-                if kkt_reg is None:
-                    continue
-                try:
-                    sol = np.linalg.solve(kkt_reg, rhs)
-                except np.linalg.LinAlgError:
-                    regularized[rung] = None
-                    continue
-                if not np.isfinite(sol).all():
-                    if not np.isfinite(rhs).all():
-                        break
-                    continue
-                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-                sol += np.linalg.solve(kkt_reg, rhs - kkt @ sol)
-                if np.isfinite(sol).all():
-                    return sol[:n], sol[n:]
-        raise _NumericalBreakdown
-
-    best = np.inf
-    stalled = 0
-    for it in range(1, max_iter + 1):
-        r_d = q @ x + c - a.T @ y + g.T @ z
-        r_p = a @ x - b if me else np.zeros(0)
-        r_g = g @ x + s - h if mi else np.zeros(0)
-        mu = float(s @ z / mi) if mi else 0.0
-        worst = max(peak(np.abs(r_d), initial=0.0), peak(np.abs(r_p), initial=0.0),
-                    peak(np.abs(r_g), initial=0.0), peak(np.abs(s * z), initial=0.0))
-        if worst <= tol:
-            return x, y, z, s, it, True, None
-        if not mi:
-            x, y, _ = _solve_active(qp, [])
-            return x, y, z, s, it, True, None
-        if walked is not None and worst < CROSSOVER_RESIDUAL:
-            rows = tuple(np.flatnonzero(z > s).tolist())
-            if rows not in walked:
-                walked.add(rows)
-                polished = _polish(qp, set(rows), tol, CROSSOVER_BUDGET)
-                # otherwise keep iterating (_strictly_complementary)
-                if polished is not None and _strictly_complementary(qp, polished[0], polished[2]):
-                    return x, y, z, s, it, False, polished
-        if peak(np.abs(x), initial=0.0) > 1e13:
-            return x, y, z, s, it, False, None
-        if worst < 0.9 * best:
-            best = worst
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled > 25:
-                return x, y, z, s, it, False, None
-
-        # one Newton matrix for the predictor and the corrector, which share
-        # its regularized rungs and skip those whose LU was singular
-        w = np.clip(z / s, 1e-14, 1e14)
-        kkt[:n, :n] = q + (g.T * w) @ g
-        regularized: dict[int, np.ndarray | None] = {}
-        try:
-            # predictor (affine scaling), rc = s*z
-            dx, dy = newton_rhs(regularized, r_d, r_p, -s * z + z * r_g, s)
-            ds = -r_g - g @ dx
-            dz = (-s * z - z * ds) / s
-            alpha_aff = 1.0
-            neg = ds < 0
-            if neg.any():
-                alpha_aff = min(alpha_aff, float((-s[neg] / ds[neg]).min()))
-            neg = dz < 0
-            if neg.any():
-                alpha_aff = min(alpha_aff, float((-z[neg] / dz[neg]).min()))
-            mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz) / mi)
-            sigma = min((mu_aff / mu) ** 3, 1.0) if mu > 0 else 0.0
-            # corrector
-            rc = s * z - sigma * mu + ds * dz
-            dx, dy = newton_rhs(regularized, r_d, r_p, -rc + z * r_g, s)
-            ds = -r_g - g @ dx
-            dz = (-rc - z * ds) / s
-        except _NumericalBreakdown:
-            return x, y, z, s, it, False, None
-        alpha = 1.0
-        neg = ds < 0
-        if neg.any():
-            alpha = min(alpha, 0.995 * float((-s[neg] / ds[neg]).min()))
-        neg = dz < 0
-        if neg.any():
-            alpha = min(alpha, 0.995 * float((-z[neg] / dz[neg]).min()))
-        if alpha < 1e-13:
-            return x, y, z, s, it, False, None
-        x = x + alpha * dx
-        y = y + alpha * dy
-        s = s + alpha * ds
-        z = z + alpha * dz
-    return x, y, z, s, max_iter, False, None
+    answer = _polish(qp, set(rows), tol, budget)
+    if answer is None:
+        return None
+    binding = qp.binding_rows(answer[0])
+    if binding != rows:
+        answer = _polish(qp, set(binding), tol, budget) or answer
+        rows = binding
+    support = tuple((answer[2] > 0.0).nonzero()[0].tolist())
+    if support != rows:
+        answer = _polish(qp, set(support), tol, budget) or answer
+    return answer
 
 
 def _certifies_infeasible(qp, y, z) -> bool:
@@ -746,12 +580,15 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
           active_hint: tuple[int, ...] | None = None) -> QpSolution:
     """Solve to KKT residuals <= tol; deterministic for identical inputs.
 
-    ``active_hint`` short-circuits the interior-point iteration when the
-    binding set of a nearby instance is known (e.g. the previous round of an
-    iterative caller); the hinted solution is accepted only after passing the
-    full KKT validation.  It is tried before the equality-consistency check,
-    which it makes redundant when it succeeds.  A hint that misses within its
-    budget of n + m_eq row sets is left to the cold path (module docstring).
+    ``active_hint`` short-circuits the cold path when the binding set of a
+    nearby instance is known (e.g. the previous round of an iterative
+    caller); the hinted solution is accepted only after passing the full KKT
+    validation.  It is tried before the equality-consistency check, which it
+    makes redundant when it succeeds.  A hint that misses within its budget
+    of n + m_eq row sets is left to the cold path, the dual method and its
+    polishes (module docstring), whose steps ``max_iter`` caps.  An answer
+    that is not optimal carries the dual method's point, multipliers and
+    steps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -761,7 +598,6 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     full = 2 * mi + 8  # the cold polish's budget in row sets
 
     if active_hint is not None and mi:
-        # n + me is the order of the Newton system one cold iteration factors
         polished = _polish(qp, set(active_hint), tol, min(n + me, full))
         if polished is not None:
             return _optimal(qp, polished, 0, "hint")
@@ -778,32 +614,11 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
                               kkt_residuals(qp, x_ls, np.zeros(me), np.zeros(mi)),
                               qp.objective(x_ls), 0, certificate=(y_cert, np.zeros(mi)))
 
-    # the hint's walk started from its set; no crossover walk starts there again
-    walked = set() if active_hint is None else {tuple(sorted(active_hint))}
-    stage = None  # the dual stage's (answer, certificate); the method runs once
-    if n + me <= DUAL_ORDER:
-        stage = _dual_stage(qp, tol, full, walked)
-        answer = stage[0]
-        if answer is not None and _strictly_complementary(qp, answer.x, answer.z):
-            return answer
-    x, y, z, s, iters, converged, polished = _mehrotra(qp, tol, max_iter, walked)
-    if polished is not None:
-        return _optimal(qp, polished, iters, "crossover")
-    polished = _polish(qp, set(np.flatnonzero(z > s).tolist()), tol, full) if mi else None
-    if polished is not None:
-        return _optimal(qp, polished, iters, "ipm+polish")
-    if converged:
-        res = kkt_residuals(qp, x, y, z)
-        if res.max() <= tol:
-            return QpSolution("optimal", x, y, z, res, qp.objective(x), iters,
-                              active_set=tuple(np.flatnonzero(z > s).tolist()), path="ipm")
-
-    # the interior point failed: the dual method decides, at any order
-    answer, stop = stage if stage is not None else _dual_stage(qp, tol, full, walked)
-    if answer is not None:
-        return answer
-    res = kkt_residuals(qp, x, y, z)
-    if stop is not None and _certifies_infeasible(qp, *stop):
-        return QpSolution("infeasible", x, y, z, res, qp.objective(x), iters, certificate=stop)
-    status = "unbounded" if np.max(np.abs(x), initial=0.0) > 1e12 else "iteration_limit"
-    return QpSolution(status, x, y, z, res, qp.objective(x), iters)
+    rows, x, y, z, steps, proof = _dual_active_set(qp, min(max_iter, full + me))
+    if rows is not None:
+        answer = _dual_answer(qp, rows, tol, full)
+        if answer is not None:
+            return _optimal(qp, answer, steps, "dual")
+    status = "iteration_limit" if proof is None else "infeasible"
+    return QpSolution(status, x, y, z, kkt_residuals(qp, x, y, z), qp.objective(x), steps,
+                      certificate=proof)

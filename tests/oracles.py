@@ -74,3 +74,75 @@ def active_set_enumeration(q, c, a_eq, b_eq, g_ineq, h_ineq, feas_tol=1e-8):
             z[rows] = np.maximum(z_s, 0.0)
             return x, sol[n:n + me], z
     return None
+
+
+def dual_active_set_reference(q, c, a_eq, b_eq, g_ineq, h_ineq, max_steps):
+    """The Goldfarb–Idnani dual method with no factorization kept between steps.
+
+    Each step projects J'n on the active normals J'N (J = L^-T for Q = LL')
+    by least squares from scratch, where the solver updates QR factors in
+    place, and finds the limiting multiplier with a loop, where the solver
+    vectorizes the ratio test.  Rows, signs, tolerances and tie-breaks follow
+    the solver's method.  Returns ``(rows, x)``: the active inequality rows
+    at the optimum and the point, or None where the method would stop on a
+    row or run out of steps.
+    """
+    q, c = np.asarray(q, float), np.asarray(c, float)
+    a_eq, g_ineq = np.asarray(a_eq, float), np.asarray(g_ineq, float)
+    b_eq, h_ineq = np.asarray(b_eq, float), np.asarray(h_ineq, float)
+    n, me = len(c), len(b_eq)
+    j = np.linalg.inv(np.linalg.cholesky(q)).T
+    normals = np.vstack([a_eq, -g_ineq])
+    bounds = np.concatenate([b_eq, -h_ineq])
+    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(h_ineq), initial=0.0)))
+    x = -(j @ (j.T @ c))
+    active, columns, u, steps = [], [], [], 1  # active rows, their J'n, their multipliers
+    pending = list(range(me))
+    while True:
+        if pending:
+            p = pending.pop(0)
+        else:
+            slack = h_ineq - g_ineq @ x
+            for k in active:
+                if k >= me:
+                    slack[k - me] = np.inf
+            if not len(slack) or slack.min() >= -feas_tol:
+                return tuple(sorted(k - me for k in active if k >= me)), x
+            p = me + int(np.argmin(slack))
+        sign = -1.0 if p < me and normals[p] @ x > bounds[p] else 1.0
+        normal, bound = sign * normals[p], sign * bounds[p]
+        d = j.T @ normal
+        added = 0.0
+        while True:
+            if steps >= max_steps:
+                return None
+            steps += 1
+            spanned = np.array(columns).T if columns else np.zeros((n, 0))
+            r = np.linalg.lstsq(spanned, d, rcond=None)[0]
+            free = d - spanned @ r
+            # project twice, as one projection leaves a nearly dependent
+            # normal far from orthogonal to the span
+            again = np.linalg.lstsq(spanned, free, rcond=None)[0]
+            r, free = r + again, free - spanned @ again
+            limit, drop = np.inf, None
+            for i, k in enumerate(active):
+                if k >= me and r[i] > 0.0 and u[i] / r[i] < limit:
+                    limit, drop = u[i] / r[i], i
+            curvature = free @ free
+            if curvature <= 1e-20 * (d @ d) or len(active) == n:
+                if p < me:
+                    break
+                if drop is None:
+                    return None
+                step = limit
+            else:
+                step = min(limit, (bound - normal @ x) / curvature)
+                x = x + step * (j @ free)
+            u = [value - step * ri for value, ri in zip(u, r)]
+            added += step
+            if drop is None or step < limit:
+                active.append(p)
+                columns.append(d)
+                u.append(added)
+                break
+            del active[drop], columns[drop], u[drop]

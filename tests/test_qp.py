@@ -10,12 +10,11 @@ from flexmarket import (MechanismConfig, RhoSchedule, load_bundled, load_case,
                         optimal_terms_of_trade, run, solve_centralized, trace_to_csv)
 from flexmarket import qp as qpmod
 from flexmarket.benchmark import _CentralProblem
-from flexmarket.coupling import MechanismError
 from flexmarket.market import clear
 from flexmarket.qp import (DEFAULT_TOL, QpDimensionError, QuadraticProgram, kkt_residuals,
                            solve)
 
-from oracles import active_set_enumeration
+from oracles import active_set_enumeration, dual_active_set_reference
 from test_random_networks import _valid_networks
 
 DATA = Path(__file__).parent / "data"
@@ -289,32 +288,68 @@ def _random_instance(rng):
 
 
 def test_matches_active_set_enumeration_oracle():
-    _check_against_the_oracle()
+    _check_against_the_oracle(np.random.default_rng(2024), _random_instance, 2000)
 
 
-def test_interior_point_route_matches_the_oracle(monkeypatch):
-    # the same programs with the dual method switched off
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    _check_against_the_oracle()
+def _opposite_rows_instance(rng):
+    """A random instance whose rows include exact copies, opposite rows (as
+    tri3's joint program has x0 <= 0 beside -x0 <= 0) and copies scaled by a
+    positive factor, so that rows bind in dependent groups."""
+    program = _random_instance(rng)
+    n = program.n
+    g = rng.normal(size=(int(rng.integers(1, 3)), n))
+    h = rng.uniform(-0.3, 1.0, size=len(g))
+    pick = rng.integers(0, len(g), size=3)
+    scale = rng.uniform(0.5, 2.0)
+    sign = np.array([-1.0, 1.0, scale])[:, None]
+    g = np.vstack([program.g_ineq, g, sign * g[pick]])
+    h = np.concatenate([program.h_ineq, h, sign[:, 0] * h[pick]])
+    return _qp(program.q, program.c, a=program.a_eq, b=program.b_eq, g=g, h=h)
 
 
-def _check_against_the_oracle():
-    rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 60:
-        qp = _random_instance(rng)
+def test_duplicate_and_opposite_rows_match_the_oracle():
+    _check_against_the_oracle(np.random.default_rng(2025), _opposite_rows_instance, 300)
+
+
+def _check_against_the_oracle(rng, draw, count):
+    """Solve ``count`` draws and check each against the enumeration oracle.
+
+    A feasible draw must be optimal at the oracle's x, with the oracle's
+    multiplier on every row that is not a degenerate touching row and whose
+    group of parallel rows is a single row (the split over parallel rows is
+    the solver's minimum-norm choice, not the oracle's).  An infeasible draw
+    must be called infeasible with a certificate that verifies on the
+    program.  Returns the counts of both.
+    """
+    feasible = infeasible = 0
+    for _ in range(count):
+        qp = draw(rng)
         oracle = active_set_enumeration(qp.q, qp.c, qp.a_eq, qp.b_eq, qp.g_ineq, qp.h_ineq)
-        if oracle is None:
-            continue  # infeasible draw
-        x_star, _, z_star = oracle
         sol = solve(qp)
+        assert sol.iterations >= 1
+        if oracle is None:
+            assert sol.status == "infeasible"
+            y, z = sol.certificate
+            residual = np.max(np.abs(qp.g_ineq.T @ z - qp.a_eq.T @ y), initial=0.0)
+            gap = qp.b_eq @ y - qp.h_ineq @ z
+            assert np.min(z, initial=0.0) >= 0.0 and gap > 1e-6 and gap > 1e9 * residual
+            infeasible += 1
+            continue
+        x_star, _, z_star = oracle
         assert sol.status == "optimal"
         assert sol.x == pytest.approx(x_star, abs=1e-6)
+        assert kkt_residuals(qp, sol.x, sol.y, sol.z).max() <= DEFAULT_TOL
         slack = qp.h_ineq - qp.g_ineq @ x_star
+        unit = qp.g_ineq / np.maximum(np.linalg.norm(qp.g_ineq, axis=1), 1e-300)[:, None]
+        parallel = np.abs(unit @ unit.T) > 1.0 - 1e-12
         for i in range(len(qp.h_ineq)):
+            if parallel[i].sum() > 1:
+                continue
             if slack[i] > 1e-6 or z_star[i] > 1e-6:  # skip degenerate touching rows
                 assert sol.z[i] == pytest.approx(z_star[i], abs=1e-6)
-        checked += 1
+        feasible += 1
+    assert feasible >= 60 and infeasible >= 1
+    return feasible, infeasible
 
 
 def test_parametric_continuity_under_objective_perturbation():
@@ -363,9 +398,9 @@ LADDER_4X8 = DATA / "ladder_4x8_s0.json"
 
 
 def test_refinement_overflow_stays_silent():
-    # a cold interior-point clear of A03 meets a near-singular Newton system
-    # whose refinement step goes non-finite; the solver retries with more
-    # regularization instead of leaking a numpy warning
+    # a cold clear of A03 once drove the solver's Newton refinement to a
+    # non-finite step; whatever route the clear takes, no numpy warning may
+    # leak
     net = load_case(LADDER_4X8.read_text())
     terms = optimal_terms_of_trade(net, solve_centralized(net))
     with warnings.catch_warnings():
@@ -374,15 +409,21 @@ def test_refinement_overflow_stays_silent():
     assert res.status == "optimal"
 
 
-def test_refinement_overflow_on_the_captured_program_stays_silent():
-    # the program of that clear's interior-point call, stored when the clear
-    # still reached the overflow: the program a clear builds depends on the
-    # solver's trajectory and on the BLAS thread count, the stored one does not
-    program, data = _captured("qp_singular_rungs.json")
+def _solves_silently(name):
+    """Solve a stored program with every RuntimeWarning an error; it must be optimal."""
+    program, data = _captured(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        qpmod._mehrotra(program, data["tol"], data["max_iter"])
-        assert solve(program).status == "optimal"
+        sol = solve(program, data["tol"])
+    assert sol.status == "optimal" and sol.path == "dual"
+    assert kkt_residuals(program, sol.x, sol.y, sol.z).max() <= data["tol"]
+
+
+def test_refinement_overflow_on_the_captured_program_stays_silent():
+    # the program of that clear, stored when it still reached the overflow:
+    # the program a clear builds depends on the solver's trajectory and on the
+    # BLAS thread count, the stored one does not
+    _solves_silently("qp_singular_rungs.json")
 
 
 def test_polish_stops_at_first_repeated_active_set(monkeypatch):
@@ -416,55 +457,21 @@ def test_polish_stops_at_first_repeated_active_set(monkeypatch):
     assert not repeats, f"{len(repeats)} of {len(solved)} polish calls re-solved a row set"
 
 
-def test_corrector_skips_the_rungs_the_predictor_found_singular(monkeypatch):
-    # the interior-point call of an area clear of ladder_4x8_s0 (the fixture's
-    # origin): its predictors meet Newton matrices whose LU is singular at the
-    # first regularization levels.  Singularity depends on the matrix alone,
-    # and the corrector shares the predictor's matrix, so no regularized
-    # matrix may be factored singular twice
-    program, data = _captured("qp_singular_rungs.json")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert solve(program).status == "optimal"
-    real_solve = np.linalg.solve
-    singular, repeated = set(), []
-
-    def counting_solve(matrix, rhs):
-        try:
-            return real_solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            key = matrix.tobytes()
-            if key in singular:
-                repeated.append(matrix.shape)
-            singular.add(key)
-            raise
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        qpmod._mehrotra(program, data["tol"], data["max_iter"])
-    assert singular  # the iteration climbs the regularization ladder
-    assert not repeated, f"{len(repeated)} singular factorizations repeated"
-
-
 def _hinted_walks(full_budget=False):
     """80 rounds of ``LADDER_4X8`` with each hinted solve's polish walks recorded.
 
     Returns the trace CSV and, per hinted solve, ``(program, hint, walks)``:
-    ``walks`` lists ``(row sets solved, result, start, crossover)`` of each
-    ``_polish`` call on the solved program in order: the hint's walk, then, if
-    the hint missed, the interior point's crossover walks (``crossover`` is
-    True for a walk made while ``_mehrotra`` runs), the cold polish and, if
-    that misses, the dual method's polishes.  ``full_budget`` gives the
-    hint's walk the cold polish's ``2 * mi + 8`` row sets, as the walk had
+    ``walks`` lists ``(row sets solved, result, start)`` of each ``_polish``
+    call on the solved program in order: the hint's walk, then, if the hint
+    missed, the polishes of the dual method's answer.  ``full_budget`` gives
+    the hint's walk the cold polish's ``2 * mi + 8`` row sets, as the walk had
     before it was capped.
     """
     net = load_case(LADDER_4X8.read_text())
     solve_qp, polish, solve_active = qpmod.solve, qpmod._polish, qpmod._solve_active
-    mehrotra = qpmod._mehrotra
     hinted = []
     walks, rows = None, None  # the open hinted solve's walks, the open walk's row sets
-    in_ipm, solving = False, None
+    solving = None
 
     def recording_solve(program, *args, active_hint=None, **kwargs):
         nonlocal walks, solving
@@ -477,14 +484,6 @@ def _hinted_walks(full_budget=False):
                 hinted.append((program, active_hint, walks))
             walks = None
 
-    def recording_mehrotra(*args):
-        nonlocal in_ipm
-        in_ipm = True
-        try:
-            return mehrotra(*args)
-        finally:
-            in_ipm = False
-
     def recording_polish(program, active, tol, *budget):
         nonlocal rows
         if full_budget and walks == []:
@@ -494,7 +493,7 @@ def _hinted_walks(full_budget=False):
             result = polish(program, active, tol, *budget)
         finally:
             if walks is not None and program is solving:
-                walks.append((rows, result, start, in_ipm))
+                walks.append((rows, result, start))
             rows = None
         return result
 
@@ -505,7 +504,6 @@ def _hinted_walks(full_budget=False):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qpmod, "solve", recording_solve)
-        patch.setattr(qpmod, "_mehrotra", recording_mehrotra)
         patch.setattr(qpmod, "_polish", recording_polish)
         patch.setattr(qpmod, "_solve_active", recording_solve_active)
         result = run(net, MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1,
@@ -519,37 +517,23 @@ def _same_bits(mine, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_hinted_walk_solves_at_most_n_plus_me_row_sets(monkeypatch):
-    # n + me is the order of the Newton system one cold iteration factors; a
-    # hint that has not settled within that many row sets is left to the cold
-    # path, and no answer of this run may change for it.  The interior-point
-    # route is forced, so that its crossover walks are checked too
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
+def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
+    # a hint that has not settled within n + me row sets is left to the cold
+    # path (module docstring), and no answer of this run may change for it
     csv, hinted = _hinted_walks()
     sizes = [(len(walks[0][0]), program.n + len(program.b_eq)) for program, _, walks in hinted if walks]
     over = [(steps, limit) for steps, limit in sizes if steps > limit]
     assert sizes and not over, f"row sets solved vs n + me: {over}"
-    crossings = 0
     for _, hint, walks in hinted:
         if not walks:
             continue
-        # the hint is walked once, first, and no later walk starts from it;
-        # each crossover walk starts from a row set not walked before in this
-        # solve and solves at most CROSSOVER_BUDGET row sets; outside the
-        # iteration the cold polish walks once, after every crossover walk,
-        # and only if it misses do the last stage's two polishes follow
-        assert walks[0][2] == tuple(sorted(hint)) and not walks[0][3]
-        rest = [walk for walk in walks[1:] if not walk[3]]
-        assert len(rest) <= 3 and all(a is b for a, b in zip(rest, walks[len(walks) - len(rest):]))
-        assert len(rest) <= 1 or rest[0][1] is None
-        starts = [walks[0][2]]
-        for solved, _, start, crossover in walks[1:]:
-            assert start != starts[0]
-            if crossover:
-                assert start not in starts and len(solved) <= qpmod.CROSSOVER_BUDGET
-                starts.append(start)
-                crossings += 1
-    assert crossings  # missed hints reach the crossover
+        # the hint is walked once, first; only if it misses does the cold
+        # path polish, at most three times (the method's rows, the binding
+        # rows, the support), and only after a first polish that answers
+        assert walks[0][2] == tuple(sorted(hint))
+        rest = walks[1:]
+        assert not rest or walks[0][1] is None
+        assert len(rest) <= 3 and (len(rest) <= 1 or rest[0][1] is not None)
     assert any(walks[0][1] is None for _, _, walks in hinted if walks)  # some hints miss
     reference, _ = _hinted_walks(full_budget=True)
     assert csv == reference
@@ -567,33 +551,17 @@ def test_a_missed_hint_changes_nothing_but_time():
 LADDER_4X8_S4 = DATA / "ladder_4x8_s4.json"
 
 
-def test_non_finite_newton_rhs_breaks_down_without_a_warning(monkeypatch):
-    # an interior-point call of an area clear in the first 20 rounds of
-    # ladder_4x8_s4 reached slacks so small that (-rc + z * r_g) / s overflows
-    # (stored as the captured program below).  No regularization can make
-    # that right-hand side's solution finite, so the iteration breaks down at
-    # the first rung, no numpy warning leaks, and the mechanism runs on
+def test_non_finite_newton_rhs_breaks_down_without_a_warning():
+    # a solve in the first 20 rounds of ladder_4x8_s4 once reached slacks so
+    # small that a Newton right-hand side overflowed (stored as the captured
+    # program); the run and that program must pass without a numpy warning
     net = load_case(LADDER_4X8_S4.read_text())
-    program, data = _captured("qp_non_finite_rhs.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         result = run(net, MechanismConfig(max_rounds=20, tol=1e-300, beta=0.1,
                                           rho=RhoSchedule(1.0, 1.0, 0.6)))
-        assert solve(program).status == "optimal"
     assert result.rounds == 20
-    raised = []
-
-    class RecordedBreakdown(qpmod._NumericalBreakdown):
-        def __init__(self, *args):
-            raised.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(qpmod, "_NumericalBreakdown", RecordedBreakdown)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        *_, converged, _ = qpmod._mehrotra(program, data["tol"], data["max_iter"])
-    assert raised
-    assert not converged
+    _solves_silently("qp_non_finite_rhs.json")
 
 
 @pytest.fixture(scope="module")
@@ -619,128 +587,31 @@ def _cold_programs(net, rounds):
     return programs
 
 
-def _solve_bits_and_trace(net, config, crossover):
-    """Raw bytes of every qp.solve result, the trace CSV or error, and the solve paths of one run."""
-    results, paths = [], []
-    solve_qp = qpmod.solve
-
-    def recording_solve(*args, **kwargs):
-        sol = solve_qp(*args, **kwargs)
-        results.append((sol.status, sol.active_set, sol.x.tobytes(), sol.y.tobytes(),
-                        sol.z.tobytes()))
-        paths.append(sol.path)
-        return sol
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qpmod, "solve", recording_solve)
-        if not crossover:
-            patch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-        try:
-            trace = trace_to_csv(run(net, config).trace)
-        except MechanismError as err:
-            trace = f"{type(err).__name__}: {err}"
-    return results, trace, paths
-
-
-def test_crossover_changes_no_answer_in_four_runs(monkeypatch, network_12):
-    # the crossover returns early, from the polish of an iterate's binding
-    # set; in these four runs every answer and every trace must be the one the
-    # full interior-point iteration and its polish give.  That is measured,
-    # not guaranteed: where the full iteration fails, the crossover can answer
-    # (test_crossover_answers_where_the_full_iteration_fails).  The
-    # interior-point route is forced
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    config = MechanismConfig(max_rounds=80, tol=1e-300, beta=0.1, rho=RhoSchedule(1.0, 1.0, 0.6))
-    runs = [(load_case(path.read_text()), config) for path in (
-        LADDER_4X8, LADDER_4X8_S4, Path(__file__).parent / "data" / "ladder_8x4_s2.json")]
-    runs.append((network_12, MechanismConfig(max_rounds=150, tol=1e-8,
-                                             rho=RhoSchedule(1.0, 1.0, 0.6))))
-    crossed = 0
-    for net, cfg in runs:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            results, trace, paths = _solve_bits_and_trace(net, cfg, crossover=True)
-        reference, reference_trace, reference_paths = _solve_bits_and_trace(net, cfg, crossover=False)
-        assert "crossover" not in reference_paths
-        assert trace == reference_trace
-        assert results == reference
-        crossed += paths.count("crossover")
-    assert crossed
-
-
-def test_crossover_guard_rejects_a_degenerate_dual_vertex(monkeypatch, network_12):
-    # the first cold program of network 12: an early binding set polishes to
-    # a point that validates at the optimal x, but whose multipliers sit on
-    # another vertex of a degenerate dual face.  Row 1 binds there with a zero
-    # multiplier, so the answer is not strictly complementary and is refused.
-    # The full iteration fails on this program, and the last stage, which has
-    # no guard, returns the dual method's answer on that same vertex
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    program = _cold_programs(network_12, 1)[0]
-    polish, validated = qpmod._polish, []
-
-    def recording_polish(walked, active, tol, budget):
-        result = polish(walked, active, tol, budget)
-        if budget == qpmod.CROSSOVER_BUDGET and result is not None:
-            validated.append(result)
-        return result
-
-    monkeypatch.setattr(qpmod, "_polish", recording_polish)
-    sol = solve(program)
-    assert len(validated) == 1
-    px, _, pz, _ = validated[0]
-    assert tuple((pz > 0.0).nonzero()[0].tolist()) == (0, 3, 12, 14, 16, 18)
-    assert program.binding_rows(px) == (0, 1, 3, 12, 14, 16, 18)
-    assert sol.path == "dual"
-    assert np.max(np.abs(px - sol.x)) < 1e-9
-    assert np.max(np.abs(pz - sol.z)) < 1e-9
-    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-    _same_bits(sol, solve(program))
-
-
-def test_solution_path_names_the_route(monkeypatch, network_12):
+def test_solution_path_names_the_route(network_12):
     one_bound = _qp([[2.0]], [0.0], g=[[-1.0]], h=[-1.0])
-    dual = solve(one_bound)
-    assert dual.path == "dual" and dual.iterations > 0
-    # the interior-point routes, with the dual method switched off
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
     cold = solve(one_bound)
-    assert cold.path == "crossover" and cold.iterations > 0
-    _same_bits(dual, cold)
+    assert cold.path == "dual" and cold.iterations > 0
     hinted = solve(one_bound, active_hint=cold.active_set)
     assert hinted.path == "hint" and hinted.iterations == 0
-    # no inequality rows: the iteration's own answer, with nothing to polish
-    assert solve(_qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0]], b=[2.0])).path == "ipm"
+    _same_bits(hinted, cold)
+    # no inequality rows: the method's own answer, polished
+    assert solve(_qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0]], b=[2.0])).path == "dual"
     # contradictory bounds: every status but optimal
     assert solve(_qp([[2.0]], [0.0], g=[[1.0], [-1.0]], h=[-1.0, -1.0])).path == "failed"
-    # the interior point ends where the guard refused the only early set, and
-    # the last stage's dual method answers
+    # the first cold program of network 12 has a degenerate optimal dual face
     assert solve(_cold_programs(network_12, 1)[0]).path == "dual"
-    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-    polished = solve(one_bound)
-    assert polished.path == "ipm+polish"
-    _same_bits(polished, cold)
 
 
-def test_crossover_answers_where_the_full_iteration_fails(monkeypatch):
-    # the joint program of generated network 4x8 seed 6: the full iteration
-    # stalls far from the optimum and its polish misses.  The binding set of
-    # an early iterate is the strictly complementary optimum; without the
-    # crossover, the last stage's dual method answers to the same residual
-    net = load_case((Path(__file__).parent / "data" / "ladder_4x8_s6.json").read_text())
-    solve_qp, paths = qpmod.solve, []
-
-    def recording_solve(*args, **kwargs):
-        sol = solve_qp(*args, **kwargs)
-        paths.append(sol.path)
-        return sol
-
-    monkeypatch.setattr(qpmod, "solve", recording_solve)
-    crossed = solve_centralized(net)
-    assert crossed.kkt_residual <= DEFAULT_TOL and paths == ["crossover"]
-    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-    last = solve_centralized(net)
-    assert paths[1:] == ["dual"] and last.kkt_residual == pytest.approx(crossed.kkt_residual)
+def test_a_cold_answer_is_the_polish_of_its_own_support(network_12):
+    # the first cold program of network 12 has a degenerate optimal dual
+    # face: its answer binds a row with a zero multiplier.  The answer is
+    # polished once more from its support, so a re-solve hinted with its
+    # active set factors nothing new and returns it bit for bit
+    program = _cold_programs(network_12, 1)[0]
+    cold = solve(program)
+    assert program.binding_rows(cold.x) != cold.active_set
+    assert program._memo["active"][0] == cold.active_set
+    _same_bits(solve(program, active_hint=cold.active_set), cold)
 
 
 def test_the_last_stage_answers_a_joint_program_the_interior_point_cannot():
@@ -872,19 +743,16 @@ def test_active_solve_matches_the_exact_least_squares_x_on_a_degenerate_set():
     assert np.max(np.abs(x - x_exact)) <= 1e-9
 
 
-def test_the_last_stage_certifies_an_infeasible_program(monkeypatch):
+def test_the_last_stage_certifies_an_infeasible_program():
     # area A00's program in round 53 of generated network 24x2-s0 is
     # infeasible; HiGHS finds its least uniform relaxation of the inequality
-    # rows t* = 0.042341554046.  Every route ends in the dual method's stop,
-    # whose multipliers must verify as a certificate on the program itself
+    # rows t* = 0.042341554046.  Cold or after a hint that misses, the solve
+    # ends in the dual method's stop, whose multipliers must verify as a
+    # certificate on the program itself
     program, _ = _captured("qp_24x2_s0_round53_a00.json")
-    routes = [solve(program)]
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", 0)
-    routes.append(solve(program))
-    monkeypatch.setattr(qpmod, "CROSSOVER_RESIDUAL", 0.0)
-    routes.append(solve(program))
-    for sol in routes:
-        assert sol.status == "infeasible"
+    for hint in (None, (0,)):
+        sol = solve(program, active_hint=hint)
+        assert sol.status == "infeasible" and sol.path == "failed" and sol.iterations >= 1
         y, z = sol.certificate
         assert np.min(z) >= 0.0
         residual = np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y))
@@ -907,8 +775,9 @@ def test_duplicate_rows_answer_by_the_dual_method_with_a_symmetric_split():
     # active and the whole multiplier 2 on it; the polish of the binding rows
     # of its answer splits it evenly
     program = _qp([[2.0]], [-4.0], g=[[1.0], [1.0]], h=[1.0, 1.0])
-    rows, x, _, z, _ = qpmod._dual_active_set(program, 10)
+    rows, x, _, z, _, proof = qpmod._dual_active_set(program, 10)
     assert rows == (0,) and x == pytest.approx([1.0]) and z == pytest.approx([2.0, 0.0])
+    assert proof is None
     sol = solve(program)
     assert sol.status == "optimal" and sol.path == "dual" and sol.iterations > 0
     assert sol.z == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -920,7 +789,7 @@ def test_a_repeated_consistent_equality_is_skipped_not_called_infeasible():
     # primal step, and the method must skip them rather than stop on them
     program = _qp(np.eye(2), [0.0, 0.0], a=[[1.0, 1.0], [1.0, 1.0], [-2.0, -2.0]],
                   b=[2.0, 2.0, -4.0], g=[[1.0, 0.0]], h=[0.5])
-    rows, x, _, _, _ = qpmod._dual_active_set(program, 20)
+    rows, x, _, _, _, _ = qpmod._dual_active_set(program, 20)
     assert rows == (0,) and x == pytest.approx([0.5, 1.5])
     sol = solve(program)
     assert sol.status == "optimal" and sol.path == "dual"
@@ -930,19 +799,66 @@ def test_a_repeated_consistent_equality_is_skipped_not_called_infeasible():
     assert sol.z == pytest.approx([1.0], abs=1e-12)
 
 
-@pytest.mark.parametrize("name", ["toy2", "toy2-congested", "tri3"])
-def test_dual_methods_point_keeps_its_active_rows(name):
-    # the bundled joint programs: tri3's has nearly dependent adds (curvature
-    # down to 5.8e-12 of |J'n|^2), after which one Gram-Schmidt pass leaves
-    # the step far from orthogonal to the active rows, and the point misses
-    # them by up to 3.6e-3.  The second pass keeps every active row within
-    # the feasibility tolerance
-    program = _CentralProblem(load_bundled(name)).program
-    rows, x, _, _, _ = qpmod._dual_active_set(program, 100)
+def _joint_program(name):
+    """The joint program of a bundled case or of a stored ladder fixture."""
+    if name.startswith("ladder_"):
+        net = load_case((DATA / f"{name}.json").read_text())
+    else:
+        net = load_bundled(name)
+    return _CentralProblem(net).program
+
+
+@pytest.mark.parametrize("name", ["toy2", "toy2-congested", "tri3", "ladder_4x8_s0", "ladder_4x8_s4",
+                                  "ladder_4x8_s6", "ladder_8x4_s2", "ladder_8x4_s7"])
+def test_dual_methods_point_keeps_its_active_rows(name, monkeypatch):
+    # tri3's joint program has nearly dependent adds (curvature down to
+    # 5.8e-12 of |J'n|^2), after which one Gram-Schmidt pass leaves the step
+    # far from orthogonal to the active rows.  The ladder fixtures' joint
+    # programs (n + m_eq up to 89) drop rows often, and each drop updates the
+    # factors in place.  With the step budget solve gives it, the method must
+    # end optimal with every active row within the feasibility tolerance, on
+    # the rows of a reference that refactors at every step
+    program = _joint_program(name)
+    me, mi = len(program.b_eq), len(program.h_ineq)
+    budget = min(qpmod.DEFAULT_MAX_ITER, 2 * mi + me + 8)
+    qr, drops = np.linalg.qr, []
+
+    def counting_qr(*args, **kwargs):
+        drops.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    rows, x, _, _, steps, _ = qpmod._dual_active_set(program, budget)
     assert rows is not None
     slack = program.h_ineq[list(rows)] - program.g_ineq[list(rows)] @ x
     assert np.max(np.abs(slack), initial=0.0) <= program._feas_tol
     assert np.max(np.abs(program.a_eq @ x - program.b_eq)) <= program._feas_tol
+    if name.startswith("ladder_"):
+        assert drops  # a drop that is not the last active row re-triangularizes
+    monkeypatch.undo()
+    reference_rows, reference_x = dual_active_set_reference(
+        program.q, program.c, program.a_eq, program.b_eq, program.g_ineq, program.h_ineq, budget)
+    assert rows == reference_rows and np.max(np.abs(x - reference_x)) <= 1e-6
+    sol = solve(program)
+    assert sol.status == "optimal" and sol.path == "dual" and sol.iterations == steps
+
+
+def test_dual_method_matches_the_refactoring_reference():
+    # small random programs, with and without duplicate and opposite rows:
+    # where the reference reaches an optimum, the method ends on its rows at
+    # its point
+    rng = np.random.default_rng(2026)
+    compared = 0
+    for draw in (_random_instance, _opposite_rows_instance) * 200:
+        program = draw(rng)
+        reference = dual_active_set_reference(program.q, program.c, program.a_eq, program.b_eq,
+                                              program.g_ineq, program.h_ineq, 100)
+        if reference is None:
+            continue
+        rows, x, *_ = qpmod._dual_active_set(program, 100)
+        assert rows == reference[0] and np.max(np.abs(x - reference[1])) <= 1e-8
+        compared += 1
+    assert compared >= 300
 
 
 def test_the_unconstrained_minimum_counts_as_a_step():
@@ -952,86 +868,79 @@ def test_the_unconstrained_minimum_counts_as_a_step():
     assert sol.path == "dual" and sol.iterations == 1
 
 
-def test_dual_method_is_skipped_above_its_order(monkeypatch):
-    # n + m_eq = 41 is above DUAL_ORDER: the interior point answers
-    n = qpmod.DUAL_ORDER + 1
-    program = _qp(np.eye(n), -np.ones(n), g=np.ones((1, n)), h=[1.0])
-    sol = solve(program)
-    assert sol.status == "optimal" and sol.path == "crossover"
-    monkeypatch.setattr(qpmod, "DUAL_ORDER", n)
-    dual = solve(program)
-    assert dual.path == "dual"
-    assert np.max(np.abs(dual.x - sol.x)) <= 1e-12
+def test_max_iter_caps_the_cold_steps_but_not_a_hint():
+    # max_iter = 1 allows only the unconstrained minimum, which violates the
+    # bound; a hint that validates answers without the method
+    program = _qp(np.eye(2), [-2.0, -2.0], g=[[1.0, 1.0]], h=[1.0])
+    capped = solve(program, max_iter=1)
+    assert capped.status == "iteration_limit" and capped.path == "failed"
+    assert capped.iterations == 1 and capped.x == pytest.approx([2.0, 2.0])
+    hinted = solve(program, max_iter=1, active_hint=(0,))
+    assert hinted.status == "optimal" and hinted.path == "hint"
+    _same_bits(hinted, solve(program))
+    assert MechanismConfig().solver_max_iter == qpmod.DEFAULT_MAX_ITER
 
 
-def test_dual_method_falls_back_on_a_degenerate_dual_face(monkeypatch, network_12):
-    # the first cold program of network 12: the dual method's polished answer
-    # binds a row with a zero multiplier, so stage 0 refuses it as the
-    # crossover's guard would, and the interior point runs.  It fails, and the
-    # last stage returns the refused answer without running the method again
-    program = _cold_programs(network_12, 1)[0]
-    assert program.n + len(program.b_eq) <= qpmod.DUAL_ORDER
-    answer, certificate = qpmod._dual_stage(program, DEFAULT_TOL, 100, set())
-    assert certificate is None and answer.path == "dual"
-    assert not qpmod._strictly_complementary(program, answer.x, answer.z)
-    method, runs = qpmod._dual_active_set, []
-
-    def counting_method(*args):
-        runs.append(args)
-        return method(*args)
-
-    monkeypatch.setattr(qpmod, "_dual_active_set", counting_method)
-    _same_bits(solve(program), answer)
-    assert len(runs) == 1
+def test_a_walk_adds_a_row_violated_beyond_tol():
+    # max|h| = 1000 puts the feasibility tolerance at about 1e-6, so the
+    # unconstrained minimum x0 = 1 + 5e-7 violates x0 <= 1 by less than it
+    # but by more than tol.  Validation allows tol only, so the walk from no
+    # rows must add the row instead of giving up on a point it cannot accept
+    program = _qp(np.eye(2), [-(1.0 + 5e-7), 0.0], g=[[1.0, 0.0], [0.0, 1.0]], h=[1.0, 1000.0])
+    assert 5e-7 < program._feas_tol
+    sol = solve(program, active_hint=())
+    assert sol.status == "optimal" and sol.path == "hint"
+    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-15) and sol.active_set == (0,)
+    _same_bits(solve(program), sol)
 
 
-def test_dual_method_certifies_an_infeasible_program(monkeypatch):
+def test_dual_method_certifies_an_infeasible_program():
     # area A00's program in round 2 of generated network 8x4-s0: the dual
     # method stops on a row it can neither add nor make room for, and its
     # multipliers (1 on that row, -r on the active rows) are a certificate:
-    # residual 1e-12 against a gap of 0.115.  The interior point stops short
-    # of a verdict, so the certificate decides on either route
+    # residual 1e-12 against a gap of 0.115
     program, _ = _captured("qp_8x4_s0_round2_a00.json")
-    rows, _, y_stop, z_stop, _ = qpmod._dual_active_set(program, 100)
+    rows, x, _, _, steps, (y_stop, z_stop) = qpmod._dual_active_set(program, 100)
     assert rows is None
-    assert qpmod._dual_stage(program, DEFAULT_TOL, 100, set())[1] is not None
     assert qpmod._certifies_infeasible(program, y_stop, z_stop)
-    for order in (qpmod.DUAL_ORDER, 0):
-        monkeypatch.setattr(qpmod, "DUAL_ORDER", order)
-        sol = solve(program)
-        assert sol.status == "infeasible" and sol.path == "failed"
-        y, z = sol.certificate
-        assert y.tobytes() == y_stop.tobytes() and z.tobytes() == z_stop.tobytes()
-        assert np.min(z) >= 0.0 and max(np.max(np.abs(y)), np.max(np.abs(z))) == 1.0
-        assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-10
-        assert program.b_eq @ y - program.h_ineq @ z > 0.1
+    sol = solve(program)
+    assert sol.status == "infeasible" and sol.path == "failed"
+    assert sol.iterations == steps and sol.x.tobytes() == x.tobytes()
+    y, z = sol.certificate
+    assert y.tobytes() == y_stop.tobytes() and z.tobytes() == z_stop.tobytes()
+    assert np.min(z) >= 0.0 and max(np.max(np.abs(y)), np.max(np.abs(z))) == 1.0
+    assert np.max(np.abs(program.g_ineq.T @ z - program.a_eq.T @ y)) <= 1e-10
+    assert program.b_eq @ y - program.h_ineq @ z > 0.1
 
 
 def test_a_stop_that_does_not_certify_is_left_to_the_interior_point():
     # x1 <= 0 and x1 + 1e-11 x2 >= 1e-7 hold for x2 >= 1e4: the second row is
-    # independent of the first by less than the method can tell, so it stops
-    # there, but its multipliers leave a gap of 1e-7, below
-    # CERTIFICATE_TOL, and the interior point finds the optimum
+    # independent of the first by less than the method's dependence test, and
+    # the multipliers of a stop there leave a gap of 1e-7, below
+    # CERTIFICATE_TOL.  Its normal keeps a part outside the active span, so
+    # the method steps on, out to the row, and finds the optimum
     program = _qp(np.eye(2), [-1.0, 0.0], g=[[1.0, 0.0], [-1.0, -1e-11]], h=[0.0, -1e-7])
-    rows, x, y, z, _ = qpmod._dual_active_set(program, 10)
-    assert rows is None and not qpmod._certifies_infeasible(program, y, z)
+    rows, x, _, _, _, proof = qpmod._dual_active_set(program, 10)
+    assert rows == (0, 1) and proof is None
+    assert x == pytest.approx([0.0, 1e4], abs=1e-6)
     sol = solve(program)
-    assert sol.status == "optimal" and sol.path != "dual"
+    assert sol.status == "optimal" and sol.path == "dual"
     assert sol.x == pytest.approx([0.0, 1e4], abs=1e-6)
 
 
 @pytest.mark.parametrize("bound", [2e-6, 1e-5, 1e-3])
-def test_a_stop_is_no_verdict_at_the_methods_own_point(monkeypatch, bound):
+def test_a_stop_is_no_verdict_at_the_methods_own_point(bound):
     # x1 <= 0 and x1 + 1e-11 x2 >= bound hold for x2 >= bound * 1e11, out to
-    # 1e8.  The method stops on the second row at x = 0 with a gap of
-    # ``bound`` against a residual of 1e-11: its multipliers rule out only the
-    # solutions of 1-norm below bound * 1e11, inside CERTIFICATE_RADIUS, and
-    # its point, of norm 0, bounds none.  So they prove nothing, and no route
-    # may call the program infeasible
+    # 1e8.  A stop on the second row at x = 0 would leave a gap of ``bound``
+    # against a residual of 1e-11: its multipliers rule out only the
+    # solutions of 1-norm below bound * 1e11, inside CERTIFICATE_RADIUS, so
+    # they prove nothing.  The method steps on to the optimum instead, whose
+    # multipliers (bound * 1e22) are beyond the polish's precision; the
+    # program may be left unanswered but is never called infeasible
     program = _qp(np.eye(2), [-1.0, 0.0], g=[[1.0, 0.0], [-1.0, -1e-11]], h=[0.0, -bound])
-    rows, x, y, z, _ = qpmod._dual_active_set(program, 10)
-    assert rows is None and np.max(np.abs(x)) == 0.0
-    assert not qpmod._certifies_infeasible(program, y, z)
-    for order in (qpmod.DUAL_ORDER, 0):
-        monkeypatch.setattr(qpmod, "DUAL_ORDER", order)
-        assert solve(program).status != "infeasible"
+    rows, x, _, _, _, proof = qpmod._dual_active_set(program, 10)
+    assert rows == (0, 1) and proof is None
+    assert x == pytest.approx([0.0, bound * 1e11], rel=1e-12, abs=1e-12)
+    sol = solve(program)
+    assert sol.status != "infeasible"
+    assert sol.x == pytest.approx([0.0, bound * 1e11], rel=1e-12, abs=1e-12)
