@@ -8,16 +8,20 @@ interpreter, with one BLAS thread, imports ``flexmarket`` from the tree's
 ``src/`` and the benchmark's ``workloads`` module from its ``perfbench/``,
 and runs one pass as ``perfbench/run.py`` does: ``set_up``, then ``work`` on
 every case.  It records per case the rounds, the trace CSV, the comparison
-report, any error, and the path of every ``qp.solve`` (cold solves apart).
+report, any error, the path of every ``qp.solve`` (cold solves apart), and a
+digest of every ``qp.solve`` result: its status, path and the bits of x, y
+and z, in call order.
 
-Printed per case: the rounds on both trees, whether the trace and report
-are byte-identical, the largest |difference| per trace column and per
-numeric report field (fields that differ in kind, such as a flag, are
-printed with both values), and the solve paths on each tree.  Times are not
-compared: use ``perfbench/run.py`` for that.
+Printed per case: the rounds on both trees, whether the trace, the report
+and the solve digest are identical, the largest |difference| per trace
+column and per numeric report field (fields that differ in kind, such as a
+flag, are printed with both values), and the solve paths on each tree.  A
+last line says whether every solve digest, set-up's included, matches.
+Times are not compared: use ``perfbench/run.py`` for that.
 """
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -38,27 +42,35 @@ def capture(tree, workload, seed):
     import workloads
     from flexmarket import qp
 
-    solve, paths = qp.solve, []
+    solve, paths, digests = qp.solve, [], []
 
     def recording_solve(*args, active_hint=None, **kwargs):
         sol = solve(*args, active_hint=active_hint, **kwargs)
         paths[-1].append(("hinted " if active_hint is not None else "cold ") + sol.path)
+        digest = digests[-1]
+        digest.update(f"{sol.status} {sol.path}\n".encode())
+        for v in (sol.x, sol.y, sol.z):
+            digest.update(v.astype("<f8").tobytes() + b"|")
         return sol
 
     qp.solve = recording_solve
     out = []
     with tempfile.TemporaryDirectory() as scratch:
         paths.append([])
+        digests.append(hashlib.sha256())
         cases = workloads.set_up(workloads.specs(workload, seed))
-        setup_paths = paths.pop()
+        setup_paths, setup_digest = paths.pop(), digests.pop().hexdigest()
         for case in cases:
             paths.append([])
+            digests.append(hashlib.sha256())
             res = workloads.work(case, Path(scratch))
             out.append({"name": case.spec.name, "error": res.error,
                         "rounds": res.run.rounds if res.run is not None else None,
                         "csv": res.csv, "report": res.report,
-                        "paths": dict(Counter(paths.pop()))})
-    return {"setup_paths": dict(Counter(setup_paths)), "cases": out}
+                        "paths": dict(Counter(paths.pop())),
+                        "digest": digests.pop().hexdigest()})
+    return {"setup_paths": dict(Counter(setup_paths)), "setup_digest": setup_digest,
+            "cases": out}
 
 
 def run_child(tree, workload, seed):
@@ -124,14 +136,22 @@ def show(values, indent="    "):
             print(f"{indent}{key}: {delta:.3g}")
 
 
+def same(a, b):
+    return "identical" if a == b else "differs"
+
+
 def compare(old_tree, new_tree, workload, seed):
     old, new = run_child(old_tree, workload, seed), run_child(new_tree, workload, seed)
     print(f"== {workload} (seed {seed})")
-    print(f"  set-up solve paths: {old['setup_paths']} -> {new['setup_paths']}")
+    print(f"  set-up solve paths: {old['setup_paths']} -> {new['setup_paths']}; "
+          f"solve digest {same(old['setup_digest'], new['setup_digest'])}")
+    mismatched = [] if old["setup_digest"] == new["setup_digest"] else [f"{workload} set-up"]
     for a, b in zip(old["cases"], new["cases"]):
+        if a["digest"] != b["digest"]:
+            mismatched.append(a["name"])
         print(f"  {a['name']}: rounds {a['rounds']} -> {b['rounds']}; "
-              f"trace {'identical' if a['csv'] == b['csv'] else 'differs'}, "
-              f"report {'identical' if a['report'] == b['report'] else 'differs'}")
+              f"trace {same(a['csv'], b['csv'])}, report {same(a['report'], b['report'])}, "
+              f"solve digest {same(a['digest'], b['digest'])}")
         if a["error"] or b["error"]:
             print(f"    errors: {a['error']} -> {b['error']}")
         if a["csv"] != b["csv"]:
@@ -144,6 +164,7 @@ def compare(old_tree, new_tree, workload, seed):
             for key, (x, y) in other.items():
                 print(f"      {key}: {x!r} -> {y!r}")
         print(f"    solve paths: {a['paths']} -> {b['paths']}")
+    return mismatched
 
 
 def main():
@@ -158,8 +179,11 @@ def main():
         return
     if len(args.trees) != 2:
         parser.error("give two source trees")
+    mismatched = []
     for workload in args.workload or WORKLOADS:
-        compare(*args.trees, workload, args.seed)
+        mismatched += compare(*args.trees, workload, args.seed)
+    print("solve digests: " + ("differ on " + ", ".join(mismatched) if mismatched
+                               else "all identical"))
 
 
 if __name__ == "__main__":

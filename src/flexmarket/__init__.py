@@ -15,9 +15,9 @@ from .market import (AreaDecision, AreaDuals, ChanceConstrainedClearing, Clearin
                      ClearingError, ClearingResult, TermsOfTrade, TieTerms, clear,
                      evaluate_objective)
 from .coupling import (CouplingState, ExchangeMessage, MechanismConfig, MechanismRun,
-                       RhoSchedule, TraceRecord, convergence_metrics, decode_message,
-                       encode_message, inertial_update, run, step_rho, trace_to_csv,
-                       update_capacity_price, verify_nash)
+                       RhoSchedule, TraceRecord, decode_message, encode_message,
+                       inertial_update, run, step_rho, trace_to_csv, update_capacity_price,
+                       verify_nash)
 from .benchmark import (CentralSolution, check_limit_feasibility, comparison_report,
                         efficiency_gap, optimal_terms_of_trade, solve_centralized,
                         verify_fixed_point, verify_kkt_equivalence)

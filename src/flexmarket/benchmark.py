@@ -23,7 +23,8 @@ from . import coupling, qp as qpmod
 from .coupling import CouplingState
 from .grid import Network
 from .market import (REGULARIZATION, AreaDecision, AreaDuals, ClearingResult, Rows,
-                     TermsOfTrade, TieTerms, add_area_rows, clear as clear_area_fn)
+                     TermsOfTrade, TieTerms, add_area_rows, clear as clear_area_fn,
+                     generation_cost)
 from .stochastic import aggregate_requirement
 
 SIGN_TOL = 1e-9
@@ -166,8 +167,8 @@ class _CentralProblem:
                         for t in net.active_ties()}
         tie_flows = {t.id: t.t_da + decisions[t.from_area].delta_t[t.id]
                      for t in net.active_ties()}
-        total_cost = sum(net.generator(g).cost(net.generator(g).p_da + dp)
-                         for a in net.areas for g, dp in decisions[a.id].delta_p.items())
+        # one flat sum over every generator: per-area sums would round differently
+        total_cost = generation_cost(net, {g: float(x[i]) for g, i in self.var_dp.items()})
         return CentralSolution(decisions, duals, tie_capacity, tie_flows, total_cost,
                                sol.residuals.max())
 
@@ -339,23 +340,21 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     k_lo: dict[str, float] = {}
     k_hi: dict[str, float] = {}
     for a in net.areas:
-        dec = clearings[a.id].decision
-        du = clearings[a.id].duals
-        problem.rows[a.id].fill(z, du)
+        limit = clearings[a.id]
+        problem.rows[a.id].fill(z, limit.duals)
         for v in net.tie_views(a.id):
-            own_quote = du.reliability_price + du.nodal_price[v.own_bus]
             u = 0.0
             if v.canonical:
-                u = 0.5 * state.mu[v.tie_id] * _sign(dec.delta_t[v.tie_id])
+                u = 0.5 * state.mu[v.tie_id] * _sign(limit.decision.delta_t[v.tie_id])
                 k_lo[v.tie_id] = max(-u, 0.0)
                 k_hi[v.tie_id] = max(u, 0.0)
                 z[problem.ineq_cap_lo[v.tie_id]] = k_lo[v.tie_id]
                 z[problem.ineq_cap_hi[v.tie_id]] = k_hi[v.tie_id]
             # the tie-definition shadow price absorbs the quote the per-area
             # objective prices explicitly, plus the signed half capacity price
-            y[problem.eq_tie_def[(v.tie_id, a.id)]] = own_quote + u
-        if du.slack_angle is not None:
-            y[problem.eq_slack] = du.slack_angle
+            y[problem.eq_tie_def[(v.tie_id, a.id)]] = limit.willingness_to_pay[v.tie_id] + u
+        if limit.duals.slack_angle is not None:
+            y[problem.eq_slack] = limit.duals.slack_angle
     residuals = qpmod.kkt_residuals(prog, x, y, z)
     passed = residuals.max() <= CHECK_TOL and gap <= CHECK_TOL
     return KktEquivalenceReport(residuals, gap, k_lo, k_hi, CHECK_TOL, passed)
@@ -389,7 +388,7 @@ def comparison_report(net: Network, state: CouplingState,
     return {
         "objective_gap": gap.objective_gap,
         "flow_deviation": gap.flow_deviation,
-        "kkt_residuals": kkt.residuals.as_dict(),
+        "kkt_residuals": asdict(kkt.residuals),
         "feasibility_residuals": asdict(feas),
         "nash_gaps": {a: g.gap for a, g in nash.items()},
         "checks": {

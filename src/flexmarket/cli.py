@@ -215,9 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-rounds", type=int, default=MechanismConfig.max_rounds)
     p_run.add_argument("--beta", type=float, default=MechanismConfig.beta,
                        help="capacity price step in (0,1)")
-    p_run.add_argument("--rho0", type=float, default=1.0)
-    p_run.add_argument("--rho-k0", type=float, default=1.0)
-    p_run.add_argument("--rho-exponent", type=float, default=0.6)
+    p_run.add_argument("--rho0", type=float, default=RhoSchedule.rho0)
+    p_run.add_argument("--rho-k0", type=float, default=RhoSchedule.k0)
+    p_run.add_argument("--rho-exponent", type=float, default=RhoSchedule.exponent)
     p_run.add_argument("--tol", type=float, default=MechanismConfig.tol,
                        help="convergence threshold on the broadcast variables")
     p_run.add_argument("--solver-tol", type=float, default=MechanismConfig.solver_tol)

@@ -161,8 +161,8 @@ class TraceRecord:
     ties: dict[str, TieTrace]
     areas: dict[str, AreaTrace]
     dx_inf: float
-    consensus: float
-    slackness: float
+    consensus: float  # largest tie consensus
+    slackness: float  # tie slackness of largest magnitude, signed
 
 
 @dataclass(frozen=True)
@@ -297,8 +297,10 @@ def _record(index: _BroadcastIndex, k: int, x: np.ndarray, mu: np.ndarray, dx: f
                   price_from.tolist(), price_to.tolist(), consensus, slackness)
     ties = {t.id: TieTrace(*row) for t, row in zip(index.ties, columns)}
     areas = {a: AreaTrace(c.duals.reliability_price, c.objective) for a, c in clearings.items()}
-    # max from a Python 0.0: an all-zero mu must give 0.0 here, never -0.0
-    return TraceRecord(k, ties, areas, dx, max([0.0, *consensus]), max([0.0, *slackness]))
+    # consensus is the max from 0.0; slackness keeps its largest product's sign,
+    # so a priced tie below capacity shows, and + 0.0 turns mu == 0's -0.0 into 0.0
+    return TraceRecord(k, ties, areas, dx, max([0.0, *consensus]),
+                       max(slackness, key=abs, default=0.0) + 0.0)
 
 
 def run(net: Network, config: MechanismConfig | None = None,
@@ -345,29 +347,6 @@ def run(net: Network, config: MechanismConfig | None = None,
     log.info("mechanism finished after %d rounds (converged=%s)", k, converged)
     state = CouplingState(k, *index.unflatten(x, mu), config.rho, config.beta)
     return MechanismRun(state, tuple(trace), clearings, converged, k)
-
-
-@dataclass(frozen=True)
-class ConvergenceMetrics:
-    dx_inf: float
-    consensus: dict[str, float]  # per tie
-    slackness: dict[str, float]  # per tie
-    consensus_max: float
-    slackness_max: float
-
-
-def convergence_metrics(trace) -> ConvergenceMetrics:
-    """Final-round convergence diagnostics from a mechanism trace."""
-    if len(trace) < 2:
-        raise ValueError("need at least two trace records")
-    last = trace[-1]
-    return ConvergenceMetrics(
-        dx_inf=last.dx_inf,
-        consensus={t: v.consensus for t, v in last.ties.items()},
-        slackness={t: v.slackness for t, v in last.ties.items()},
-        consensus_max=last.consensus,
-        slackness_max=last.slackness,
-    )
 
 
 @dataclass(frozen=True)

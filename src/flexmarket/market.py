@@ -96,7 +96,6 @@ class ClearingResult:
     objective: float  # trade-aware objective at the decision, USD
     generation_cost: float  # sum of C_g at the decision, USD
     willingness_to_pay: dict[str, float]  # per tie: gamma + alpha[own bus]
-    status: str
     kkt_residual: float
     # binding inequality rows of the program; reusable as the hint of the
     # area's next clear (ChanceConstrainedClearing)
@@ -308,7 +307,6 @@ class AreaProblem:
 
         self.index = AreaIndex(gens, ties, buses, var_dp, var_tp, var_tm, var_theta,
                                eq_tie_def, eq_slack, rows)
-        self._generators = tuple(net.generator(g) for g in gens)
         self._program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(),
                                                tuple(var_labels), tuple(eq.labels),
                                                tuple(ineq.labels))
@@ -370,17 +368,12 @@ class AreaProblem:
             sol.z, tie_def={t: y[i] for t, i in idx.eq_tie_def.items()},
             slack_angle=y[idx.eq_slack] if idx.eq_slack is not None else None)
         decision = AreaDecision(delta_p, delta_t, theta)
-        gen_cost = sum(gen.cost(gen.p_da + dp)
-                       for gen, dp in zip(self._generators, delta_p.values()))
-        objective = gen_cost
-        willingness = {}
-        for v in idx.ties:
-            t = terms.for_tie(v.tie_id)
-            objective += -t.price * delta_t[v.tie_id] \
-                + 0.5 * t.capacity_price * abs(delta_t[v.tie_id])
-            willingness[v.tie_id] = duals.reliability_price + duals.nodal_price[v.own_bus]
-        return ClearingResult(self.area_id, decision, duals, objective, gen_cost,
-                              willingness, sol.status, sol.residuals.max(), sol.active_set)
+        gen_cost = generation_cost(self.net, delta_p)
+        willingness = {v.tie_id: duals.reliability_price + duals.nodal_price[v.own_bus]
+                       for v in idx.ties}
+        return ClearingResult(self.area_id, decision, duals,
+                              _objective(idx.ties, terms, decision, gen_cost), gen_cost,
+                              willingness, sol.residuals.max(), sol.active_set)
 
 
 def _area_problem(net: Network, area_id: str) -> AreaProblem:
@@ -413,16 +406,26 @@ def clear(net: Network, area_id: str, terms: TermsOfTrade,
     return _area_problem(net, area_id).clear(terms, tol, max_iter, near)
 
 
-def evaluate_objective(net: Network, area_id: str, terms: TermsOfTrade,
-                       decision: AreaDecision) -> float:
-    """Trade-aware clearing objective evaluated at an arbitrary decision."""
-    total = sum(net.generator(g).cost(net.generator(g).p_da + dp)
-                for g, dp in decision.delta_p.items())
-    for v in net.tie_views(area_id):
+def generation_cost(net: Network, delta_p: Mapping[str, float]) -> float:
+    """Sum of C_g(P_da + dP) over the generators of ``delta_p``, in its order."""
+    return sum(net.generator(g).cost(net.generator(g).p_da + dp) for g, dp in delta_p.items())
+
+
+def _objective(ties, terms: TermsOfTrade, decision: AreaDecision, gen_cost: float) -> float:
+    """The trade-aware objective of a decision whose generation cost is ``gen_cost``."""
+    total = gen_cost
+    for v in ties:
         t = terms.for_tie(v.tie_id)
         dt = decision.delta_t[v.tie_id]
         total += -t.price * dt + 0.5 * t.capacity_price * abs(dt)
     return total
+
+
+def evaluate_objective(net: Network, area_id: str, terms: TermsOfTrade,
+                       decision: AreaDecision) -> float:
+    """Trade-aware clearing objective evaluated at an arbitrary decision."""
+    return _objective(net.tie_views(area_id), terms, decision,
+                      generation_cost(net, decision.delta_p))
 
 
 def autarky_infeasibility(net: Network, area_id: str) -> str | None:

@@ -207,10 +207,6 @@ class KktResiduals:
         # each residual is >= 0 or NaN, so the sum is NaN exactly when one is
         return math.nan if math.isnan(sum(values)) else max(values)
 
-    def as_dict(self) -> dict[str, float]:
-        return {"primal_eq": self.primal_eq, "primal_ineq": self.primal_ineq,
-                "dual_stationarity": self.dual_stationarity, "complementarity": self.complementarity}
-
 
 @dataclass(frozen=True)
 class QpSolution:

@@ -10,9 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from flexmarket import (ScenarioModifiers, apply_scenario, convergence_metrics,
-                        efficiency_gap, normal_quantile, run, verify_fixed_point,
-                        verify_nash)
+from flexmarket import (ScenarioModifiers, apply_scenario, efficiency_gap, normal_quantile,
+                        run, verify_fixed_point, verify_nash)
 from flexmarket.cli import main as cli_main
 from flexmarket.qp import QuadraticProgram, solve
 
@@ -48,18 +47,16 @@ def test_criterion_01_efficiency(bundled):
 def test_criterion_02_consensus(bundled):
     """Both sides of every tie agree on the physical flow at the limit."""
     for name, (net, result, _, _) in bundled.items():
-        metrics = convergence_metrics(result.trace)
-        for tie_id, residual in metrics.consensus.items():
-            assert residual <= 1e-3, (name, tie_id, residual)
+        for tie_id, tie in result.trace[-1].ties.items():
+            assert tie.consensus <= 1e-3, (name, tie_id, tie.consensus)
     _ok("criterion 2: flow consensus on every tie")
 
 
 def test_criterion_03_limiting_slackness(bundled):
     """Capacity price times the capacity surrogate vanishes in the limit."""
     for name, (net, result, _, _) in bundled.items():
-        metrics = convergence_metrics(result.trace)
-        for tie_id, product in metrics.slackness.items():
-            assert abs(product) <= 1e-3, (name, tie_id, product)
+        for tie_id, tie in result.trace[-1].ties.items():
+            assert abs(tie.slackness) <= 1e-3, (name, tie_id, tie.slackness)
     _ok("criterion 3: limiting complementary slackness")
 
 

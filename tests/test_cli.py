@@ -126,6 +126,18 @@ def test_congested_decentralized_trace_shows_positive_mu(tmp_path, capsys):
     assert mu > 1.0
 
 
+def test_slackness_check_fails_on_a_priced_tie_below_capacity(tmp_path, capsys):
+    # after 80 rounds at beta 0.5 the AB tie carries mu ~ 30 with its flow just
+    # under the 5 MW capacity: mu times the capacity surrogate is about -1.46
+    report_path = tmp_path / "report.json"
+    code, *_ = run_cli(capsys, "run", "--case", "toy2-congested", "--mode", "decentralized",
+                       "--beta", "0.5", "--max-rounds", "80", "--report", str(report_path))
+    report = json.loads(report_path.read_text())
+    assert code == 4
+    assert report["final"]["slackness"] < -1.0
+    assert report["checks"]["slackness"] is False
+
+
 def test_exit_four_when_not_converged(capsys):
     code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "decentralized",
                            "--max-rounds", "3")

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flexmarket import (MechanismConfig, RhoSchedule, ScenarioModifiers, apply_scenario,
-                        convergence_metrics, decode_message, encode_message, inertial_update,
-                        load_case, run, step_rho, trace_to_csv, update_capacity_price,
-                        verify_nash)
+                        decode_message, encode_message, inertial_update, load_case, run,
+                        step_rho, trace_to_csv, update_capacity_price, verify_nash)
 from flexmarket.coupling import (ExchangeMessage, MessageError, StaleMessageError,
-                                 TieQuote, TraceRecord, terms_for_area)
+                                 TieQuote, terms_for_area)
 from flexmarket.market import AreaDecision, TermsOfTrade, autarky_infeasibility, clear
 from flexmarket.qp import DEFAULT_TOL
 
@@ -196,21 +196,24 @@ def test_zero_capacity_network_clears_at_autarky(tri3):
 
 def test_convergence_metrics_on_converged_run(toy2_run):
     result, _ = toy2_run
-    metrics = convergence_metrics(result.trace)
-    assert metrics.consensus_max <= 1e-3
-    assert abs(metrics.slackness_max) <= 1e-3
-    assert metrics.dx_inf < 1e-8
-    assert set(metrics.consensus) == {"AB"}
+    last = result.trace[-1]
+    assert last.consensus <= 1e-3
+    assert abs(last.slackness) <= 1e-3
+    assert last.dx_inf < 1e-8
+    assert set(last.ties) == {"AB"}
 
 
-def test_convergence_metrics_need_two_records():
-    with pytest.raises(ValueError):
-        convergence_metrics([])
-    record = TraceRecord(1, {}, {}, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        convergence_metrics([record])
-    metrics = convergence_metrics([record, replace(record, k=2)])
-    assert metrics.dx_inf == 0.0
+def test_trace_slackness_keeps_the_sign_of_the_largest_product(toy2_congested, toy2_run):
+    # at beta 0.5 the AB tie is priced (mu ~ 30) while its flow sits just under
+    # capacity, so its product is negative and far from zero after 80 rounds
+    result = run(toy2_congested, MechanismConfig(beta=0.5, max_rounds=80))
+    for rec in result.trace:
+        assert rec.slackness == max((t.slackness for t in rec.ties.values()), key=abs)
+    assert result.trace[-1].slackness < -1.0
+    # mu == 0 below capacity gives products of -0.0; the record reads 0.0
+    result, _ = toy2_run
+    assert all(math.copysign(1.0, t.slackness) == -1.0 for t in result.trace[-1].ties.values())
+    assert all(math.copysign(1.0, rec.slackness) == 1.0 for rec in result.trace)
 
 
 def test_nash_gaps_vanish_at_the_limit(toy2, toy2_run):

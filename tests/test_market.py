@@ -82,7 +82,7 @@ def test_import_clears_at_marginal_cost(toy2):
     assert res.decision.delta_p["GB"] == pytest.approx(2.0, abs=1e-6)
     assert res.decision.delta_t["AB"] == pytest.approx(-8.0, abs=1e-6)
     assert res.willingness_to_pay["AB"] == pytest.approx(8.0, abs=1e-6)
-    assert res.status == "optimal"
+    assert res.kkt_residual <= 1e-8
 
 
 def test_high_capacity_price_chokes_trade(toy2, tri3):
@@ -161,8 +161,7 @@ def test_nodal_reconstruction_residual(tri3):
 def test_objective_equals_direct_evaluation(toy2):
     terms = _terms(AB=(8.0, 0.0, 4.0))
     res = clear(toy2, "B", terms)
-    assert res.objective == pytest.approx(
-        evaluate_objective(toy2, "B", terms, res.decision), abs=1e-8)
+    assert res.objective == evaluate_objective(toy2, "B", terms, res.decision)
 
 
 def test_capacity_price_monotonically_shrinks_trade(toy2):

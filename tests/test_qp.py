@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,9 +178,9 @@ def test_residual_pass_matches_kkt_residuals_bit_for_bit():
         for sol in (cold, solve(qp, active_hint=cold.active_set)):
             ref = _bits(_reference_residuals(qp, sol.x, sol.y, sol.z))
             slack = qp.h_ineq - qp.g_ineq @ sol.x
-            assert _bits(qpmod._residuals(qp, sol.x, sol.y, sol.z, slack).as_dict()) == ref
-            assert _bits(kkt_residuals(qp, sol.x, sol.y, sol.z).as_dict()) == ref
-            assert _bits(sol.residuals.as_dict()) == ref
+            assert _bits(asdict(qpmod._residuals(qp, sol.x, sol.y, sol.z, slack))) == ref
+            assert _bits(asdict(kkt_residuals(qp, sol.x, sol.y, sol.z))) == ref
+            assert _bits(asdict(sol.residuals)) == ref
             compared += 1
     assert compared >= 60
 
@@ -200,7 +201,7 @@ def test_residual_pass_keeps_nan_and_the_solver_rejects_it():
     qp = _qp(np.eye(2), [0.0, 0.0], a=[[1.0, -1.0]], b=[0.0], g=[[1.0, 1.0]], h=[1.0])
     x = np.array([np.nan, 0.0])
     res = qpmod._residuals(qp, x, np.zeros(1), np.zeros(1), qp.h_ineq - qp.g_ineq @ x)
-    assert all(np.isnan(v) for v in res.as_dict().values())
+    assert all(np.isnan(v) for v in asdict(res).values())
     assert np.isnan(res.max())
     # the builtin max would skip a NaN that is not its first argument
     assert np.isnan(qpmod.KktResiduals(0.0, float("nan"), 1.0, 0.0).max())
@@ -406,7 +407,7 @@ def test_refinement_overflow_stays_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = clear(net, "A03", terms["A03"])
-    assert res.status == "optimal"
+    assert res.kkt_residual <= DEFAULT_TOL
 
 
 def _solves_silently(name):
