@@ -12,12 +12,19 @@ report, any error, the path of every ``qp.solve`` (cold solves apart), and a
 digest of every ``qp.solve`` result: its status, path and the bits of x, y
 and z, in call order.
 
-Printed per case: the rounds on both trees, whether the trace, the report
-and the solve digest are identical, the largest |difference| per trace
-column and per numeric report field (fields that differ in kind, such as a
-flag, are printed with both values), and the solve paths on each tree.  A
-last line says whether every solve digest, set-up's included, matches.
-Times are not compared: use ``perfbench/run.py`` for that.
+The ``cli`` workload is not the benchmark's: per bundled case the child runs
+``flexmarket run --case CASE --mode compare`` with ``--trace`` and
+``--report`` and the default tolerances, and records the trace and report
+files, stdout, and any failure (exit code and stderr) besides the rounds,
+paths and digest.
+
+Printed per case: the rounds on both trees, whether the trace, the report,
+stdout (``cli`` only) and the solve digest are identical, the largest
+|difference| per trace column and per numeric report field (fields that
+differ in kind, such as a flag, are printed with both values), and the solve
+paths on each tree.  A last line says whether every solve digest, set-up's
+included, matches.  Times are not compared: use ``perfbench/run.py`` for
+that.
 """
 import argparse
 import csv
@@ -30,7 +37,8 @@ import subprocess
 import sys
 from collections import Counter
 
-WORKLOADS = ("bundled-compare", "ladder", "cold-certify")
+WORKLOADS = ("bundled-compare", "ladder", "cold-certify", "cli")
+CLI_CASES = ("toy2", "toy2-congested", "tri3")
 
 
 def capture(tree, workload, seed):
@@ -39,7 +47,6 @@ def capture(tree, workload, seed):
     from pathlib import Path
 
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
-    import workloads
     from flexmarket import qp
 
     solve, paths, digests = qp.solve, [], []
@@ -55,6 +62,15 @@ def capture(tree, workload, seed):
 
     qp.solve = recording_solve
     out = []
+    if workload == "cli":
+        for case in CLI_CASES:
+            paths.append([])
+            digests.append(hashlib.sha256())
+            out.append({"name": case, **run_cli(case),
+                        "paths": dict(Counter(paths.pop())),
+                        "digest": digests.pop().hexdigest()})
+        return {"setup_paths": {}, "setup_digest": "", "cases": out}
+    import workloads
     with tempfile.TemporaryDirectory() as scratch:
         paths.append([])
         digests.append(hashlib.sha256())
@@ -71,6 +87,27 @@ def capture(tree, workload, seed):
                         "digest": digests.pop().hexdigest()})
     return {"setup_paths": dict(Counter(setup_paths)), "setup_digest": setup_digest,
             "cases": out}
+
+
+def run_cli(case):
+    """``flexmarket run --case CASE --mode compare`` and what it wrote."""
+    import contextlib
+    import tempfile
+    from pathlib import Path
+
+    from flexmarket import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        trace, report = Path(scratch, "trace.csv"), Path(scratch, "report.json")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["run", "--case", case, "--mode", "compare",
+                             "--trace", str(trace), "--report", str(report)])
+        csv_text = trace.read_text() if trace.exists() else None
+        report_text = report.read_text() if report.exists() else None
+    return {"error": f"exit {code}: {stderr.getvalue()}" if code else None,
+            "rounds": json.loads(report_text).get("rounds") if report_text else None,
+            "csv": csv_text, "report": report_text, "stdout": stdout.getvalue()}
 
 
 def run_child(tree, workload, seed):
@@ -116,8 +153,12 @@ def flatten(value, prefix=""):
 
 
 def report_deltas(old, new):
-    """Largest |difference| per report field, and the fields that differ in kind."""
-    old, new = dict(flatten(old or {})), dict(flatten(new or {}))
+    """Largest |difference| per report field, and the fields that differ in kind.
+
+    A report is a dict, or the JSON text of one (``cli``).
+    """
+    old, new = (dict(flatten((json.loads(r) if isinstance(r, str) else r) or {}))
+                for r in (old, new))
     numeric, other = {}, {}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
@@ -149,9 +190,10 @@ def compare(old_tree, new_tree, workload, seed):
     for a, b in zip(old["cases"], new["cases"]):
         if a["digest"] != b["digest"]:
             mismatched.append(a["name"])
+        stdout = f"stdout {same(a['stdout'], b['stdout'])}, " if "stdout" in a else ""
         print(f"  {a['name']}: rounds {a['rounds']} -> {b['rounds']}; "
               f"trace {same(a['csv'], b['csv'])}, report {same(a['report'], b['report'])}, "
-              f"solve digest {same(a['digest'], b['digest'])}")
+              f"{stdout}solve digest {same(a['digest'], b['digest'])}")
         if a["error"] or b["error"]:
             print(f"    errors: {a['error']} -> {b['error']}")
         if a["csv"] != b["csv"]:
@@ -163,6 +205,8 @@ def compare(old_tree, new_tree, workload, seed):
             show(numeric, "      ")
             for key, (x, y) in other.items():
                 print(f"      {key}: {x!r} -> {y!r}")
+        if a.get("stdout") != b.get("stdout"):
+            print(f"    stdout: {a['stdout']!r} -> {b['stdout']!r}")
         print(f"    solve paths: {a['paths']} -> {b['paths']}")
     return mismatched
 

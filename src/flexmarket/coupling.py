@@ -183,10 +183,15 @@ def inertial_update(prev, fresh, rho: float):
     return (1.0 - rho) * prev + rho * fresh
 
 
+def _capacity_surrogate(abs_dt_a, abs_dt_b, abs_t_da, capacity):
+    """A tie's flow surrogate over its capacity, (|dTa| + |dTb|)/2 + |t_da| - capacity."""
+    return 0.5 * (abs_dt_a + abs_dt_b) + abs_t_da - capacity
+
+
 def update_capacity_price(mu_prev, abs_dt_a, abs_dt_b, abs_t_da, capacity, beta: float):
     """Constant-step ascent on the capacity surrogate, clamped at zero (the
     + 0.0 turns a clamped -0.0 into 0.0); scalars or arrays, elementwise."""
-    return np.maximum(mu_prev + beta * (0.5 * (abs_dt_a + abs_dt_b) + abs_t_da - capacity),
+    return np.maximum(mu_prev + beta * _capacity_surrogate(abs_dt_a, abs_dt_b, abs_t_da, capacity),
                       0.0) + 0.0
 
 
@@ -290,8 +295,8 @@ def _record(index: _BroadcastIndex, k: int, x: np.ndarray, mu: np.ndarray, dx: f
     flow_from = index.t_da + dt_from
     flow_to = -index.t_da + dt_to
     consensus = np.abs(flow_from + flow_to).tolist()
-    slackness = (mu * (0.5 * (np.abs(dt_from) + np.abs(dt_to)) + np.abs(index.t_da)
-                       - index.capacity)).tolist()
+    slackness = (mu * _capacity_surrogate(np.abs(dt_from), np.abs(dt_to), np.abs(index.t_da),
+                                          index.capacity)).tolist()
     # tolist() hands back Python floats, whose repr the trace CSV relies on
     columns = zip(flow_from.tolist(), flow_to.tolist(), mu.tolist(),
                   price_from.tolist(), price_to.tolist(), consensus, slackness)

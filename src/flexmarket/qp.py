@@ -23,45 +23,39 @@ Q must be positive definite.  A program's structure (Q, A, G and h) is
 stored read-only, and ``rebind`` returns a program with new c and b that
 shares it, so an iterative caller validates the structure once.  Programs
 that share a structure also share the feasibility tolerance of h, the factor
-L^-T of Q = LL', and a memo: the solver keeps the pseudo-inverse of A for the
-equality-consistency check and the KKT matrix and pseudo-inverse of the last
-active set it solved on, so a re-solve on an unchanged active set factors
-nothing.  A new active set costs one SVD of its constraint rows scaled by
-L^-T, not of the whole KKT matrix (``_active_kkt``).
+L^-T of Q = LL', and a memo: the solver keeps the KKT matrix and
+pseudo-inverse of the last active set it solved on, so a re-solve on an
+unchanged active set factors nothing.  A new active set costs one SVD of its
+constraint rows scaled by L^-T, not of the whole KKT matrix
+(``_active_kkt``).
 
-A solve with an active-set hint first walks from the hint, before the
-equality-consistency check.  That order changes no answer: a hinted point is
-returned only if it passes validation, which bounds max|Ax - b| by tol, and
-the least-squares residual the check measures is no larger in the 2-norm,
-so it stays under the check's 1e-7 threshold whenever sqrt(m_eq) * tol
-does (the default tol, for up to 100 equality rows).
-
-The walk is a semismooth Newton method: it settles in a few steps from a
-nearby start and has no global guarantee.  So the hinted walk stops after
-n + m_eq row sets.  The cold method, where it drops no row, reaches its
-optimum in at most n + 1 steps, one per independent active row, and each of
-its steps updates its factors where each row set of a walk takes a fresh
-SVD; a hint that has not settled within n + m_eq row sets is no nearer a
-start than the cold method's own.  The cold path then runs:
+A solve with an active-set hint first walks from the hint.  The walk is a
+semismooth Newton method: it settles in a few steps from a nearby start and
+has no global guarantee.  So the hinted walk stops after n + m_eq row sets.
+The cold method, where it drops no row, reaches its optimum in at most n + 1
+steps, one per independent active row, and each of its steps updates its
+factors where each row set of a walk takes a fresh SVD; a hint that has not
+settled within n + m_eq row sets is no nearer a start than the cold method's
+own.  The cold path then runs:
 
 1. The dual method (``_dual_active_set``).  From the unconstrained minimum
    it adds the equality rows, then the most violated inequality row at a
    time, dropping rows whose multiplier would turn negative; it is exact and
    finite, and takes about one step per binding row.  ``max_iter`` caps its
-   steps.
+   steps.  It judges each equality row's consistency as it reaches it.
 2. Its rows are polished, then the polished point's binding rows, then the
    answer's support (``_dual_answer``).
 3. Where the method stops on a row it can neither add nor make room for,
-   its multipliers prove the program infeasible if they rule out every
-   solution of 1-norm up to ``CERTIFICATE_RADIUS``; a program feasible only
-   farther out is never called infeasible.  Anything else that gives no
-   answer is ``iteration_limit``.
+   an equality row included, its multipliers prove the program infeasible
+   if they rule out every solution of 1-norm up to ``CERTIFICATE_RADIUS``;
+   a program feasible only farther out is never called infeasible.
+   Anything else that gives no answer is ``iteration_limit``.
 
 ``QpSolution.path`` names the route that answered.
 """
 from __future__ import annotations
 
-import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -171,27 +165,12 @@ class QuadraticProgram:
         return float(0.5 * x @ self.q @ x + self.c @ x)
 
     def dump(self) -> str:
-        """Labeled text dump (matrix-market flavored) for external cross-checks."""
-        out = io.StringIO()
-        vl = self.var_labels or tuple(f"x{i}" for i in range(self.n))
-        el = self.eq_labels or tuple(f"eq{i}" for i in range(len(self.b_eq)))
-        il = self.ineq_labels or tuple(f"ineq{i}" for i in range(len(self.h_ineq)))
-        print(f"%%qp n={self.n} m_eq={len(self.b_eq)} m_ineq={len(self.h_ineq)}", file=out)
-        print("%vars", " ".join(vl), file=out)
-        for name, mat, rhs, labels in (("eq", self.a_eq, self.b_eq, el),
-                                       ("ineq", self.g_ineq, self.h_ineq, il)):
-            for i, lab in enumerate(labels):
-                terms = " ".join(f"{mat[i, j]:+.17g}*{vl[j]}" for j in range(self.n) if mat[i, j] != 0)
-                op = "=" if name == "eq" else "<="
-                print(f"{name} {lab}: {terms or '0'} {op} {rhs[i]:.17g}", file=out)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if self.q[i, j] != 0:
-                    print(f"Q {vl[i]} {vl[j]} {self.q[i, j]:.17g}", file=out)
-        for j in range(self.n):
-            if self.c[j] != 0:
-                print(f"c {vl[j]} {self.c[j]:.17g}", file=out)
-        return out.getvalue()
+        """The program as JSON: its arrays as nested lists of repr floats, which
+        read back bit for bit, and its labels."""
+        return json.dumps({**{key: getattr(self, key).tolist() for key in
+                              ("q", "c", "a_eq", "b_eq", "g_ineq", "h_ineq")},
+                           **{key: list(getattr(self, key)) for key in
+                              ("var_labels", "eq_labels", "ineq_labels")}})
 
 
 @dataclass(frozen=True)
@@ -394,12 +373,14 @@ def _dual_active_set(qp, max_steps):
     list and are never dropped.
 
     The method keeps only independent rows: a row whose normal lies in the
-    span of the active normals is skipped if it is an equality (the equality
-    check has made it consistent) and otherwise moves the multipliers alone.
-    Where such a row limits no multiplier, the method stops on it unless its
-    normal keeps a positive part outside the span and the stop's multipliers
-    do not prove the program infeasible (``_certifies_infeasible``): then it
-    takes the primal step out to the row, however long, and adds it.
+    span of the active normals is skipped if it is an equality that the
+    current point misses by at most 1e-7 (1 + max|b|), and otherwise moves
+    the multipliers alone.  Where such a row limits no multiplier, the method
+    stops on it, and on such an equality it always stops.  The one exception
+    is an inequality row whose normal keeps a positive part outside the span
+    and whose stop's multipliers do not prove the program infeasible
+    (``_certifies_infeasible``): the method takes the primal step out to it,
+    however long, and adds it.
 
     U1, R and R^-1 live in n x n buffers, updated in place as in Goldfarb
     and Idnani's sec. 4.  An add appends one Gram-Schmidt column to U1 (the
@@ -479,15 +460,16 @@ def _dual_active_set(qp, max_steps):
                 limit, drop = ratios[first], int(rising[first])
             curvature = free @ free
             dependent = curvature <= 1e-20 * (d @ d) or q == n
-            if dependent and p < me:
-                break  # a dependent, consistent equality: skip it
+            if dependent and p < me and (abs(bound - normal @ x)
+                                         <= 1e-7 * (1.0 + np.max(np.abs(qp.b_eq)))):
+                break  # a dependent equality the point meets: skip it
             if dependent and drop is None:
                 # n lies in the span of the active normals as far as the
                 # method can tell, and no multiplier makes room for it
                 scale = max(1.0, np.max(np.abs(r), initial=0.0))
                 stop = split(active + [p], np.append(-r, 1.0) / scale)
                 certified = _certifies_infeasible(qp, *stop)
-                if certified or not (curvature > 0.0 and q < n):
+                if certified or p < me or not (curvature > 0.0 and q < n):
                     return (None, x, *split(active, u), steps, stop if certified else None)
                 # not proved infeasible: the primal step out to the row
             if dependent and drop is not None:
@@ -579,12 +561,10 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     ``active_hint`` short-circuits the cold path when the binding set of a
     nearby instance is known (e.g. the previous round of an iterative
     caller); the hinted solution is accepted only after passing the full KKT
-    validation.  It is tried before the equality-consistency check, which it
-    makes redundant when it succeeds.  A hint that misses within its budget
-    of n + m_eq row sets is left to the cold path, the dual method and its
-    polishes (module docstring), whose steps ``max_iter`` caps.  An answer
-    that is not optimal carries the dual method's point, multipliers and
-    steps.
+    validation.  A hint that misses within its budget of n + m_eq row sets is
+    left to the cold path, the dual method and its polishes (module
+    docstring), whose steps ``max_iter`` caps.  An answer that is not optimal
+    carries the dual method's point, multipliers and steps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -597,18 +577,6 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
         polished = _polish(qp, set(active_hint), tol, min(n + me, full))
         if polished is not None:
             return _optimal(qp, polished, 0, "hint")
-
-    if me:
-        if "pinv_a" not in qp._memo:
-            qp._memo["pinv_a"] = np.linalg.pinv(qp.a_eq)
-        x_ls = qp._memo["pinv_a"] @ qp.b_eq
-        r = qp.b_eq - qp.a_eq @ x_ls
-        if np.max(np.abs(r), initial=0.0) > 1e-7 * (1.0 + np.max(np.abs(qp.b_eq))):
-            # inconsistent equalities: the least-squares residual certifies it
-            y_cert = r.copy()
-            return QpSolution("infeasible", x_ls, np.zeros(me), np.zeros(mi),
-                              kkt_residuals(qp, x_ls, np.zeros(me), np.zeros(mi)),
-                              qp.objective(x_ls), 0, certificate=(y_cert, np.zeros(mi)))
 
     rows, x, y, z, steps, proof = _dual_active_set(qp, min(max_iter, full + me))
     if rows is not None:

@@ -134,7 +134,7 @@ def test_certification_clears_take_the_hinted_path(toy2_congested, toy2_congeste
                                                    toy2_congested_central, tri3, tri3_run,
                                                    tri3_central, monkeypatch):
     # the Nash and fixed-point re-clears start from the rows the decision they
-    # should reproduce binds, so none of them runs the interior point
+    # should reproduce binds, so each is answered by its hint's walk
     solves = []
     solve = qp.solve
 
@@ -292,6 +292,37 @@ def test_comparison_report_shape(toy2, toy2_run, toy2_central):
                                             "dual_stationarity", "complementarity"}
     assert report["checks"]["kkt"] and report["checks"]["nash"]
     json.dumps(report)  # serializable as-is
+
+
+def test_a_report_evaluates_its_limit_once(toy2_congested, toy2_congested_run,
+                                           toy2_congested_central, monkeypatch):
+    # the report's gap is the KKT check's, and its two checks share one x of
+    # the limit's decisions
+    from flexmarket import benchmark, comparison_report
+    gaps, points = [], []
+    gap, primal = benchmark.efficiency_gap, benchmark._CentralProblem.primal
+
+    def recorded_gap(*args):
+        gaps.append(gap(*args))
+        return gaps[-1]
+
+    def recorded_primal(problem, decisions):
+        points.append(primal(problem, decisions))
+        return points[-1]
+
+    monkeypatch.setattr(benchmark, "efficiency_gap", recorded_gap)
+    monkeypatch.setattr(benchmark._CentralProblem, "primal", recorded_primal)
+    result, _ = toy2_congested_run
+    report = comparison_report(toy2_congested, result.state, result.clearings,
+                               toy2_congested_central)
+    assert len(gaps) == 1 and len(points) == 2 and points[0] is points[1]
+    assert (report["objective_gap"], report["flow_deviation"]) == (gaps[0].objective_gap,
+                                                                   gaps[0].flow_deviation)
+    # decisions that are not the same objects get their own x
+    moved = {**result.clearings, "B": replace(result.clearings["B"],
+                                              decision=replace(result.clearings["B"].decision))}
+    assert benchmark._central_problem(toy2_congested).primal(
+        {a: c.decision for a, c in moved.items()}) is not points[0]
 
 
 def test_comparison_report_looks_up_verify_nash_at_call_time(toy2, toy2_run, toy2_central,
