@@ -8,9 +8,10 @@ interpreter, with one BLAS thread, imports ``flexmarket`` from the tree's
 ``src/`` and the benchmark's ``workloads`` module from its ``perfbench/``,
 and runs one pass as ``perfbench/run.py`` does: ``set_up``, then ``work`` on
 every case.  It records per case the rounds, the trace CSV, the comparison
-report, any error, the path of every ``qp.solve`` (cold solves apart), and a
+report, any error, the path of every ``qp.solve`` (cold solves apart), a
 digest of every ``qp.solve`` result: its status, path and the bits of x, y
-and z, in call order.
+and z, in call order, and the ``iterations`` of every ``qp.solve``, which
+count the dual method's steps (0 for a hint), in call order.
 
 The ``cli`` workload is not the benchmark's: per bundled case the child runs
 ``flexmarket run --case CASE --mode compare`` with ``--trace`` and
@@ -19,12 +20,14 @@ files, stdout, and any failure (exit code and stderr) besides the rounds,
 paths and digest.
 
 Printed per case: the rounds on both trees, whether the trace, the report,
-stdout (``cli`` only) and the solve digest are identical, the largest
-|difference| per trace column and per numeric report field (fields that
-differ in kind, such as a flag, are printed with both values), and the solve
-paths on each tree.  A last line says whether every solve digest, set-up's
-included, matches.  Times are not compared: use ``perfbench/run.py`` for
-that.
+stdout (``cli`` only), the solve digest and the dual steps are identical,
+with the total steps on each tree, the largest |difference| per trace column
+and per numeric report field (fields that differ in kind, such as a flag, are
+printed with both values), and the solve paths on each tree.  Two last lines
+say whether every solve digest and every solve's dual steps, set-up's
+included, match: a change to the cold path that keeps the answers but takes
+other steps shows there.  Times are not compared: use ``perfbench/run.py``
+for that.
 """
 import argparse
 import csv
@@ -49,11 +52,12 @@ def capture(tree, workload, seed):
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     from flexmarket import qp
 
-    solve, paths, digests = qp.solve, [], []
+    solve, paths, digests, steps = qp.solve, [], [], []
 
     def recording_solve(*args, active_hint=None, **kwargs):
         sol = solve(*args, active_hint=active_hint, **kwargs)
         paths[-1].append(("hinted " if active_hint is not None else "cold ") + sol.path)
+        steps[-1].append(sol.iterations)
         digest = digests[-1]
         digest.update(f"{sol.status} {sol.path}\n".encode())
         for v in (sol.x, sol.y, sol.z):
@@ -66,27 +70,31 @@ def capture(tree, workload, seed):
         for case in CLI_CASES:
             paths.append([])
             digests.append(hashlib.sha256())
+            steps.append([])
             out.append({"name": case, **run_cli(case),
                         "paths": dict(Counter(paths.pop())),
-                        "digest": digests.pop().hexdigest()})
-        return {"setup_paths": {}, "setup_digest": "", "cases": out}
+                        "digest": digests.pop().hexdigest(), "steps": steps.pop()})
+        return {"setup_paths": {}, "setup_digest": "", "setup_steps": [], "cases": out}
     import workloads
     with tempfile.TemporaryDirectory() as scratch:
         paths.append([])
         digests.append(hashlib.sha256())
+        steps.append([])
         cases = workloads.set_up(workloads.specs(workload, seed))
         setup_paths, setup_digest = paths.pop(), digests.pop().hexdigest()
+        setup_steps = steps.pop()
         for case in cases:
             paths.append([])
             digests.append(hashlib.sha256())
+            steps.append([])
             res = workloads.work(case, Path(scratch))
             out.append({"name": case.spec.name, "error": res.error,
                         "rounds": res.run.rounds if res.run is not None else None,
                         "csv": res.csv, "report": res.report,
                         "paths": dict(Counter(paths.pop())),
-                        "digest": digests.pop().hexdigest()})
+                        "digest": digests.pop().hexdigest(), "steps": steps.pop()})
     return {"setup_paths": dict(Counter(setup_paths)), "setup_digest": setup_digest,
-            "cases": out}
+            "setup_steps": setup_steps, "cases": out}
 
 
 def run_cli(case):
@@ -185,15 +193,22 @@ def compare(old_tree, new_tree, workload, seed):
     old, new = run_child(old_tree, workload, seed), run_child(new_tree, workload, seed)
     print(f"== {workload} (seed {seed})")
     print(f"  set-up solve paths: {old['setup_paths']} -> {new['setup_paths']}; "
-          f"solve digest {same(old['setup_digest'], new['setup_digest'])}")
+          f"solve digest {same(old['setup_digest'], new['setup_digest'])}, "
+          f"dual steps {same(old['setup_steps'], new['setup_steps'])} "
+          f"({sum(old['setup_steps'])} -> {sum(new['setup_steps'])})")
     mismatched = [] if old["setup_digest"] == new["setup_digest"] else [f"{workload} set-up"]
+    stepped = [] if old["setup_steps"] == new["setup_steps"] else [f"{workload} set-up"]
     for a, b in zip(old["cases"], new["cases"]):
         if a["digest"] != b["digest"]:
             mismatched.append(a["name"])
+        if a["steps"] != b["steps"]:
+            stepped.append(a["name"])
         stdout = f"stdout {same(a['stdout'], b['stdout'])}, " if "stdout" in a else ""
         print(f"  {a['name']}: rounds {a['rounds']} -> {b['rounds']}; "
               f"trace {same(a['csv'], b['csv'])}, report {same(a['report'], b['report'])}, "
-              f"{stdout}solve digest {same(a['digest'], b['digest'])}")
+              f"{stdout}solve digest {same(a['digest'], b['digest'])}, "
+              f"dual steps {same(a['steps'], b['steps'])} "
+              f"({sum(a['steps'])} -> {sum(b['steps'])})")
         if a["error"] or b["error"]:
             print(f"    errors: {a['error']} -> {b['error']}")
         if a["csv"] != b["csv"]:
@@ -208,7 +223,7 @@ def compare(old_tree, new_tree, workload, seed):
         if a.get("stdout") != b.get("stdout"):
             print(f"    stdout: {a['stdout']!r} -> {b['stdout']!r}")
         print(f"    solve paths: {a['paths']} -> {b['paths']}")
-    return mismatched
+    return mismatched, stepped
 
 
 def main():
@@ -223,11 +238,15 @@ def main():
         return
     if len(args.trees) != 2:
         parser.error("give two source trees")
-    mismatched = []
+    mismatched, stepped = [], []
     for workload in args.workload or WORKLOADS:
-        mismatched += compare(*args.trees, workload, args.seed)
+        digests, steps = compare(*args.trees, workload, args.seed)
+        mismatched += digests
+        stepped += steps
     print("solve digests: " + ("differ on " + ", ".join(mismatched) if mismatched
                                else "all identical"))
+    print("dual steps: " + ("differ on " + ", ".join(stepped) if stepped
+                            else "all identical"))
 
 
 if __name__ == "__main__":

@@ -263,6 +263,7 @@ class _BroadcastIndex:
                                     for a in (t.from_area, t.to_area)] for t in self.ties],
                                   dtype=int).reshape(-1, 4).T
         self.t_da = np.array([t.t_da for t in self.ties], dtype=float)
+        self.abs_t_da = np.abs(self.t_da)
         self.capacity = np.array([t.capacity for t in self.ties], dtype=float)
 
     def flatten(self, areas: dict[str, dict[str, dict[str, float]]]) -> np.ndarray:
@@ -295,7 +296,7 @@ def _record(index: _BroadcastIndex, k: int, x: np.ndarray, mu: np.ndarray, dx: f
     flow_from = index.t_da + dt_from
     flow_to = -index.t_da + dt_to
     consensus = np.abs(flow_from + flow_to).tolist()
-    slackness = (mu * _capacity_surrogate(np.abs(dt_from), np.abs(dt_to), np.abs(index.t_da),
+    slackness = (mu * _capacity_surrogate(np.abs(dt_from), np.abs(dt_to), index.abs_t_da,
                                           index.capacity)).tolist()
     # tolist() hands back Python floats, whose repr the trace CSV relies on
     columns = zip(flow_from.tolist(), flow_to.tolist(), mu.tolist(),
@@ -342,7 +343,7 @@ def run(net: Network, config: MechanismConfig | None = None,
         new = inertial_update(x, fresh, step_rho(k, config.rho))
         dx = float(np.max(np.abs(new - x), initial=0.0))
         x = new
-        mu = update_capacity_price(mu, *np.abs(x[index.tie_slots[:2]]), np.abs(index.t_da),
+        mu = update_capacity_price(mu, *np.abs(x[index.tie_slots[:2]]), index.abs_t_da,
                                    index.capacity, config.beta)
         trace.append(_record(index, k, x, mu, dx, clearings))
         streak = streak + 1 if dx < config.tol else 0

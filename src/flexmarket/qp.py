@@ -64,7 +64,7 @@ import numpy as np
 DEFAULT_TOL = 1e-8
 # a cap on the dual method's steps; solve also caps them at 2 * m_ineq + m_eq
 # + 8, so this binds only on programs of about 500 rows or more (the
-# benchmark's workloads and screens take at most 391 steps)
+# benchmark's workloads take at most 391 steps, its screens 404)
 DEFAULT_MAX_ITER = 1000
 # the dual method's multipliers at a stop certify infeasibility when, scaled to
 # max-norm 1, they balance G'z = A'y and leave a gap b'y - h'z, both to the
@@ -386,9 +386,13 @@ def _dual_active_set(qp, max_steps):
     and Idnani's sec. 4.  An add appends one Gram-Schmidt column to U1 (the
     step's own projection, orthogonalized twice), the column (r', rho)' to R
     and (-r'/rho, 1/rho)' to R^-1.  A drop of column i leaves R upper
-    Hessenberg from row i on: one QR of that trailing block re-triangularizes
-    it and rotates the trailing columns of U1, and the trailing columns of
-    R^-1 are rebuilt from its unchanged leading block.
+    Hessenberg from row i on, and one QR of that trailing block, H = Z B,
+    re-triangularizes it.  Z rotates the trailing columns of U1, and of R^-1
+    with its row i deleted: row i of R^-1 is orthogonal to H's columns, so
+    E' R^-1 diag(I, Z), E deleting column i, is the new R^-1 (Golub and Van
+    Loan, Matrix Computations, sec. 6.5), and no inverse is formed.  Each
+    drop carries R^-1's rounding forward, so R^-1 R drifts from I, by up to
+    1e-9 on the 24-area joint programs (cond(R) up to 2e7).
 
     Returns ``(rows, x, y, z, steps, proof)``.  (y, z) are the multipliers of
     the active rows at x.  ``rows`` are the active inequality rows at the
@@ -404,11 +408,14 @@ def _dual_active_set(qp, max_steps):
     bounds = np.concatenate([qp.b_eq, -qp.h_ineq])
     x = -(j @ (j.T @ qp.c))
     sign = np.ones(len(bounds))
-    active, u = [], np.zeros(0)  # active rows (equalities first), their multipliers
+    # active rows (equalities first), their multipliers u[:q], the active G rows as a mask
+    active, u, held = [], np.zeros(n), np.zeros(len(qp.h_ineq), dtype=bool)
     equalities = 0  # the active equality rows, which lead ``active``
+    consistent = 1e-7 * (1.0 + np.max(np.abs(qp.b_eq), initial=0.0))
     # J'N = basis[:, :q] tri[:q, :q] for q active rows, inverse = tri^-1; no
-    # write puts a nonzero below the diagonal of either, so the entries left
-    # of column q in row q are zero when an add makes it the last row
+    # write puts a nonzero below the diagonal of either (a drop's rotation is
+    # upper Hessenberg, with exact zeros), so row q is zero left of column q
+    # when an add makes it the last row
     basis, tri, inverse = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
 
     def split(rows, values):
@@ -426,42 +433,43 @@ def _dual_active_set(qp, max_steps):
         p = next(pending, None)
         if p is None:
             slack = qp.h_ineq - qp.g_ineq @ x
-            slack[[k - me for k in active[equalities:]]] = np.inf
-            worst = int(np.argmin(slack)) if len(slack) else -1
+            slack[held] = np.inf
+            worst = int(slack.argmin()) if len(slack) else -1
             if worst < 0 or slack[worst] >= -qp._feas_tol:
-                rows = tuple(sorted(k - me for k in active[equalities:]))
-                return (rows, x, *split(active, u), steps, None)
+                rows = tuple(held.nonzero()[0].tolist())
+                return (rows, x, *split(active, u[:len(active)]), steps, None)
             p = me + worst
         if p < me and normals[p] @ x > bounds[p]:
             sign[p] = -1.0
         normal, bound = sign[p] * normals[p], sign[p] * bounds[p]
         d = j.T @ normal
+        d_squared = d @ d
         added = 0.0  # the multiplier of row p
         while True:
             if steps >= max_steps:
-                return (None, x, *split(active, u), steps, None)
+                return (None, x, *split(active, u[:len(active)]), steps, None)
             steps += 1
             q = len(active)
-            part = basis[:, :q].T @ d
-            free = d - basis[:, :q] @ part
+            spanned = basis[:, :q]
+            part = spanned.T @ d
+            free = d - spanned @ part
             # a second Gram-Schmidt pass, as one leaves a nearly dependent add
             # far from orthogonal: "twice is enough" (Daniel et al. 1976)
-            extra = basis[:, :q].T @ free
+            extra = spanned.T @ free
             part += extra
-            free -= basis[:, :q] @ extra
+            free -= spanned @ extra
             r = inverse[:q, :q] @ part
             # the largest dual step before an active inequality multiplier
             # turns negative, and the row that limits it (the first, on a tie)
             limit, drop = np.inf, None
-            rising = np.flatnonzero(r[equalities:] > 0.0) + equalities
+            rising = (r[equalities:] > 0.0).nonzero()[0] + equalities
             if len(rising):
                 ratios = u[rising] / r[rising]
-                first = int(np.argmin(ratios))
+                first = int(ratios.argmin())
                 limit, drop = ratios[first], int(rising[first])
             curvature = free @ free
-            dependent = curvature <= 1e-20 * (d @ d) or q == n
-            if dependent and p < me and (abs(bound - normal @ x)
-                                         <= 1e-7 * (1.0 + np.max(np.abs(qp.b_eq)))):
+            dependent = curvature <= 1e-20 * d_squared or q == n
+            if dependent and p < me and abs(bound - normal @ x) <= consistent:
                 break  # a dependent equality the point meets: skip it
             if dependent and drop is None:
                 # n lies in the span of the active normals as far as the
@@ -470,14 +478,14 @@ def _dual_active_set(qp, max_steps):
                 stop = split(active + [p], np.append(-r, 1.0) / scale)
                 certified = _certifies_infeasible(qp, *stop)
                 if certified or p < me or not (curvature > 0.0 and q < n):
-                    return (None, x, *split(active, u), steps, stop if certified else None)
+                    return (None, x, *split(active, u[:q]), steps, stop if certified else None)
                 # not proved infeasible: the primal step out to the row
             if dependent and drop is not None:
                 step = limit  # no primal step
             else:
                 step = min(limit, (bound - normal @ x) / curvature)
                 x = x + step * (j @ free)
-            u = u - step * r
+            u[:q] -= step * r
             added += step
             if drop is None or step < limit:
                 rho = math.sqrt(curvature)
@@ -485,22 +493,24 @@ def _dual_active_set(qp, max_steps):
                 tri[:q, q], tri[q, q] = part, rho
                 inverse[:q, q], inverse[q, q] = -r / rho, 1.0 / rho
                 active.append(p)
-                equalities += p < me
-                u = np.append(u, added)
+                if p < me:
+                    equalities += 1
+                else:
+                    held[p - me] = True
+                u[q] = added
                 break
             # drop column ``drop``: R without it is upper Hessenberg from row
             # ``drop`` on, and only that trailing block needs new factors
             i, q = drop, q - 1
-            del active[i]
-            u = np.delete(u, i)
+            held[active.pop(i) - me] = False
+            u[i:q] = u[i + 1:q + 1]
             if i < q:
                 rotation, block = np.linalg.qr(tri[i:q + 1, i + 1:q + 1])
                 basis[:, i:q] = basis[:, i:q + 1] @ rotation
                 tri[:i, i:q] = tri[:i, i + 1:q + 1]
                 tri[i:q, i:q] = block
-                block_inverse = np.linalg.inv(block)
-                inverse[:i, i:q] = -(inverse[:i, :i] @ tri[:i, i:q]) @ block_inverse
-                inverse[i:q, i:q] = block_inverse
+                inverse[:i, i:q] = inverse[:i, i:q + 1] @ rotation
+                inverse[i:q, i:q] = inverse[i + 1:q + 1, i:q + 1] @ rotation
 
 
 def _dual_answer(qp, rows, tol, budget):

@@ -83,9 +83,10 @@ def dual_active_set_reference(q, c, a_eq, b_eq, g_ineq, h_ineq, max_steps):
     by least squares from scratch, where the solver updates QR factors in
     place, and finds the limiting multiplier with a loop, where the solver
     vectorizes the ratio test.  Rows, signs, tolerances and tie-breaks follow
-    the solver's method.  Returns ``(rows, x)``: the active inequality rows
-    at the optimum and the point, or None where the method would stop on a
-    row or run out of steps.
+    the solver's method.  Returns ``(rows, x, steps)``: the active inequality
+    rows at the optimum, the point and the steps taken, counted as the solver
+    counts them, or None where the method would stop on a row or run out of
+    steps.
     """
     q, c = np.asarray(q, float), np.asarray(c, float)
     a_eq, g_ineq = np.asarray(a_eq, float), np.asarray(g_ineq, float)
@@ -107,7 +108,7 @@ def dual_active_set_reference(q, c, a_eq, b_eq, g_ineq, h_ineq, max_steps):
                 if k >= me:
                     slack[k - me] = np.inf
             if not len(slack) or slack.min() >= -feas_tol:
-                return tuple(sorted(k - me for k in active if k >= me)), x
+                return tuple(sorted(k - me for k in active if k >= me)), x, steps
             p = me + int(np.argmin(slack))
         sign = -1.0 if p < me and normals[p] @ x > bounds[p] else 1.0
         normal, bound = sign * normals[p], sign * bounds[p]

@@ -887,39 +887,60 @@ def _joint_program(name):
     return _CentralProblem(net).program
 
 
-@pytest.mark.parametrize("name", ["toy2", "toy2-congested", "tri3", "ladder_4x8_s0", "ladder_4x8_s4",
-                                  "ladder_4x8_s6", "ladder_8x4_s2", "ladder_8x4_s7"])
-def test_dual_methods_point_keeps_its_active_rows(name, monkeypatch):
+JOINT_FIXTURES = ["ladder_4x8_s0", "ladder_4x8_s4", "ladder_4x8_s6", "ladder_8x4_s2",
+                  "ladder_8x4_s7", "ladder_24x2_s4"]
+
+
+@pytest.mark.parametrize("name", ["toy2", "toy2-congested", "tri3", *JOINT_FIXTURES])
+def test_dual_methods_point_keeps_its_active_rows(name):
     # tri3's joint program has nearly dependent adds (curvature down to
     # 5.8e-12 of |J'n|^2), after which one Gram-Schmidt pass leaves the step
     # far from orthogonal to the active rows.  The ladder fixtures' joint
-    # programs (n + m_eq up to 89) drop rows often, and each drop updates the
-    # factors in place.  With the step budget solve gives it, the method must
-    # end optimal with every active row within the feasibility tolerance, on
-    # the rows of a reference that refactors at every step
+    # programs (n + m_eq up to 89, and 24x2-s4's n of 132 with 391 steps and
+    # 123 drops) drop rows often, and each drop updates the factors in place.
+    # With the step budget solve gives it, the method must end optimal with
+    # every active row within the feasibility tolerance, on the rows and in the
+    # steps of a reference that refactors at every step
     program = _joint_program(name)
     me, mi = len(program.b_eq), len(program.h_ineq)
     budget = min(qpmod.DEFAULT_MAX_ITER, 2 * mi + me + 8)
-    qr, drops = np.linalg.qr, []
-
-    def counting_qr(*args, **kwargs):
-        drops.append(args[0].shape)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     rows, x, _, _, steps, _ = qpmod._dual_active_set(program, budget)
     assert rows is not None
     slack = program.h_ineq[list(rows)] - program.g_ineq[list(rows)] @ x
     assert np.max(np.abs(slack), initial=0.0) <= program._feas_tol
     assert np.max(np.abs(program.a_eq @ x - program.b_eq)) <= program._feas_tol
-    if name.startswith("ladder_"):
-        assert drops  # a drop that is not the last active row re-triangularizes
-    monkeypatch.undo()
-    reference_rows, reference_x = dual_active_set_reference(
+    reference_rows, reference_x, reference_steps = dual_active_set_reference(
         program.q, program.c, program.a_eq, program.b_eq, program.g_ineq, program.h_ineq, budget)
-    assert rows == reference_rows and np.max(np.abs(x - reference_x)) <= 1e-6
+    assert rows == reference_rows and steps == reference_steps
+    assert np.max(np.abs(x - reference_x)) <= 1e-6
     sol = solve(program)
     assert sol.status == "optimal" and sol.path == "dual" and sol.iterations == steps
+
+
+@pytest.mark.parametrize("name", JOINT_FIXTURES)
+def test_a_drop_rotates_the_inverse_without_inverting(name, monkeypatch):
+    # a drop updates R^-1 with the rotation that re-triangularizes R's
+    # trailing block, inverting nothing.  The rotation of an upper Hessenberg
+    # block is itself upper Hessenberg, with exact zeros below its
+    # subdiagonal, so R^-1 times it keeps exact zeros below the diagonal,
+    # which an add relies on when it writes only the new last column
+    program = _joint_program(name)
+    qr, rotations = np.linalg.qr, []
+
+    def recording_qr(*args, **kwargs):
+        rotation, block = qr(*args, **kwargs)
+        rotations.append(rotation)
+        return rotation, block
+
+    def refused_inv(*args, **kwargs):
+        raise AssertionError("a drop inverted a block")
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(np.linalg, "inv", refused_inv)
+    rows, *_ = qpmod._dual_active_set(program, qpmod.DEFAULT_MAX_ITER)
+    assert rows is not None
+    assert rotations  # a drop that is not the last active row re-triangularizes
+    assert all(not np.tril(rotation, -2).any() for rotation in rotations)
 
 
 def test_dual_method_matches_the_refactoring_reference():
