@@ -15,7 +15,6 @@ centralized KKT system.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,9 +22,8 @@ import numpy as np
 from . import coupling, qp as qpmod
 from .coupling import CouplingState
 from .grid import Network
-from .market import (REGULARIZATION, AreaDecision, AreaDuals, ClearingResult, Rows,
-                     TermsOfTrade, TieTerms, add_area_rows, clear as clear_area_fn,
-                     generation_cost)
+from .market import (AreaDecision, AreaDuals, ClearingResult, Rows, TermsOfTrade, TieTerms,
+                     add_area_rows, clear as clear_area_fn, cost_block, generation_cost)
 from .stochastic import aggregate_requirement
 
 SIGN_TOL = 1e-9
@@ -91,15 +89,7 @@ class _CentralProblem:
             labels.append(f"theta[{b}]")
         nv = len(labels)
 
-        q = np.zeros((nv, nv))
-        c = np.zeros(nv)
-        for g in gens:
-            gen = net.generator(g)
-            q[self.var_dp[g], self.var_dp[g]] = 2.0 * gen.cost_quadratic
-            c[self.var_dp[g]] = gen.cost_linear + 2.0 * gen.cost_quadratic * gen.p_da
-        for i in list(self.var_dt.values()) + list(self.var_theta.values()):
-            q[i, i] = REGULARIZATION
-
+        q, c = cost_block(net, self.var_dp, nv)
         eq = Rows(nv)
         self.eq_tie_def = {}
         for a in net.areas:
@@ -135,17 +125,9 @@ class _CentralProblem:
 
         self.program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(), tuple(labels),
                                               tuple(eq.labels), tuple(ineq.labels))
-        self._last_primal = ((), None)  # the last decisions primal was given, and their x
 
     def primal(self, decisions: dict[str, AreaDecision]) -> np.ndarray:
-        """The joint program's x for one decision per area, read-only.
-
-        The x of the last decisions is kept, so the checks of one report,
-        which pass the same decision objects, build it once.
-        """
-        key, last = self._last_primal
-        if len(key) == len(decisions) and all(map(operator.is_, key, decisions.values())):
-            return last
+        """The joint program's x for one decision per area."""
         x = np.zeros(self.program.n)
         for a, dec in decisions.items():
             for g, v in dec.delta_p.items():
@@ -154,8 +136,6 @@ class _CentralProblem:
                 x[self.var_dt[(t, a)]] = v
             for b, v in dec.theta.items():
                 x[self.var_theta[b]] = v
-        x.flags.writeable = False
-        self._last_primal = (tuple(decisions.values()), x)
         return x
 
     def extract(self, sol: qpmod.QpSolution) -> CentralSolution:

@@ -75,11 +75,11 @@ def _load_network(config: RunConfig) -> grid.Network:
         net = grid.apply_scenario(net, config.scenario)
     except grid.CaseError as e:
         raise _CliError(EXIT_CONFIG, "validation", "scenario rejected", e.violations) from e
+    # load_case and apply_scenario reject every structural fault, so what
+    # validate can still find is an area that cannot meet its demand alone
     violations = grid.validate(net)
     if violations:
-        code = EXIT_INFEASIBLE if any("cannot meet local demand" in v for v in violations) \
-            else EXIT_CONFIG
-        raise _CliError(code, "validation", "network validation failed", violations)
+        raise _CliError(EXIT_INFEASIBLE, "validation", "network validation failed", violations)
     return net
 
 
@@ -220,8 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rho-exponent", type=float, default=RhoSchedule.exponent)
     p_run.add_argument("--tol", type=float, default=MechanismConfig.tol,
                        help="convergence threshold on the broadcast variables")
-    p_run.add_argument("--solver-tol", type=float, default=MechanismConfig.solver_tol)
-    p_run.add_argument("--warm-start", action="store_true")
     p_run.add_argument("--objective-gap-threshold", type=float, default=RunConfig.objective_gap)
 
     sub.add_parser("scenarios", help="list available scenario modifiers")
@@ -250,8 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             mechanism = MechanismConfig(
                 max_rounds=args.max_rounds,
                 rho=RhoSchedule(args.rho0, args.rho_k0, args.rho_exponent),
-                beta=args.beta, tol=args.tol, solver_tol=args.solver_tol,
-                warm_start=args.warm_start)
+                beta=args.beta, tol=args.tol)
             config = RunConfig(
                 case=args.case, mode=args.mode,
                 scenario=_parse_scenarios(args.scenario),

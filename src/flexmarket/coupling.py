@@ -91,7 +91,6 @@ class MechanismConfig:
     tol: float = 1e-8  # convergence threshold on the broadcast variables
     solver_tol: float = 1e-8
     solver_max_iter: int = DEFAULT_MAX_ITER
-    warm_start: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -319,27 +318,19 @@ def run(net: Network, config: MechanismConfig | None = None,
     x = np.zeros(len(index.keys))
     mu = np.zeros(len(index.ties))
     trace: list[TraceRecord] = []
-
-    def clear_all(k: int, x: np.ndarray, mu: np.ndarray):
-        """Every area's clear against x and mu, and their fresh broadcast vector."""
+    streak = 0
+    for k in range(1, config.max_rounds + 1):
         terms = index.terms(x.tolist(), mu.tolist())
         try:
-            out = {a: engine.clear_area(a, terms[a]) for a in terms}
+            clearings = {a: engine.clear_area(a, terms[a]) for a in terms}
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
         fresh = index.flatten({a: {"delta_t": c.decision.delta_t, "theta": c.decision.theta,
-                                   "price": c.willingness_to_pay} for a, c in out.items()})
+                                   "price": c.willingness_to_pay} for a, c in clearings.items()})
         bad = np.flatnonzero(~np.isfinite(fresh))
         if bad.size:
             a, f, key = index.keys[bad[0]]
             raise MechanismError(k, f"area[{a}]: non-finite {f}[{key}] = {float(fresh[bad[0]])}")
-        return out, fresh
-
-    if config.warm_start:
-        clearings, x = clear_all(0, x, mu)
-    streak = 0
-    for k in range(1, config.max_rounds + 1):
-        clearings, fresh = clear_all(k, x, mu)
         new = inertial_update(x, fresh, step_rho(k, config.rho))
         dx = float(np.max(np.abs(new - x), initial=0.0))
         x = new
@@ -357,8 +348,6 @@ def run(net: Network, config: MechanismConfig | None = None,
 
 @dataclass(frozen=True)
 class NashGap:
-    limit_objective: float
-    best_objective: float
     gap: float  # limit - best; <= tolerance at a Nash equilibrium
     tolerance: float
     passed: bool
@@ -379,7 +368,7 @@ def verify_nash(net: Network, state: CouplingState,
         v_limit = evaluate_objective(net, a.id, terms[a.id], clearings[a.id].decision)
         gap = v_limit - best.objective
         tolerance = NASH_TOL * (1.0 + abs(v_limit))
-        out[a.id] = NashGap(v_limit, best.objective, gap, tolerance, gap <= tolerance)
+        out[a.id] = NashGap(gap, tolerance, gap <= tolerance)
     return out
 
 

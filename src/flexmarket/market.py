@@ -157,6 +157,19 @@ class AreaRows:
         z[self.reliability_price] = duals.reliability_price
 
 
+def cost_block(net: Network, var_dp: Mapping[str, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q and c of a clearing program of ``n`` columns before any terms of trade:
+    2 c_q on each dP diagonal entry and the generator's marginal cost at P_da
+    in c; every other column gets REGULARIZATION on its diagonal."""
+    q = np.diag(np.full(n, REGULARIZATION))
+    c = np.zeros(n)
+    for g, i in var_dp.items():
+        gen = net.generator(g)
+        q[i, i] = 2.0 * gen.cost_quadratic
+        c[i] = gen.cost_linear + 2.0 * gen.cost_quadratic * gen.p_da
+    return q, c
+
+
 def add_area_rows(ineq: Rows, net: Network, area_id: str, requirement: float,
                   var_dp: Mapping[str, int], var_theta: Mapping[str, int],
                   flows: Sequence[tuple[TieView, Sequence[tuple[int, float]]]],
@@ -269,15 +282,7 @@ class AreaProblem:
             var_labels += [f"dT+[{v.tie_id}]", f"dT-[{v.tie_id}]"]
         var_labels += [f"theta[{b}]" for b in buses]
 
-        q = np.zeros((nv, nv))
-        c = np.zeros(nv)
-        for g in gens:
-            gen = net.generator(g)
-            q[var_dp[g], var_dp[g]] = 2.0 * gen.cost_quadratic
-            c[var_dp[g]] = gen.cost_linear + 2.0 * gen.cost_quadratic * gen.p_da
-        for i in range(len(gens), nv):
-            q[i, i] = REGULARIZATION
-
+        q, c = cost_block(net, var_dp, nv)
         eq = Rows(nv)
         eq_tie_def = {}
         for v in ties:
@@ -385,8 +390,7 @@ def _area_problem(net: Network, area_id: str) -> AreaProblem:
     return net._programs[key]
 
 
-def clear(net: Network, area_id: str, terms: TermsOfTrade,
-          tol: float = qpmod.DEFAULT_TOL, max_iter: int = qpmod.DEFAULT_MAX_ITER,
+def clear(net: Network, area_id: str, terms: TermsOfTrade, tol: float = qpmod.DEFAULT_TOL,
           near: AreaDecision | None = None) -> ClearingResult:
     """Clear one area at the given terms of trade.
 
@@ -403,7 +407,7 @@ def clear(net: Network, area_id: str, terms: TermsOfTrade,
     degenerate optimal face ``near`` can pick a different point of the face,
     at the same objective to solver tolerance.
     """
-    return _area_problem(net, area_id).clear(terms, tol, max_iter, near)
+    return _area_problem(net, area_id).clear(terms, tol, near=near)
 
 
 def generation_cost(net: Network, delta_p: Mapping[str, float]) -> float:

@@ -194,7 +194,6 @@ class QpSolution:
     y: np.ndarray
     z: np.ndarray
     residuals: KktResiduals
-    objective: float
     iterations: int
     # Farkas-type certificate (y, z >= 0) with G'z ~ A'y and b'y - h'z > 0,
     # attached when status == "infeasible".
@@ -556,10 +555,10 @@ def _certifies_infeasible(qp, y, z) -> bool:
                 and gap > stationarity * CERTIFICATE_RADIUS)
 
 
-def _optimal(qp, polished, iters, path) -> QpSolution:
+def _optimal(polished, iters, path) -> QpSolution:
     """The optimal solution of an active-set answer (x, y, z, residuals)."""
     px, py, pz, pres = polished
-    return QpSolution("optimal", px, py, pz, pres, qp.objective(px), iters,
+    return QpSolution("optimal", px, py, pz, pres, iters,
                       active_set=tuple((pz > 0.0).nonzero()[0].tolist()), path=path)
 
 
@@ -586,13 +585,12 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     if active_hint is not None and mi:
         polished = _polish(qp, set(active_hint), tol, min(n + me, full))
         if polished is not None:
-            return _optimal(qp, polished, 0, "hint")
+            return _optimal(polished, 0, "hint")
 
     rows, x, y, z, steps, proof = _dual_active_set(qp, min(max_iter, full + me))
     if rows is not None:
         answer = _dual_answer(qp, rows, tol, full)
         if answer is not None:
-            return _optimal(qp, answer, steps, "dual")
+            return _optimal(answer, steps, "dual")
     status = "iteration_limit" if proof is None else "infeasible"
-    return QpSolution(status, x, y, z, kkt_residuals(qp, x, y, z), qp.objective(x), steps,
-                      certificate=proof)
+    return QpSolution(status, x, y, z, kkt_residuals(qp, x, y, z), steps, certificate=proof)

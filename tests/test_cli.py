@@ -43,9 +43,54 @@ def test_bad_scenario_value(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 
 
+def _failure(err):
+    return json.loads(err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("scenario, kind, message", [
+    ("tie_capacity:NOPE=5", "validation", "scenario rejected"),
+    ("ramp_scale", "config", "--scenario expects KEY=VALUE, got 'ramp_scale'"),
+    ("foo=1", "config", "unknown scenario modifier 'foo'"),
+])
+def test_a_bad_scenario_names_its_fault(capsys, scenario, kind, message):
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "compare",
+                           "--scenario", scenario)
+    assert code == 2
+    payload = _failure(err)
+    assert (payload["error"], payload["message"]) == (kind, message)
+    if kind == "validation":
+        assert payload["detail"] == ["tie capacity override references unknown tie-line NOPE"]
+
+
+def test_a_mechanism_failure_exits_three_naming_the_round(capsys, monkeypatch):
+    from flexmarket import coupling
+
+    def failing_run(net, config):
+        raise coupling.MechanismError(7, "area[A]: clearing iteration_limit")
+
+    monkeypatch.setattr(coupling, "run", failing_run)
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "decentralized")
+    assert code == 3
+    assert _failure(err) == {"error": "solver",
+                             "message": "round 7: area[A]: clearing iteration_limit"}
+
+
+def test_an_infeasible_centralized_clearing_exits_three(capsys, monkeypatch):
+    from flexmarket import benchmark
+
+    def failing_solve(net, tol, max_iter):
+        raise benchmark.CentralizedInfeasible("infeasible", "path failed, 3 iterations")
+
+    monkeypatch.setattr(benchmark, "solve_centralized", failing_solve)
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "centralized")
+    assert code == 3
+    assert _failure(err) == {
+        "error": "solver",
+        "message": "centralized clearing: infeasible: path failed, 3 iterations"}
+
+
 @pytest.mark.parametrize("flag, value", [
-    ("--solver-tol", "0"), ("--solver-tol", "-1"), ("--tol", "inf"),
-    ("--rho0", "nan"), ("--rho-k0", "nan"), ("--rho-k0", "inf"),
+    ("--tol", "inf"), ("--rho0", "nan"), ("--rho-k0", "nan"), ("--rho-k0", "inf"),
 ])
 def test_bad_mechanism_setting_is_a_config_error(capsys, flag, value):
     code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "compare", flag, value)

@@ -13,6 +13,22 @@ def _toy2_doc():
     return json.loads(save_case(load_bundled("toy2")))
 
 
+def _tri3_doc():
+    return json.loads(save_case(load_bundled("tri3")))
+
+
+def _set(*path_and_value):
+    """An edit that sets doc[path...] to value."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
 def test_bundled_toy2_structure(toy2):
     assert [a.id for a in toy2.areas] == ["A", "B"]
     assert len(toy2.buses) == 2
@@ -86,11 +102,7 @@ def test_parse_error_is_reported():
 ])
 def test_misshapen_case_is_rejected_with_its_path(path, value, where):
     doc = _toy2_doc()
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    _set(*path, value)(doc)
     with pytest.raises(CaseError) as err:
         load_case(json.dumps(doc))  # NaN and Infinity travel as JSON literals
     assert any(v.startswith(where + ":") for v in err.value.violations), err.value.violations
@@ -122,6 +134,84 @@ def test_unknown_key_is_rejected_with_its_path(edit, where):
     with pytest.raises(CaseError) as err:
         load_case(doc)
     assert [v for v in err.value.violations if v.startswith(where + ":")], err.value.violations
+
+
+def _new_area_without_generators(doc):
+    doc["areas"].append("D")
+    doc["confidence"]["D"] = 0.05
+
+
+def _case(edit, *violations, id):
+    return pytest.param(edit, list(violations), id=id)
+
+
+STRUCTURAL = [
+    _case(lambda doc: doc["areas"].append("C"), "areas: duplicate area id", id="duplicate-area"),
+    _case(_set("buses", 3, "area", "Z"), "bus[C1]: unknown area Z",
+          "tie_line[AC1]: bus C1 not in area C", "tie_line[BC1]: bus C1 not in area C",
+          "tie_line[BC2]: bus C1 not in area C", "area[C]: needs at least one generator",
+          id="bus-unknown-area"),
+    _case(_set("demand", "buses", "A1", "std", -1.0), "bus[A1]: demand_std must be >= 0",
+          id="negative-demand-std"),
+    _case(_set("generators", 0, "bus", "Q1"), "generator[GA1]: unknown bus Q1",
+          id="generator-unknown-bus"),
+    _case(_set("generators", 0, "cost_quadratic", 0.0),
+          "generator[GA1]: cost_quadratic must be > 0", id="cost-quadratic"),
+    _case(_set("generators", 0, "p_da", 70.0),
+          "generator[GA1]: requires p_min <= p_da <= p_max", id="p-da-outside-limits"),
+    _case(_set("generators", 0, "ramp_down", 1.0),
+          "generator[GA1]: ramp_down must be <= ramp_up", id="ramp-order"),
+    _case(_set("lines", 0, "to_bus", "Q1"), "line[LA]: unknown bus Q1", id="line-unknown-bus"),
+    _case(_set("lines", 0, "to_bus", "B1"), "line[LA]: endpoints must be in the same area",
+          id="line-across-areas"),
+    _case(_set("lines", 0, "reactance", 0.0), "line[LA]: reactance must be > 0",
+          id="line-reactance"),
+    _case(_set("lines", 0, "capacity", 0.0), "line[LA]: capacity must be > 0",
+          id="line-capacity"),
+    _case(lambda doc: doc["tie_lines"][0].update(to_area="A", to_bus="A1"),
+          "tie_line[AB1]: from_area and to_area must differ", id="tie-within-one-area"),
+    _case(_set("tie_lines", 0, "to_area", "Z"), "tie_line[AB1]: unknown area Z",
+          id="tie-unknown-area"),
+    _case(_set("tie_lines", 0, "capacity", -1.0), "tie_line[AB1]: capacity must be >= 0",
+          "tie_line[AB1]: |t_da| must be <= capacity", id="tie-capacity"),
+    _case(_set("confidence", "A", 1.0), "area[A]: confidence tail must be in (0,1)",
+          id="confidence-tail"),
+    _case(_new_area_without_generators, "area[D]: needs at least one generator",
+          id="area-without-generator"),
+    _case(_set("slack", "area", "Z"), "slack: unknown area Z", id="slack-unknown-area"),
+    _case(lambda doc: doc["generators"][0].pop("p_min"), "generators[GA1]: missing field p_min",
+          id="missing-field"),
+]
+
+
+@pytest.mark.parametrize("edit, violations", STRUCTURAL)
+def test_each_structural_fault_is_named(edit, violations):
+    doc = _tri3_doc()
+    edit(doc)
+    with pytest.raises(CaseError) as err:
+        load_case(doc)
+    assert err.value.violations == violations
+
+
+def test_a_top_level_list_is_a_parse_error():
+    with pytest.raises(CaseError) as err:
+        load_case("[]")
+    assert err.value.violations == ["parse error: top level must be an object"]
+
+
+def test_an_unknown_bundled_case_is_named():
+    with pytest.raises(CaseError) as err:
+        load_bundled("nope")
+    assert err.value.violations == [
+        "unknown bundled case 'nope'; choose from ('toy2', 'toy2-congested', 'tri3')"]
+
+
+def test_a_scenario_that_breaks_the_structure_is_rejected(tri3):
+    # p_max shrinks below p_da at every generator dispatched day-ahead
+    with pytest.raises(CaseError) as err:
+        apply_scenario(tri3, ScenarioModifiers(generator_capacity_scale=0.01))
+    assert err.value.violations == [f"generator[{g}]: requires p_min <= p_da <= p_max"
+                                    for g in ("GA1", "GB1", "GB2", "GC1", "GC2")]
 
 
 def test_day_ahead_flow_must_fit_capacity():

@@ -1,6 +1,6 @@
 import re
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +184,21 @@ def test_infeasible_area_is_tagged(toy2):
 def test_autarky_probe(toy2):
     assert autarky_infeasibility(toy2, "A") is None
     assert autarky_infeasibility(toy2, "B") is None
+
+
+def test_a_negative_capacity_price_is_rejected():
+    with pytest.raises(ValueError) as err:
+        TieTerms(0.0, 0.0, -1.0)
+    assert str(err.value) == "capacity price must be >= 0"
+
+
+def test_autarky_probe_names_a_solver_that_gives_no_answer(toy2, monkeypatch):
+    from flexmarket import qp
+
+    real = qp.solve
+    monkeypatch.setattr(qp, "solve", lambda *args, **kwargs: replace(
+        real(*args, **kwargs), status="iteration_limit"))
+    assert autarky_infeasibility(toy2, "A") == "solver iteration_limit"
 
 
 def _islands(y_capacity: float):

@@ -91,6 +91,25 @@ def test_dimension_validation():
         _qp([[2.0]], [0.0], var_labels=("x", "x"))
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"a": np.zeros((2, 1)), "b": np.zeros(1)}, "A and b row counts differ"),
+    ({"g": np.zeros((1, 1)), "h": np.zeros(2)}, "G and h row counts differ"),
+    ({"g": np.ones((2, 1)), "h": np.ones(2), "ineq_labels": ("r", "r")},
+     "duplicate ineq labels"),
+])
+def test_program_shape_errors_are_named(kw, message):
+    with pytest.raises(QpDimensionError) as err:
+        _qp([[2.0]], [0.0], **kw)
+    assert str(err.value) == message
+
+
+def test_kkt_residuals_reject_a_point_of_the_wrong_size():
+    program = _qp([[2.0]], [0.0], g=[[-1.0]], h=[-1.0])
+    with pytest.raises(QpDimensionError) as err:
+        kkt_residuals(program, np.zeros(1), np.zeros(0), np.zeros(2))
+    assert str(err.value) == "candidate point dimensions do not match the program"
+
+
 def test_solve_rejects_a_non_finite_tol_and_too_few_iterations():
     # tol = nan would fail every comparison (iteration_limit on a solvable
     # program), tol = inf would pass every validation

@@ -77,3 +77,24 @@ def test_package_imports_only_the_standard_library_and_numpy():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert not found, f"imports outside the standard library and numpy: {found}"
+
+
+# classes whose every field is a setting some caller gives; module stem per class
+CONFIG_CLASSES = {"MechanismConfig": "coupling", "RhoSchedule": "coupling", "RunConfig": "cli"}
+
+
+def test_every_config_field_is_read():
+    # a setting no package code reads outside its own class is an option nothing honours
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unread = []
+    for name, module in CONFIG_CLASSES.items():
+        body = next(node for node in trees[module].body
+                    if isinstance(node, ast.ClassDef) and node.name == name)
+        inside = {id(node) for node in ast.walk(body)}
+        read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside}
+        unread += [f"{name}.{stmt.target.id}" for stmt in body.body
+                   if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+    assert not unread, f"settings no package code reads: {unread}"
