@@ -11,7 +11,9 @@ every case.  It records per case the rounds, the trace CSV, the comparison
 report, any error, the path of every ``qp.solve`` (cold solves apart), a
 digest of every ``qp.solve`` result: its status, path and the bits of x, y
 and z, in call order, and the ``iterations`` of every ``qp.solve``, which
-count the dual method's steps (0 for a hint), in call order.
+count the dual method's steps (0 for a hint), in call order.  Each child
+also reports its peak resident set size, ``ru_maxrss`` of
+``resource.getrusage(RUSAGE_SELF)``, taken before it writes its record.
 
 The ``cli`` workload is not the benchmark's: per bundled case the child runs
 ``flexmarket run --case CASE --mode compare`` with ``--trace`` and
@@ -19,6 +21,7 @@ The ``cli`` workload is not the benchmark's: per bundled case the child runs
 files, stdout, and any failure (exit code and stderr) besides the rounds,
 paths and digest.
 
+Printed per workload: the peak resident set size of the child on each tree.
 Printed per case: the rounds on both trees, whether the trace, the report,
 stdout (``cli`` only), the solve digest and the dual steps are identical,
 with the total steps on each tree, the largest |difference| per trace column
@@ -36,6 +39,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -192,6 +196,7 @@ def same(a, b):
 def compare(old_tree, new_tree, workload, seed):
     old, new = run_child(old_tree, workload, seed), run_child(new_tree, workload, seed)
     print(f"== {workload} (seed {seed})")
+    print(f"  peak RSS: {old['maxrss_kib'] / 1024:.1f} -> {new['maxrss_kib'] / 1024:.1f} MiB")
     print(f"  set-up solve paths: {old['setup_paths']} -> {new['setup_paths']}; "
           f"solve digest {same(old['setup_digest'], new['setup_digest'])}, "
           f"dual steps {same(old['setup_steps'], new['setup_steps'])} "
@@ -234,7 +239,9 @@ def main():
     parser.add_argument("--capture", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.capture:
-        print(json.dumps(capture(args.capture, args.workload[0], args.seed)))
+        record = capture(args.capture, args.workload[0], args.seed)
+        record["maxrss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(json.dumps(record))
         return
     if len(args.trees) != 2:
         parser.error("give two source trees")

@@ -9,14 +9,17 @@ and quoted prices on a slow one; the mechanism's limit is a Nash equilibrium
 of the coupled clearing game, which `verify_nash` checks numerically by
 re-clearing each area against the frozen limit terms.
 
-`run` keeps the broadcasts in memory as one flat vector; the wire format of
-`encode_message`/`decode_message` serves a networked deployment.
+`run` keeps the broadcasts in memory as one flat vector and its trace as
+columns: one float64 row per round in a `Trace`, whose `TraceRecord` items
+are built only when read.  The wire format of `encode_message`/
+`decode_message` serves a networked deployment.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,10 +167,55 @@ class TraceRecord:
     slackness: float  # tie slackness of largest magnitude, signed
 
 
+class Trace(Sequence):
+    """A run's rounds, read-only, as one float64 row per round.
+
+    A row holds, per tie in `tie_ids` order, `flow_from, flow_to, mu,
+    delta_from, delta_to, consensus, slackness`; then per area in `area_ids`
+    order `gamma, objective`; then `dx_inf, consensus, slackness`: 8 *
+    (7 * ties + 2 * areas + 3) bytes per round.  Item i is a `TraceRecord`
+    view of row i, built on access; its `k` counts from 1.
+    """
+
+    def __init__(self, tie_ids: tuple[str, ...], area_ids: tuple[str, ...]):
+        self.tie_ids = tie_ids
+        self.area_ids = area_ids
+        self._rows = np.empty((1, 7 * len(tie_ids) + 2 * len(area_ids) + 3))
+        self._len = 0
+
+    def _next_row(self) -> np.ndarray:
+        """The next row, to be filled in place; the storage doubles when full."""
+        if self._len == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._len += 1
+        return self._rows[self._len - 1]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The filled rows, as a read-only view."""
+        view = self._rows[:self._len]
+        view.flags.writeable = False
+        return view
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(self._len)))
+        k = range(1, self._len + 1)[i]  # raises IndexError past either end
+        values = self._rows[k - 1].tolist()  # Python floats, as the fields are typed
+        n = 7 * len(self.tie_ids)
+        ties = {t: TieTrace(*values[7 * j:7 * j + 7]) for j, t in enumerate(self.tie_ids)}
+        areas = {a: AreaTrace(*values[n + 2 * j:n + 2 * j + 2])
+                 for j, a in enumerate(self.area_ids)}
+        return TraceRecord(k, ties, areas, *values[-3:])
+
+
 @dataclass(frozen=True)
 class MechanismRun:
     state: CouplingState
-    trace: tuple[TraceRecord, ...]
+    trace: Trace
     clearings: dict[str, ClearingResult]  # most recent clear per area
     converged: bool
     rounds: int
@@ -289,23 +337,23 @@ def terms_for_area(net: Network, state: CouplingState, area_id: str) -> TermsOfT
     return _BroadcastIndex(net).state_terms(state)[area_id]
 
 
-def _record(index: _BroadcastIndex, k: int, x: np.ndarray, mu: np.ndarray, dx: float,
-            clearings: dict[str, ClearingResult]) -> TraceRecord:
+def _record(index: _BroadcastIndex, row: np.ndarray, x: np.ndarray, mu: np.ndarray,
+            dx: float, clearings: dict[str, ClearingResult]) -> None:
+    """Fill one round's `Trace` row."""
     dt_from, dt_to, price_from, price_to = x[index.tie_slots]
     flow_from = index.t_da + dt_from
     flow_to = -index.t_da + dt_to
-    consensus = np.abs(flow_from + flow_to).tolist()
-    slackness = (mu * _capacity_surrogate(np.abs(dt_from), np.abs(dt_to), index.abs_t_da,
-                                          index.capacity)).tolist()
-    # tolist() hands back Python floats, whose repr the trace CSV relies on
-    columns = zip(flow_from.tolist(), flow_to.tolist(), mu.tolist(),
-                  price_from.tolist(), price_to.tolist(), consensus, slackness)
-    ties = {t.id: TieTrace(*row) for t, row in zip(index.ties, columns)}
-    areas = {a: AreaTrace(c.duals.reliability_price, c.objective) for a, c in clearings.items()}
-    # consensus is the max from 0.0; slackness keeps its largest product's sign,
-    # so a priced tie below capacity shows, and + 0.0 turns mu == 0's -0.0 into 0.0
-    return TraceRecord(k, ties, areas, dx, max([0.0, *consensus]),
-                       max(slackness, key=abs, default=0.0) + 0.0)
+    consensus = np.abs(flow_from + flow_to)
+    slackness = mu * _capacity_surrogate(np.abs(dt_from), np.abs(dt_to), index.abs_t_da,
+                                         index.capacity)
+    n = 7 * len(mu)
+    row[:n].reshape(-1, 7).T[:] = (flow_from, flow_to, mu, price_from, price_to,
+                                   consensus, slackness)
+    row[n:-3] = [v for c in clearings.values() for v in (c.duals.reliability_price, c.objective)]
+    # consensus is the max from 0.0; slackness keeps its first largest product's
+    # sign, so a priced tie below capacity shows, and + 0.0 turns mu == 0's -0.0 into 0.0
+    worst = slackness[np.abs(slackness).argmax()] + 0.0 if n else 0.0
+    row[-3:] = dx, consensus.max(initial=0.0), worst
 
 
 def run(net: Network, config: MechanismConfig | None = None,
@@ -317,7 +365,7 @@ def run(net: Network, config: MechanismConfig | None = None,
     index = _BroadcastIndex(net)
     x = np.zeros(len(index.keys))
     mu = np.zeros(len(index.ties))
-    trace: list[TraceRecord] = []
+    trace = Trace(tuple(t.id for t in index.ties), tuple(index.quotes))
     streak = 0
     for k in range(1, config.max_rounds + 1):
         terms = index.terms(x.tolist(), mu.tolist())
@@ -325,8 +373,14 @@ def run(net: Network, config: MechanismConfig | None = None,
             clearings = {a: engine.clear_area(a, terms[a]) for a in terms}
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
-        fresh = index.flatten({a: {"delta_t": c.decision.delta_t, "theta": c.decision.theta,
-                                   "price": c.willingness_to_pay} for a, c in clearings.items()})
+        broadcasts = {a: {"delta_t": c.decision.delta_t, "theta": c.decision.theta,
+                          "price": c.willingness_to_pay} for a, c in clearings.items()}
+        try:
+            fresh = index.flatten(broadcasts)
+        except KeyError:
+            a, f, key = next((a, f, key) for a, f, key in index.keys
+                             if key not in broadcasts[a][f])
+            raise MechanismError(k, f"area[{a}]: no {f}[{key}] in its clearing result") from None
         bad = np.flatnonzero(~np.isfinite(fresh))
         if bad.size:
             a, f, key = index.keys[bad[0]]
@@ -336,14 +390,14 @@ def run(net: Network, config: MechanismConfig | None = None,
         x = new
         mu = update_capacity_price(mu, *np.abs(x[index.tie_slots[:2]]), index.abs_t_da,
                                    index.capacity, config.beta)
-        trace.append(_record(index, k, x, mu, dx, clearings))
+        _record(index, trace._next_row(), x, mu, dx, clearings)
         streak = streak + 1 if dx < config.tol else 0
         if streak >= CONSECUTIVE:
             break
     converged = streak >= CONSECUTIVE
     log.info("mechanism finished after %d rounds (converged=%s)", k, converged)
     state = CouplingState(k, *index.unflatten(x, mu), config.rho, config.beta)
-    return MechanismRun(state, tuple(trace), clearings, converged, k)
+    return MechanismRun(state, trace, clearings, converged, k)
 
 
 @dataclass(frozen=True)
@@ -372,29 +426,24 @@ def verify_nash(net: Network, state: CouplingState,
     return out
 
 
-def trace_to_csv(trace) -> str:
+def trace_to_csv(trace: Trace) -> str:
     """Stable-order CSV: k, per tie (sorted) flows/mu/prices, per area (sorted)
     reliability price and objective, then the three convergence metrics."""
     if not trace:
         return ""
-    tie_ids = sorted(trace[0].ties)
-    area_ids = sorted(trace[0].areas)
-    cols = ["k"]
-    for t in tie_ids:
+    n = 7 * len(trace.tie_ids)
+    m = n + 2 * len(trace.area_ids)
+    cols, at = ["k"], []  # the header and the row column under each name
+    for t, j in sorted(zip(trace.tie_ids, range(0, n, 7))):
         cols += [f"{t}.flow_from", f"{t}.flow_to", f"{t}.mu", f"{t}.delta_from", f"{t}.delta_to"]
-    for a in area_ids:
+        at += range(j, j + 5)
+    for a, j in sorted(zip(trace.area_ids, range(n, m, 2))):
         cols += [f"{a}.gamma", f"{a}.objective"]
+        at += [j, j + 1]
     cols += ["dx_inf", "consensus", "slackness"]
+    at += range(m, m + 3)
     lines = [",".join(cols)]
-    for rec in trace:
-        row = [str(rec.k)]
-        for t in tie_ids:
-            tt = rec.ties[t]
-            row += [repr(tt.flow_from), repr(tt.flow_to), repr(tt.mu),
-                    repr(tt.delta_from), repr(tt.delta_to)]
-        for a in area_ids:
-            at = rec.areas[a]
-            row += [repr(at.reliability_price), repr(at.objective)]
-        row += [repr(rec.dx_inf), repr(rec.consensus), repr(rec.slackness)]
-        lines.append(",".join(row))
+    # tolist() hands back Python floats, whose repr the CSV relies on
+    for k, row in enumerate(trace.rows[:, at], 1):
+        lines.append(",".join([str(k), *map(repr, row.tolist())]))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from flexmarket import (MechanismConfig, RhoSchedule, ScenarioModifiers, apply_scenario,
                         decode_message, encode_message, inertial_update, load_case, run,
-                        step_rho, trace_to_csv, update_capacity_price, verify_nash)
-from flexmarket.coupling import (ExchangeMessage, MessageError, StaleMessageError,
-                                 TieQuote, terms_for_area)
+                        save_case, step_rho, trace_to_csv, update_capacity_price, verify_nash)
+from flexmarket.coupling import (AreaTrace, ExchangeMessage, MechanismError, MessageError,
+                                 StaleMessageError, TieQuote, TieTrace, TraceRecord,
+                                 terms_for_area)
 from flexmarket.market import AreaDecision, TermsOfTrade, autarky_infeasibility, clear
 from flexmarket.qp import DEFAULT_TOL
+
+from conftest import BUNDLED_RUN_CONFIG
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -391,6 +395,83 @@ def test_trace_csv_shape(toy2_run):
     assert all(line.split(",")[-1] != "-0.0" for line in lines[1:])
 
 
+def test_a_run_builds_no_record_per_round(toy2_congested, monkeypatch):
+    # the trace keeps one float64 row per round; record objects are views,
+    # built only when an item is read
+    built = Counter()
+    for cls in (TraceRecord, TieTrace, AreaTrace):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    result = run(toy2_congested, BUNDLED_RUN_CONFIG)
+    assert built == Counter()
+    trace = result.trace
+    stored = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+    assert len(stored) == 1
+    width = 7 * len(toy2_congested.active_ties()) + 2 * len(toy2_congested.areas) + 3
+    assert stored[0].dtype == np.float64 and stored[0].shape[1] == width
+    assert result.rounds <= stored[0].shape[0] <= 2 * result.rounds
+    assert trace.rows.shape == (result.rounds, width)
+    assert trace[-1].k == result.rounds
+    assert built == Counter(TraceRecord=1, TieTrace=1, AreaTrace=2)
+
+
+def _assert_views_read_the_csv(trace):
+    lines = trace_to_csv(trace).splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == len(trace) + 1
+    for k, (rec, line) in enumerate(zip(trace, lines[1:]), 1):
+        csv_row = dict(zip(header, line.split(",")))
+        assert rec.k == k == int(csv_row.pop("k"))
+        view = {f"{t}.{f}": getattr(tt, f) for t, tt in rec.ties.items()
+                for f in ("flow_from", "flow_to", "mu", "delta_from", "delta_to")}
+        for a, at in rec.areas.items():
+            view[f"{a}.gamma"], view[f"{a}.objective"] = at.reliability_price, at.objective
+        view.update(dx_inf=rec.dx_inf, consensus=rec.consensus, slackness=rec.slackness)
+        assert {c: float.hex(v) for c, v in view.items()} == \
+            {c: float.hex(float(v)) for c, v in csv_row.items()}
+        # each tie keeps its own products; the round's figures reduce them
+        assert all(tt.consensus == abs(tt.flow_from + tt.flow_to) for tt in rec.ties.values())
+        assert rec.consensus == max([0.0, *(tt.consensus for tt in rec.ties.values())])
+        assert rec.slackness == max((tt.slackness for tt in rec.ties.values()),
+                                    key=abs, default=0.0) + 0.0
+
+
+def test_trace_views_read_the_csv_rows(tri3, tri3_run):
+    result, _ = tri3_run
+    trace = result.trace
+    n = len(trace)
+    assert n == result.rounds
+    _assert_views_read_the_csv(trace)
+    assert trace[-1] == trace[n - 1] and trace[-1].k == n
+    assert trace[-n].k == 1 and trace[-2].k == n - 1
+    assert [rec.k for rec in trace[1:4]] == [2, 3, 4]
+    assert [rec.k for rec in trace[::-400]] == list(range(n, 0, -400))
+    assert [rec.k for rec in trace] == list(range(1, n + 1))
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[past]
+    # ties and areas out of sorted order: the CSV sorts, the views keep network order
+    doc = json.loads(save_case(tri3))
+    doc["areas"] = doc["areas"][::-1]
+    for tie in doc["tie_lines"]:
+        tie["id"] = tie["id"][::-1]
+    relabeled = run(load_case(doc), MechanismConfig(max_rounds=30))
+    assert list(relabeled.trace[-1].ties) == ["1BA", "2BA", "1CA", "1CB", "2CB"]
+    assert list(relabeled.trace[-1].areas) == ["C", "B", "A"]
+    _assert_views_read_the_csv(relabeled.trace)
+    # without ties a row keeps its area and round columns
+    dead = run(apply_scenario(tri3, ScenarioModifiers(
+        tie_capacity_overrides={t.id: 0.0 for t in tri3.tie_lines})),
+        MechanismConfig(max_rounds=40, tol=1e-12))
+    assert dead.trace.rows.shape == (dead.rounds, 2 * 3 + 3)
+    assert dead.trace[-1].ties == {} and list(dead.trace[-1].areas) == ["A", "B", "C"]
+    assert trace_to_csv(dead.trace).splitlines()[0] == \
+        "k,A.gamma,A.objective,B.gamma,B.objective,C.gamma,C.objective,dx_inf,consensus,slackness"
+    _assert_views_read_the_csv(dead.trace)
+
+
 def test_mechanism_reports_infeasible_round(toy2):
     # importer that cannot cover demand once its tiny partner is priced out
     net = load_case({
@@ -435,3 +516,32 @@ def test_mechanism_reports_infeasible_round(toy2):
         run(toy2, MechanismConfig(max_rounds=5), engine=NanEngine(toy2))
     assert err.value.round_k == 1
     assert "area[B]" in str(err.value)
+
+
+@pytest.mark.parametrize("field, key", [("theta", "B1"), ("price", "AB"), ("delta_t", "AB")])
+def test_a_missing_broadcast_entry_names_the_round_and_area(toy2, field, key):
+    # a plugged-in engine whose second clear of area B lacks one broadcast entry
+    from flexmarket import ChanceConstrainedClearing
+
+    class DroppingEngine:
+        def __init__(self, net):
+            self.inner = ChanceConstrainedClearing(net)
+            self.clears_of_b = 0
+
+        def clear_area(self, area_id, terms):
+            out = self.inner.clear_area(area_id, terms)
+            if area_id == "B":
+                self.clears_of_b += 1
+                if self.clears_of_b == 2:
+                    theta, delta_t = dict(out.decision.theta), dict(out.decision.delta_t)
+                    price = dict(out.willingness_to_pay)
+                    {"theta": theta, "delta_t": delta_t, "price": price}[field].pop(key)
+                    out = replace(out, decision=replace(out.decision, theta=theta,
+                                                        delta_t=delta_t),
+                                  willingness_to_pay=price)
+            return out
+
+    with pytest.raises(MechanismError) as err:
+        run(toy2, MechanismConfig(max_rounds=5), engine=DroppingEngine(toy2))
+    assert err.value.round_k == 2
+    assert str(err.value) == f"round 2: area[B]: no {field}[{key}] in its clearing result"
