@@ -10,9 +10,11 @@ and runs one pass as ``perfbench/run.py`` does: ``set_up``, then ``work`` on
 every case.  It records per case the rounds, the trace CSV, the comparison
 report, any error, the path of every ``qp.solve`` (cold solves apart), a
 digest of every ``qp.solve`` result: its status, path and the bits of x, y
-and z, in call order, and the ``iterations`` of every ``qp.solve``, which
-count the dual method's steps (0 for a hint), in call order.  Each child
-also reports its peak resident set size, ``ru_maxrss`` of
+and z, in call order, the ``iterations`` of every ``qp.solve``, which count
+the dual method's steps (0 for a hint), in call order, and the row sets
+that hinted walks solved: the ``_solve_active`` calls inside the first
+``_polish`` of a hinted ``qp.solve``, which is the walk.  Each child also
+reports its peak resident set size, ``ru_maxrss`` of
 ``resource.getrusage(RUSAGE_SELF)``, taken before it writes its record.
 
 The ``cli`` workload is not the benchmark's: per bundled case the child runs
@@ -24,13 +26,14 @@ paths and digest.
 Printed per workload: the peak resident set size of the child on each tree.
 Printed per case: the rounds on both trees, whether the trace, the report,
 stdout (``cli`` only), the solve digest and the dual steps are identical,
-with the total steps on each tree, the largest |difference| per trace column
-and per numeric report field (fields that differ in kind, such as a flag, are
-printed with both values), and the solve paths on each tree.  Two last lines
-say whether every solve digest and every solve's dual steps, set-up's
-included, match: a change to the cold path that keeps the answers but takes
-other steps shows there.  Times are not compared: use ``perfbench/run.py``
-for that.
+with the total steps and the walk row sets on each tree, the largest
+|difference| per trace column and per numeric report field (fields that
+differ in kind, such as a flag, are printed with both values), and the solve
+paths on each tree.  Two last lines say whether every solve digest and every
+solve's dual steps, set-up's included, match: a change to the cold path that
+keeps the answers but takes other steps shows there, and a change to the
+hinted walk's budget shows in the walk row sets.  Times are not compared:
+use ``perfbench/run.py`` for that.
 """
 import argparse
 import csv
@@ -56,49 +59,61 @@ def capture(tree, workload, seed):
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     from flexmarket import qp
 
-    solve, paths, digests, steps = qp.solve, [], [], []
+    solve, polish, solve_active = qp.solve, qp._polish, qp._solve_active
+    record = {}  # what the open case, or set-up, has solved so far
+    walk = {"next": False, "open": False}  # the next _polish is a walk; a walk is open
+
+    def begin():
+        record.update(paths=Counter(), digest=hashlib.sha256(), steps=[], walk_sets=0)
+
+    def end():
+        return {**record, "paths": dict(record["paths"]), "digest": record["digest"].hexdigest()}
 
     def recording_solve(*args, active_hint=None, **kwargs):
-        sol = solve(*args, active_hint=active_hint, **kwargs)
-        paths[-1].append(("hinted " if active_hint is not None else "cold ") + sol.path)
-        steps[-1].append(sol.iterations)
-        digest = digests[-1]
+        walk["next"] = active_hint is not None
+        try:
+            sol = solve(*args, active_hint=active_hint, **kwargs)
+        finally:
+            walk["next"] = False
+        record["paths"][("hinted " if active_hint is not None else "cold ") + sol.path] += 1
+        record["steps"].append(sol.iterations)
+        digest = record["digest"]
         digest.update(f"{sol.status} {sol.path}\n".encode())
         for v in (sol.x, sol.y, sol.z):
             digest.update(v.astype("<f8").tobytes() + b"|")
         return sol
 
-    qp.solve = recording_solve
+    def recording_polish(*args):
+        walk["open"], walk["next"] = walk["next"], False
+        try:
+            return polish(*args)
+        finally:
+            walk["open"] = False
+
+    def recording_solve_active(*args):
+        if walk["open"]:
+            record["walk_sets"] += 1
+        return solve_active(*args)
+
+    qp.solve, qp._polish, qp._solve_active = recording_solve, recording_polish, recording_solve_active
     out = []
     if workload == "cli":
         for case in CLI_CASES:
-            paths.append([])
-            digests.append(hashlib.sha256())
-            steps.append([])
-            out.append({"name": case, **run_cli(case),
-                        "paths": dict(Counter(paths.pop())),
-                        "digest": digests.pop().hexdigest(), "steps": steps.pop()})
-        return {"setup_paths": {}, "setup_digest": "", "setup_steps": [], "cases": out}
+            begin()
+            out.append({"name": case, **run_cli(case), **end()})
+        return {"setup": {"paths": {}, "digest": "", "steps": [], "walk_sets": 0}, "cases": out}
     import workloads
     with tempfile.TemporaryDirectory() as scratch:
-        paths.append([])
-        digests.append(hashlib.sha256())
-        steps.append([])
+        begin()
         cases = workloads.set_up(workloads.specs(workload, seed))
-        setup_paths, setup_digest = paths.pop(), digests.pop().hexdigest()
-        setup_steps = steps.pop()
+        setup = end()
         for case in cases:
-            paths.append([])
-            digests.append(hashlib.sha256())
-            steps.append([])
+            begin()
             res = workloads.work(case, Path(scratch))
             out.append({"name": case.spec.name, "error": res.error,
                         "rounds": res.run.rounds if res.run is not None else None,
-                        "csv": res.csv, "report": res.report,
-                        "paths": dict(Counter(paths.pop())),
-                        "digest": digests.pop().hexdigest(), "steps": steps.pop()})
-    return {"setup_paths": dict(Counter(setup_paths)), "setup_digest": setup_digest,
-            "setup_steps": setup_steps, "cases": out}
+                        "csv": res.csv, "report": res.report, **end()})
+    return {"setup": setup, "cases": out}
 
 
 def run_cli(case):
@@ -193,16 +208,21 @@ def same(a, b):
     return "identical" if a == b else "differs"
 
 
+def steps_and_walks(a, b):
+    """The dual steps' match and totals, and the walk row sets, on both trees."""
+    return (f"dual steps {same(a['steps'], b['steps'])} ({sum(a['steps'])} -> {sum(b['steps'])}), "
+            f"walk row sets {a['walk_sets']} -> {b['walk_sets']}")
+
+
 def compare(old_tree, new_tree, workload, seed):
     old, new = run_child(old_tree, workload, seed), run_child(new_tree, workload, seed)
     print(f"== {workload} (seed {seed})")
     print(f"  peak RSS: {old['maxrss_kib'] / 1024:.1f} -> {new['maxrss_kib'] / 1024:.1f} MiB")
-    print(f"  set-up solve paths: {old['setup_paths']} -> {new['setup_paths']}; "
-          f"solve digest {same(old['setup_digest'], new['setup_digest'])}, "
-          f"dual steps {same(old['setup_steps'], new['setup_steps'])} "
-          f"({sum(old['setup_steps'])} -> {sum(new['setup_steps'])})")
-    mismatched = [] if old["setup_digest"] == new["setup_digest"] else [f"{workload} set-up"]
-    stepped = [] if old["setup_steps"] == new["setup_steps"] else [f"{workload} set-up"]
+    a, b = old["setup"], new["setup"]
+    print(f"  set-up solve paths: {a['paths']} -> {b['paths']}; "
+          f"solve digest {same(a['digest'], b['digest'])}, {steps_and_walks(a, b)}")
+    mismatched = [] if a["digest"] == b["digest"] else [f"{workload} set-up"]
+    stepped = [] if a["steps"] == b["steps"] else [f"{workload} set-up"]
     for a, b in zip(old["cases"], new["cases"]):
         if a["digest"] != b["digest"]:
             mismatched.append(a["name"])
@@ -211,9 +231,7 @@ def compare(old_tree, new_tree, workload, seed):
         stdout = f"stdout {same(a['stdout'], b['stdout'])}, " if "stdout" in a else ""
         print(f"  {a['name']}: rounds {a['rounds']} -> {b['rounds']}; "
               f"trace {same(a['csv'], b['csv'])}, report {same(a['report'], b['report'])}, "
-              f"{stdout}solve digest {same(a['digest'], b['digest'])}, "
-              f"dual steps {same(a['steps'], b['steps'])} "
-              f"({sum(a['steps'])} -> {sum(b['steps'])})")
+              f"{stdout}solve digest {same(a['digest'], b['digest'])}, {steps_and_walks(a, b)}")
         if a["error"] or b["error"]:
             print(f"    errors: {a['error']} -> {b['error']}")
         if a["csv"] != b["csv"]:

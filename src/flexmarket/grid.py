@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Mapping
@@ -399,8 +400,9 @@ def load_case(text: str | bytes | dict) -> Network:
         else:
             std = 0.0
         buses.append(Bus(bus_id, _id(b.get("area"), f"{path}.area", errs), mean, std))
+    bus_ids = {b.id for b in buses}
     for bus_id in dem_buses:
-        if bus_id not in {b.id for b in buses}:
+        if bus_id not in bus_ids:
             errs.append(f"demand.buses[{bus_id}]: unknown bus")
 
     gens = []
@@ -429,21 +431,29 @@ def load_case(text: str | bytes | dict) -> Network:
                             _num(t, "reactance", path, errs), _num(t, "capacity", path, errs),
                             _num(t, "t_da", path, errs, required=False)))
 
+    # each area's buses, generators, lines (by from-bus) and ties, in document
+    # order; a bus id listed in several areas puts its generators and lines in each
+    bus_areas = defaultdict(set)
+    members = defaultdict(lambda: ([], [], [], []))
+    for b in buses:
+        bus_areas[b.id].add(b.area_id)
+        members[b.area_id][0].append(b.id)
+    for g in gens:
+        for area_id in bus_areas.get(g.bus_id, ()):
+            members[area_id][1].append(g.id)
+    for l in lines:
+        for area_id in bus_areas.get(l.from_bus, ()):
+            members[area_id][2].append(l.id)
+    for t in ties:
+        for area_id in {t.from_area, t.to_area}:
+            members[area_id][3].append(t.id)
     areas = []
     for i, area_id in enumerate(_typed(doc["areas"], list, "areas", errs)):
         area_id = _id(area_id, f"areas[{i}]", errs)
         if area_id is None:
             continue
         tail = _num(confidence, area_id, "confidence", errs, default=0.5)
-        areas.append(Area(
-            area_id,
-            tuple(b.id for b in buses if b.area_id == area_id),
-            tuple(g.id for g in gens if g.bus_id in {b.id for b in buses if b.area_id == area_id}),
-            tuple(l.id for l in lines
-                  if any(b.id == l.from_bus and b.area_id == area_id for b in buses)),
-            tuple(t.id for t in ties if area_id in (t.from_area, t.to_area)),
-            tail,
-        ))
+        areas.append(Area(area_id, *map(tuple, members[area_id]), tail))
     area_ids = {a.id for a in areas}
     for area_id in confidence:
         if area_id not in area_ids:

@@ -30,13 +30,17 @@ constraint rows scaled by L^-T, not of the whole KKT matrix
 (``_active_kkt``).
 
 A solve with an active-set hint first walks from the hint.  The walk is a
-semismooth Newton method: it settles in a few steps from a nearby start and
-has no global guarantee.  So the hinted walk stops after n + m_eq row sets.
-The cold method, where it drops no row, reaches its optimum in at most n + 1
-steps, one per independent active row, and each of its steps updates its
-factors where each row set of a walk takes a fresh SVD; a hint that has not
-settled within n + m_eq row sets is no nearer a start than the cold method's
-own.  The cold path then runs:
+primal-dual active-set step, that is, a semismooth Newton method
+(Hintermüller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002): it settles in a
+few steps from a nearby start and has no global guarantee from a far one.
+So the hinted walk stops after min(n + m_eq, ``HINT_ROW_SETS``) row sets, a
+bound set by cost: each row set of a walk takes a fresh SVD and
+pseudo-inverse, about a tenth of a cold solve of the same program (0.10 to
+0.15 ms against 1.1 to 1.5 ms on the ladder area programs, medians on a
+2-vCPU Xeon with one BLAS thread), so a walk that has not settled within 8
+row sets has spent what the cold path it falls back to costs.  A walk that
+misses leaves the answer to the cold path, bit for bit the answer of an
+unhinted solve, so the bound moves only the time.  The cold path then runs:
 
 1. The dual method (``_dual_active_set``).  From the unconstrained minimum
    it adds the equality rows, then the most violated inequality row at a
@@ -72,6 +76,9 @@ DEFAULT_MAX_ITER = 1000
 # radius (the generated networks' stops reach 1.5e10 and more)
 CERTIFICATE_TOL = 1e-6
 CERTIFICATE_RADIUS = 1e9
+# the row sets a hinted walk may solve (module docstring); walks that succeed
+# on the benchmark's workloads and in the tests solve at most 7
+HINT_ROW_SETS = 8
 
 
 class QpDimensionError(ValueError):
@@ -570,9 +577,10 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     ``active_hint`` short-circuits the cold path when the binding set of a
     nearby instance is known (e.g. the previous round of an iterative
     caller); the hinted solution is accepted only after passing the full KKT
-    validation.  A hint that misses within its budget of n + m_eq row sets is
-    left to the cold path, the dual method and its polishes (module
-    docstring), whose steps ``max_iter`` caps.  An answer that is not optimal
+    validation.  A hint that misses within min(n + m_eq, ``HINT_ROW_SETS``)
+    row sets, past which a walk costs more than a cold solve, is left to the
+    cold path, the dual method and its polishes (module docstring), whose
+    steps ``max_iter`` caps.  An answer that is not optimal
     carries the dual method's point, multipliers and steps.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -583,7 +591,7 @@ def solve(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
     full = 2 * mi + 8  # the cold polish's budget in row sets
 
     if active_hint is not None and mi:
-        polished = _polish(qp, set(active_hint), tol, min(n + me, full))
+        polished = _polish(qp, set(active_hint), tol, min(n + me, HINT_ROW_SETS))
         if polished is not None:
             return _optimal(polished, 0, "hint")
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -46,6 +47,27 @@ def test_round_trip_is_identity():
     for name in BUNDLED_CASES:
         net = load_bundled(name)
         assert load_case(save_case(net)) == net
+
+
+LADDER_24X2 = Path(__file__).parent / "data" / "ladder_24x2_s4.json"
+
+
+@pytest.mark.parametrize("name", [*BUNDLED_CASES, "ladder_24x2_s4"])
+def test_area_membership_is_restated_in_document_order(name):
+    # an area holds its buses, the generators at them, the lines leaving
+    # them and the ties that touch it, each in the document's order
+    text = LADDER_24X2.read_text() if name == "ladder_24x2_s4" else save_case(load_bundled(name))
+    net = load_case(text)
+    assert save_case(net) == text
+    for area in net.areas:
+        buses = [b.id for b in net.buses if b.area_id == area.id]
+        assert area.bus_ids == tuple(buses)
+        assert area.generator_ids == tuple(g.id for g in net.generators if g.bus_id in buses)
+        assert area.line_ids == tuple(l.id for l in net.lines if l.from_bus in buses)
+        assert area.tie_ids == tuple(t.id for t in net.tie_lines
+                                     if area.id in (t.from_area, t.to_area))
+    assert sum(len(a.bus_ids) for a in net.areas) == len(net.buses)
+    assert sum(len(a.generator_ids) for a in net.areas) == len(net.generators)
 
 
 def test_confidence_tails_are_loaded(tri3):

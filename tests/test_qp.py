@@ -615,13 +615,16 @@ def _same_bits(mine, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
-    # a hint that has not settled within n + me row sets is left to the cold
-    # path (module docstring), and no answer of this run may change for it
+def test_hinted_walk_solves_at_most_hint_row_sets():
+    # a hint that has not settled within min(n + me, HINT_ROW_SETS) row sets
+    # is left to the cold path (module docstring), and no answer of this run
+    # may change for it
     csv, hinted = _hinted_walks()
-    sizes = [(len(walks[0][0]), program.n + len(program.b_eq)) for program, _, walks in hinted if walks]
+    cap = qpmod.HINT_ROW_SETS
+    sizes = [(len(walks[0][0]), min(program.n + len(program.b_eq), cap))
+             for program, _, walks in hinted if walks]
     over = [(steps, limit) for steps, limit in sizes if steps > limit]
-    assert sizes and not over, f"row sets solved vs n + me: {over}"
+    assert sizes and not over, f"row sets solved vs min(n + me, {cap}): {over}"
     for _, hint, walks in hinted:
         if not walks:
             continue
@@ -633,8 +636,12 @@ def test_hinted_walk_solves_at_most_n_plus_me_row_sets():
         assert not rest or walks[0][1] is None
         assert len(rest) <= 3 and (len(rest) <= 1 or rest[0][1] is not None)
     assert any(walks[0][1] is None for _, _, walks in hinted if walks)  # some hints miss
-    reference, _ = _hinted_walks(full_budget=True)
-    assert csv == reference
+    reference_csv, reference = _hinted_walks(full_budget=True)
+    assert csv == reference_csv
+    # the cap binds: some walk stops at it where the full budget walks on
+    assert len(reference) == len(hinted)
+    assert any(len(walks[0][0]) == cap < len(full[0][0])
+               for (_, _, walks), (_, _, full) in zip(hinted, reference) if walks)
 
 
 def test_a_missed_hint_changes_nothing_but_time():
