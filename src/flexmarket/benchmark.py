@@ -159,7 +159,8 @@ class _CentralProblem:
         tie_flows = {t.id: t.t_da + decisions[t.from_area].delta_t[t.id]
                      for t in net.active_ties()}
         # one flat sum over every generator: per-area sums would round differently
-        total_cost = generation_cost(net, {g: float(x[i]) for g, i in self.var_dp.items()})
+        total_cost = generation_cost(map(net.generator, self.var_dp),
+                                     x[list(self.var_dp.values())].tolist())
         return CentralSolution(decisions, duals, tie_capacity, tie_flows, total_cost,
                                sol.residuals.max())
 

@@ -11,7 +11,13 @@ re-clearing each area against the frozen limit terms.
 
 `run` keeps the broadcasts in memory as one flat vector and its trace as
 columns: one float64 row per round in a `Trace`, whose `TraceRecord` items
-are built only when read.  The wire format of `encode_message`/
+are built only when read.  An engine with the array method `respond`, such
+as the default `ChanceConstrainedClearing`, clears each area from slices of
+that vector and writes the area's broadcast into its slice of the next one,
+so a round builds no terms or result objects; the run's final `clearings`
+come from its `last_result`.  Any other `ClearingEngine` gets a
+`TermsOfTrade` per area and round and returns a `ClearingResult`, whose
+broadcast entries `run` reads back.  The wire format of `encode_message`/
 `decode_message` serves a networked deployment.
 """
 from __future__ import annotations
@@ -295,16 +301,22 @@ class _BroadcastIndex:
         self.ties = net.active_ties()
         self.keys: list[tuple[str, str, str]] = []  # (area, field, key) per slot
         views = {a.id: net.tie_views(a.id) for a in net.areas}
+        self.areas = tuple(views)
+        spans = {}
         for a, vs in views.items():
+            start = len(self.keys)
             self.keys += [(a, "delta_t", v.tie_id) for v in vs]
             self.keys += [(a, "theta", b) for b in sorted({v.own_bus for v in vs})]
             self.keys += [(a, "price", v.tie_id) for v in vs]
+            spans[a] = slice(start, len(self.keys))
         slot = {key: i for i, key in enumerate(self.keys)}
         mu_slot = {t.id: i for i, t in enumerate(self.ties)}
-        # per area and incident tie: the neighbor's price and angle slots, the mu slot
-        self.quotes = {a: [(v.tie_id, slot[v.neighbor_area, "price", v.tie_id],
-                            slot[v.neighbor_area, "theta", v.neighbor_bus], mu_slot[v.tie_id])
-                           for v in vs] for a, vs in views.items()}
+        # per area: its slice of x, its incident ties and, per tie, the
+        # neighbor's price and angle slots and the mu slot
+        self.segments = [(a, spans[a], [v.tie_id for v in vs], *np.array(
+            [(slot[v.neighbor_area, "price", v.tie_id],
+              slot[v.neighbor_area, "theta", v.neighbor_bus], mu_slot[v.tie_id]) for v in vs],
+            dtype=int).reshape(-1, 3).T) for a, vs in views.items()]
         # rows: delta_t of the from side, of the to side, then price of each side
         self.tie_slots = np.array([[slot[a, f, t.id] for f in ("delta_t", "price")
                                     for a in (t.from_area, t.to_area)] for t in self.ties],
@@ -318,18 +330,19 @@ class _BroadcastIndex:
         return np.array([areas[a][f][key] for a, f, key in self.keys], dtype=float)
 
     def unflatten(self, x: np.ndarray, mu: np.ndarray):
-        areas = {a: AreaBroadcast({}, {}, {}) for a in self.quotes}
+        areas = {a: AreaBroadcast({}, {}, {}) for a in self.areas}
         for (a, f, key), v in zip(self.keys, x.tolist()):
             getattr(areas[a], f)[key] = v
         return areas, dict(zip([t.id for t in self.ties], mu.tolist()))
 
-    def terms(self, xs: list[float], mus: list[float]) -> dict[str, TermsOfTrade]:
-        return {a: TermsOfTrade({t: TieTerms(xs[p], xs[q], mus[m]) for t, p, q, m in quotes})
-                for a, quotes in self.quotes.items()}
+    def terms(self, x: np.ndarray, mu: np.ndarray) -> dict[str, TermsOfTrade]:
+        return {a: TermsOfTrade(dict(zip(ids, map(TieTerms, x[p].tolist(), x[q].tolist(),
+                                                  mu[m].tolist()))))
+                for a, _, ids, p, q, m in self.segments}
 
     def state_terms(self, state: CouplingState) -> dict[str, TermsOfTrade]:
         areas = {a: vars(b) for a, b in state.areas.items()}
-        return self.terms(self.flatten(areas).tolist(), [state.mu[t.id] for t in self.ties])
+        return self.terms(self.flatten(areas), np.array([state.mu[t.id] for t in self.ties]))
 
 
 def terms_for_area(net: Network, state: CouplingState, area_id: str) -> TermsOfTrade:
@@ -338,8 +351,8 @@ def terms_for_area(net: Network, state: CouplingState, area_id: str) -> TermsOfT
 
 
 def _record(index: _BroadcastIndex, row: np.ndarray, x: np.ndarray, mu: np.ndarray,
-            dx: float, clearings: dict[str, ClearingResult]) -> None:
-    """Fill one round's `Trace` row."""
+            dx: float, scores: list[tuple[float, float]]) -> None:
+    """Fill one round's `Trace` row; ``scores`` gives gamma and the objective per area."""
     dt_from, dt_to, price_from, price_to = x[index.tie_slots]
     flow_from = index.t_da + dt_from
     flow_to = -index.t_da + dt_to
@@ -349,11 +362,26 @@ def _record(index: _BroadcastIndex, row: np.ndarray, x: np.ndarray, mu: np.ndarr
     n = 7 * len(mu)
     row[:n].reshape(-1, 7).T[:] = (flow_from, flow_to, mu, price_from, price_to,
                                    consensus, slackness)
-    row[n:-3] = [v for c in clearings.values() for v in (c.duals.reliability_price, c.objective)]
+    row[n:-3].reshape(-1, 2)[:] = scores
     # consensus is the max from 0.0; slackness keeps its first largest product's
     # sign, so a priced tie below capacity shows, and + 0.0 turns mu == 0's -0.0 into 0.0
     worst = slackness[np.abs(slackness).argmax()] + 0.0 if n else 0.0
     row[-3:] = dx, consensus.max(initial=0.0), worst
+
+
+def _clear_by_terms(k: int, engine: ClearingEngine, index: _BroadcastIndex, x: np.ndarray,
+                    mu: np.ndarray) -> tuple[dict[str, ClearingResult], np.ndarray]:
+    """One round of an engine without `respond`: each area clears at its
+    `TermsOfTrade`; returns the results and the broadcast vector they give."""
+    terms = index.terms(x, mu)
+    clearings = {a: engine.clear_area(a, terms[a]) for a in terms}
+    broadcasts = {a: {"delta_t": c.decision.delta_t, "theta": c.decision.theta,
+                      "price": c.willingness_to_pay} for a, c in clearings.items()}
+    try:
+        return clearings, index.flatten(broadcasts)
+    except KeyError:
+        a, f, key = next((a, f, key) for a, f, key in index.keys if key not in broadcasts[a][f])
+        raise MechanismError(k, f"area[{a}]: no {f}[{key}] in its clearing result") from None
 
 
 def run(net: Network, config: MechanismConfig | None = None,
@@ -362,25 +390,23 @@ def run(net: Network, config: MechanismConfig | None = None,
     config = config or MechanismConfig()
     if engine is None:
         engine = ChanceConstrainedClearing(net, config.solver_tol, config.solver_max_iter)
+    respond = getattr(engine, "respond", None)  # the array method, if the engine has one
     index = _BroadcastIndex(net)
     x = np.zeros(len(index.keys))
     mu = np.zeros(len(index.ties))
-    trace = Trace(tuple(t.id for t in index.ties), tuple(index.quotes))
+    fresh = np.empty_like(x)
+    trace = Trace(tuple(t.id for t in index.ties), index.areas)
     streak = 0
     for k in range(1, config.max_rounds + 1):
-        terms = index.terms(x.tolist(), mu.tolist())
         try:
-            clearings = {a: engine.clear_area(a, terms[a]) for a in terms}
+            if respond is None:
+                clearings, fresh = _clear_by_terms(k, engine, index, x, mu)
+                scores = [(c.duals.reliability_price, c.objective) for c in clearings.values()]
+            else:
+                scores = [respond(a, x[price].tolist(), x[angle].tolist(), mu[tie_mu].tolist(),
+                                  fresh[span]) for a, span, _, price, angle, tie_mu in index.segments]
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
-        broadcasts = {a: {"delta_t": c.decision.delta_t, "theta": c.decision.theta,
-                          "price": c.willingness_to_pay} for a, c in clearings.items()}
-        try:
-            fresh = index.flatten(broadcasts)
-        except KeyError:
-            a, f, key = next((a, f, key) for a, f, key in index.keys
-                             if key not in broadcasts[a][f])
-            raise MechanismError(k, f"area[{a}]: no {f}[{key}] in its clearing result") from None
         bad = np.flatnonzero(~np.isfinite(fresh))
         if bad.size:
             a, f, key = index.keys[bad[0]]
@@ -390,10 +416,12 @@ def run(net: Network, config: MechanismConfig | None = None,
         x = new
         mu = update_capacity_price(mu, *np.abs(x[index.tie_slots[:2]]), index.abs_t_da,
                                    index.capacity, config.beta)
-        _record(index, trace._next_row(), x, mu, dx, clearings)
+        _record(index, trace._next_row(), x, mu, dx, scores)
         streak = streak + 1 if dx < config.tol else 0
         if streak >= CONSECUTIVE:
             break
+    if respond is not None:
+        clearings = {a: engine.last_result(a) for a in index.areas}
     converged = streak >= CONSECUTIVE
     log.info("mechanism finished after %d rounds (converged=%s)", k, converged)
     state = CouplingState(k, *index.unflatten(x, mu), config.rho, config.beta)

@@ -18,12 +18,12 @@ endpoint bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from . import qp as qpmod
-from .grid import Network, TieView
+from .grid import Generator, Network, TieView
 from .stochastic import aggregate_requirement
 
 # Tikhonov weight on the diagonal of the split-flow and angle blocks, which
@@ -97,9 +97,6 @@ class ClearingResult:
     generation_cost: float  # sum of C_g at the decision, USD
     willingness_to_pay: dict[str, float]  # per tie: gamma + alpha[own bus]
     kkt_residual: float
-    # binding inequality rows of the program; reusable as the hint of the
-    # area's next clear (ChanceConstrainedClearing)
-    active_set: tuple[int, ...] = ()
 
 
 class Rows:
@@ -265,7 +262,6 @@ class AreaProblem:
     """
 
     def __init__(self, net: Network, area_id: str, autarky: bool = False):
-        self.net = net
         self.area_id = area_id
         area = net.area(area_id)
         gens = tuple(area.generator_ids)
@@ -315,36 +311,52 @@ class AreaProblem:
         self._program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(),
                                                tuple(var_labels), tuple(eq.labels),
                                                tuple(ineq.labels))
+        # per tie, in `ties` order: its dT+ and dT- columns, definition row,
+        # reactance, t_da and own bus's nodal row; the boundary buses' angle
+        # columns, in bus order.  The terms and broadcasts of one area are a
+        # few floats, which Python scalars handle faster than numpy calls.
+        self._ties = [(var_tp[v.tie_id], var_tm[v.tie_id], eq_tie_def[v.tie_id], v.reactance,
+                       v.t_da, rows.nodal_price[v.own_bus]) for v in ties]
+        self._boundary = [var_theta[b] for b in sorted({v.own_bus for v in ties})]
+        self._gens = [net.generator(g) for g in gens]
 
     def assemble(self, terms: TermsOfTrade) -> qpmod.QuadraticProgram:
         """Bind the terms of trade into the cached structure."""
-        idx = self.index
+        return self._bind(*_quotes(self.index.ties, terms))
+
+    def _bind(self, price: Sequence[float], angle: Sequence[float],
+              mu: Sequence[float]) -> qpmod.QuadraticProgram:
+        """Scatter terms given per tie as price, neighbor angle and capacity
+        price into c and b."""
         c = self._program.c.copy()
         b = self._program.b_eq.copy()
-        for v in idx.ties:
-            t = terms.for_tie(v.tie_id)
-            c[idx.var_tp[v.tie_id]] = -t.price + 0.5 * t.capacity_price
-            c[idx.var_tm[v.tie_id]] = t.price + 0.5 * t.capacity_price
-            b[idx.eq_tie_def[v.tie_id]] = -t.neighbor_angle / v.reactance - v.t_da
+        for (tp, tm, row, reactance, t_da, _), p, a, m in zip(self._ties, price, angle, mu):
+            c[tp] = -p + 0.5 * m
+            c[tm] = p + 0.5 * m
+            b[row] = -a / reactance - t_da
         return self._program.rebind(c, b)
 
     def clear(self, terms: TermsOfTrade, tol: float = qpmod.DEFAULT_TOL,
-              max_iter: int = qpmod.DEFAULT_MAX_ITER,
-              near: AreaDecision | None = None,
-              hint: tuple[int, ...] | None = None) -> ClearingResult:
-        """Clear at the terms of trade; cold unless seeded.
+              near: AreaDecision | None = None) -> ClearingResult:
+        """Clear at the terms of trade; cold unless ``near``, a decision
+        expected to be close to the answer, seeds the solve with the rows
+        that bind at it."""
+        price, angle, mu = _quotes(self.index.ties, terms)
+        sol = self._solve(price, angle, mu, tol, qpmod.DEFAULT_MAX_ITER, None, near)
+        return self._extract(sol, price, mu)
 
-        ``hint``, a binding set such as a previous result's ``active_set``,
-        seeds the solve.  ``near``, a decision expected to be close to the
-        answer, seeds it instead with the rows that bind at it.
-        """
-        program = self.assemble(terms)
+    def _solve(self, price: Sequence[float], angle: Sequence[float], mu: Sequence[float],
+               tol: float, max_iter: int, hint: tuple[int, ...] | None,
+               near: AreaDecision | None = None) -> qpmod.QpSolution:
+        """Solve at the terms, seeded with ``hint``, a binding set such as the
+        previous solution's ``active_set``, or else with the rows binding at ``near``."""
+        program = self._bind(price, angle, mu)
         if near is not None:
             hint = program.binding_rows(self._primal(near))
         sol = qpmod.solve(program, tol=tol, max_iter=max_iter, active_hint=hint)
         if sol.status != "optimal":
             raise ClearingError(self.area_id, sol.status, sol.describe())
-        return self._extract(terms, sol, tol)
+        return sol
 
     def _primal(self, decision: AreaDecision) -> np.ndarray:
         """The program's x for a decision; each dT splits into its positive and negative parts."""
@@ -360,25 +372,38 @@ class AreaProblem:
             x[i] = decision.theta[b]
         return x
 
-    def _extract(self, terms: TermsOfTrade, sol: qpmod.QpSolution, tol: float) -> ClearingResult:
-        idx = self.index
-        x, y = sol.x.tolist(), sol.y.tolist()
-        delta_p = {g: x[idx.var_dp[g]] for g in idx.gens}
+    def _gather(self, sol: qpmod.QpSolution, price: Sequence[float], mu: Sequence[float],
+                out) -> tuple[float, float]:
+        """Write the area's broadcast at a solution into ``out``, a list or an
+        array slice: dT per tie, the boundary angles, then gamma + alpha[own
+        bus] per tie.  Return gamma and the objective at ``price`` and ``mu``."""
+        x, z = sol.x.tolist(), sol.z.tolist()
+        gamma = z[self.index.rows.reliability_price]
         # dT = dT+ - dT-.  An overlapping split (possible only at mu == 0)
         # changes neither the difference nor the objective, so the signed
         # flow is already the canonical decision.
-        delta_t = {v.tie_id: x[idx.var_tp[v.tie_id]] - x[idx.var_tm[v.tie_id]] for v in idx.ties}
-        theta = {bus: x[idx.var_theta[bus]] for bus in idx.buses}
+        dt = [x[tp] - x[tm] for tp, tm, *_ in self._ties]
+        out[:] = dt + [x[i] for i in self._boundary] + [gamma + z[nodal] for *_, nodal in self._ties]
+        # the generators' columns come first, so zip stops x after them
+        return gamma, _objective(generation_cost(self._gens, x), price, mu, dt)
+
+    def _extract(self, sol: qpmod.QpSolution, price: Sequence[float],
+                 mu: Sequence[float]) -> ClearingResult:
+        idx = self.index
+        ids = [v.tie_id for v in idx.ties]
+        broadcast = []  # _gather fills it
+        _, objective = self._gather(sol, price, mu, broadcast)
+        x, y = sol.x.tolist(), sol.y.tolist()
+        delta_p = dict(zip(idx.gens, x))
+        decision = AreaDecision(delta_p, dict(zip(ids, broadcast)),  # dT leads the broadcast
+                                {bus: x[idx.var_theta[bus]] for bus in idx.buses})
         duals = idx.rows.duals(
             sol.z, tie_def={t: y[i] for t, i in idx.eq_tie_def.items()},
             slack_angle=y[idx.eq_slack] if idx.eq_slack is not None else None)
-        decision = AreaDecision(delta_p, delta_t, theta)
-        gen_cost = generation_cost(self.net, delta_p)
-        willingness = {v.tie_id: duals.reliability_price + duals.nodal_price[v.own_bus]
-                       for v in idx.ties}
-        return ClearingResult(self.area_id, decision, duals,
-                              _objective(idx.ties, terms, decision, gen_cost), gen_cost,
-                              willingness, sol.residuals.max(), sol.active_set)
+        return ClearingResult(self.area_id, decision, duals, objective,
+                              generation_cost(self._gens, delta_p.values()),
+                              dict(zip(ids, broadcast[len(broadcast) - len(ids):])),
+                              sol.residuals.max())
 
 
 def _area_problem(net: Network, area_id: str) -> AreaProblem:
@@ -407,29 +432,37 @@ def clear(net: Network, area_id: str, terms: TermsOfTrade, tol: float = qpmod.DE
     degenerate optimal face ``near`` can pick a different point of the face,
     at the same objective to solver tolerance.
     """
-    return _area_problem(net, area_id).clear(terms, tol, near=near)
+    return _area_problem(net, area_id).clear(terms, tol, near)
 
 
-def generation_cost(net: Network, delta_p: Mapping[str, float]) -> float:
-    """Sum of C_g(P_da + dP) over the generators of ``delta_p``, in its order."""
-    return sum(net.generator(g).cost(net.generator(g).p_da + dp) for g, dp in delta_p.items())
+def _quotes(ties: Sequence[TieView], terms: TermsOfTrade) -> tuple[list, list, list]:
+    """The price, neighbor angle and capacity price of ``terms`` per tie of ``ties``."""
+    quotes = [terms.for_tie(v.tie_id) for v in ties]
+    return ([t.price for t in quotes], [t.neighbor_angle for t in quotes],
+            [t.capacity_price for t in quotes])
 
 
-def _objective(ties, terms: TermsOfTrade, decision: AreaDecision, gen_cost: float) -> float:
-    """The trade-aware objective of a decision whose generation cost is ``gen_cost``."""
+def generation_cost(gens: Iterable[Generator], delta_p: Iterable[float]) -> float:
+    """Sum of C_g(P_da + dP) over generators and their adjustments, in order."""
+    return sum(g.cost(g.p_da + dp) for g, dp in zip(gens, delta_p))
+
+
+def _objective(gen_cost: float, price, mu, dt) -> float:
+    """The trade-aware objective at tie adjustments ``dt``: ``gen_cost`` plus,
+    tie by tie in order, -price dT + (mu / 2) |dT|."""
     total = gen_cost
-    for v in ties:
-        t = terms.for_tie(v.tie_id)
-        dt = decision.delta_t[v.tie_id]
-        total += -t.price * dt + 0.5 * t.capacity_price * abs(dt)
+    for p, m, d in zip(price, mu, dt):
+        total += -p * d + 0.5 * m * abs(d)
     return total
 
 
 def evaluate_objective(net: Network, area_id: str, terms: TermsOfTrade,
                        decision: AreaDecision) -> float:
     """Trade-aware clearing objective evaluated at an arbitrary decision."""
-    return _objective(net.tie_views(area_id), terms, decision,
-                      generation_cost(net, decision.delta_p))
+    ties = net.tie_views(area_id)
+    price, _, mu = _quotes(ties, terms)
+    gen_cost = generation_cost(map(net.generator, decision.delta_p), decision.delta_p.values())
+    return _objective(gen_cost, price, mu, [decision.delta_t[v.tie_id] for v in ties])
 
 
 def autarky_infeasibility(net: Network, area_id: str) -> str | None:
@@ -448,7 +481,9 @@ class ClearingEngine(Protocol):
 
     Any convex internal market model may stand behind it: given the terms of
     trade for every incident tie, return the cleared flows, boundary angles,
-    and willingness to pay.
+    and willingness to pay.  An engine that also has the array method
+    `respond` and `last_result`, as `ChanceConstrainedClearing` does, is
+    driven through those by `coupling.run`.
     """
 
     def clear_area(self, area_id: str, terms: TermsOfTrade) -> ClearingResult:
@@ -457,7 +492,9 @@ class ClearingEngine(Protocol):
 
 class ChanceConstrainedClearing:
     """Default engine: the chance-constrained clearing above, on the network's
-    shared area problems, each clear seeded with the area's previous binding set."""
+    shared area problems, each clear seeded with the area's previous binding set.
+    `coupling.run` drives it through its array method `respond`, which builds
+    no result objects; `last_result` builds an area's last one when asked."""
 
     def __init__(self, net: Network, tol: float = qpmod.DEFAULT_TOL,
                  max_iter: int = qpmod.DEFAULT_MAX_ITER):
@@ -468,13 +505,27 @@ class ChanceConstrainedClearing:
         # performance cache only: results are KKT-validated, so a hint never
         # changes them
         self._hints: dict[str, tuple[int, ...] | None] = dict.fromkeys(self._problems)
+        self._last: dict[str, tuple] = {}  # per area: solution, price and mu of its last clear
 
-    def clear_area(self, area_id: str, terms: TermsOfTrade) -> ClearingResult:
+    def respond(self, area_id: str, price: Sequence[float], angle: Sequence[float],
+                mu: Sequence[float], out: np.ndarray) -> tuple[float, float]:
+        """Clear an area at its terms, given as floats per incident tie in
+        `Network.tie_views` order; write its broadcast into ``out`` and return
+        gamma and the objective (`AreaProblem._gather`)."""
+        problem = self._problems[area_id]
         try:
-            result = self._problems[area_id].clear(terms, self.tol, self.max_iter,
-                                                   hint=self._hints[area_id])
+            sol = problem._solve(price, angle, mu, self.tol, self.max_iter, self._hints[area_id])
         except ClearingError:
             self._hints[area_id] = None
             raise
-        self._hints[area_id] = result.active_set
-        return result
+        self._hints[area_id] = sol.active_set
+        self._last[area_id] = sol, price, mu
+        return problem._gather(sol, price, mu, out)
+
+    def last_result(self, area_id: str) -> ClearingResult:
+        return self._problems[area_id]._extract(*self._last[area_id])
+
+    def clear_area(self, area_id: str, terms: TermsOfTrade) -> ClearingResult:
+        problem = self._problems[area_id]
+        self.respond(area_id, *_quotes(problem.index.ties, terms), [])
+        return self.last_result(area_id)

@@ -1,7 +1,8 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from flexmarket import (MechanismConfig, RhoSchedule, ScenarioModifiers, apply_s
 from flexmarket.coupling import (AreaTrace, ExchangeMessage, MechanismError, MessageError,
                                  StaleMessageError, TieQuote, TieTrace, TraceRecord,
                                  terms_for_area)
-from flexmarket.market import AreaDecision, TermsOfTrade, autarky_infeasibility, clear
+from flexmarket.market import (AreaDecision, AreaDuals, ChanceConstrainedClearing,
+                               ClearingResult, TermsOfTrade, TieTerms, autarky_infeasibility,
+                               clear)
 from flexmarket.qp import DEFAULT_TOL
 
-from conftest import BUNDLED_RUN_CONFIG
+from conftest import BUNDLED_RUN_CONFIG, PassThroughEngine
+
+LADDER_4X8 = Path(__file__).parent / "data" / "ladder_4x8_s0.json"
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -417,6 +422,74 @@ def test_a_run_builds_no_record_per_round(toy2_congested, monkeypatch):
     assert built == Counter(TraceRecord=1, TieTrace=1, AreaTrace=2)
 
 
+def test_a_default_engine_run_builds_results_only_for_its_last_round(toy2_congested,
+                                                                    monkeypatch):
+    # the default engine's round reads terms from and writes broadcasts to
+    # arrays; result objects are built only for the run's final clearings
+    built = Counter()
+    for cls in (AreaDecision, AreaDuals, ClearingResult, TermsOfTrade, TieTerms):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    result = run(toy2_congested, BUNDLED_RUN_CONFIG)
+    areas = len(toy2_congested.areas)
+    assert result.rounds > 100
+    assert all(built[name] <= areas for name in
+               ("AreaDecision", "AreaDuals", "ClearingResult", "TermsOfTrade"))
+    assert built["TieTerms"] <= sum(len(toy2_congested.tie_views(a.id))
+                                    for a in toy2_congested.areas)
+    assert len(result.clearings) == areas
+
+
+def _bits(value):
+    """``value`` with each float as its type name and float.hex, recursively."""
+    if isinstance(value, float):
+        return type(value).__name__, float.hex(value)
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("case", ["toy2", "toy2-congested", "tri3", "ladder"])
+def test_the_array_round_matches_the_terms_of_trade_round(case, request):
+    # the default engine's array round against the terms-of-trade round that a
+    # plugged-in engine takes, on the same clearing code: every byte agrees
+    if case == "ladder":
+        net = load_case(json.loads(LADDER_4X8.read_text()))
+        config = MechanismConfig(max_rounds=80, tol=1e-300)
+        default = run(net, config)
+    else:
+        net = request.getfixturevalue(case.replace("-", "_"))
+        config = BUNDLED_RUN_CONFIG
+        default, _ = request.getfixturevalue(case.replace("-", "_") + "_run")
+        assert default.converged
+    plugged = run(net, config, engine=PassThroughEngine(net))
+    assert plugged.rounds == default.rounds
+    assert trace_to_csv(plugged.trace) == trace_to_csv(default.trace)
+    assert plugged.state == default.state
+    assert list(plugged.clearings) == list(default.clearings) == [a.id for a in net.areas]
+    assert _bits({a: asdict(c) for a, c in plugged.clearings.items()}) == \
+        _bits({a: asdict(c) for a, c in default.clearings.items()})
+
+
+def test_both_rounds_report_an_infeasible_area_alike():
+    net = load_case(INFEASIBLE_PAIR)
+    default, plugged = ChanceConstrainedClearing(net), PassThroughEngine(net)
+    messages = []
+    for engine, inner in ((default, default), (plugged, plugged.inner)):
+        inner._hints["Y"] = (0,)  # a stale binding set, which the failed clear must drop
+        with pytest.raises(MechanismError) as err:
+            run(net, MechanismConfig(max_rounds=5), engine=engine)
+        assert err.value.round_k == 1
+        messages.append(str(err.value))
+        assert inner._hints["Y"] is None
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("round 1: area[Y]: clearing infeasible")
+
+
 def _assert_views_read_the_csv(trace):
     lines = trace_to_csv(trace).splitlines()
     header = lines[0].split(",")
@@ -472,24 +545,27 @@ def test_trace_views_read_the_csv_rows(tri3, tri3_run):
     _assert_views_read_the_csv(dead.trace)
 
 
+# importer Y that cannot cover demand once its tiny partner is priced out
+INFEASIBLE_PAIR = {
+    "areas": ["X", "Y"],
+    "buses": [{"id": "X1", "area": "X"}, {"id": "Y1", "area": "Y"}],
+    "generators": [
+        {"id": "GX", "bus": "X1", "cost_quadratic": 0.5, "cost_linear": 0.0,
+         "cost_constant": 0.0, "p_min": 0.0, "p_max": 100.0,
+         "ramp_down": -50.0, "ramp_up": 50.0, "p_da": 0.0},
+        {"id": "GY", "bus": "Y1", "cost_quadratic": 0.5, "cost_linear": 0.0,
+         "cost_constant": 0.0, "p_min": 0.0, "p_max": 6.0,
+         "ramp_down": -50.0, "ramp_up": 50.0, "p_da": 0.0},
+    ],
+    "tie_lines": [{"id": "XY", "from_area": "X", "from_bus": "X1", "to_area": "Y",
+                   "to_bus": "Y1", "reactance": 0.1, "capacity": 0.0, "t_da": 0.0}],
+    "demand": {"buses": {"X1": {"mean": 0.0}, "Y1": {"mean": 10.0}}},
+    "confidence": {"X": 0.5, "Y": 0.5},
+}
+
+
 def test_mechanism_reports_infeasible_round(toy2):
-    # importer that cannot cover demand once its tiny partner is priced out
-    net = load_case({
-        "areas": ["X", "Y"],
-        "buses": [{"id": "X1", "area": "X"}, {"id": "Y1", "area": "Y"}],
-        "generators": [
-            {"id": "GX", "bus": "X1", "cost_quadratic": 0.5, "cost_linear": 0.0,
-             "cost_constant": 0.0, "p_min": 0.0, "p_max": 100.0,
-             "ramp_down": -50.0, "ramp_up": 50.0, "p_da": 0.0},
-            {"id": "GY", "bus": "Y1", "cost_quadratic": 0.5, "cost_linear": 0.0,
-             "cost_constant": 0.0, "p_min": 0.0, "p_max": 6.0,
-             "ramp_down": -50.0, "ramp_up": 50.0, "p_da": 0.0},
-        ],
-        "tie_lines": [{"id": "XY", "from_area": "X", "from_bus": "X1", "to_area": "Y",
-                       "to_bus": "Y1", "reactance": 0.1, "capacity": 0.0, "t_da": 0.0}],
-        "demand": {"buses": {"X1": {"mean": 0.0}, "Y1": {"mean": 10.0}}},
-        "confidence": {"X": 0.5, "Y": 0.5},
-    })
+    net = load_case(INFEASIBLE_PAIR)
     assert autarky_infeasibility(net, "Y") is not None
     from flexmarket.coupling import MechanismError
     with pytest.raises(MechanismError) as err:

@@ -3,9 +3,12 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from flexmarket import (MechanismConfig, benchmark, clear, comparison_report, grid,
-                        load_bundled, market, optimal_terms_of_trade, qp, run,
-                        solve_centralized, verify_fixed_point, verify_nash)
+from flexmarket import (ChanceConstrainedClearing, MechanismConfig, benchmark, clear,
+                        comparison_report, grid, load_bundled, market, optimal_terms_of_trade,
+                        qp, run, solve_centralized, trace_to_csv, verify_fixed_point,
+                        verify_nash)
+
+from conftest import BUNDLED_RUN_CONFIG, PassThroughEngine
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -87,3 +90,34 @@ def test_each_program_is_built_once_per_network(monkeypatch):
     comparison_report(net, result.state, clearings, central)
     areas = len(net.areas)
     assert builds == {"area": areas, "autarky": areas, "joint": 1}
+
+
+def test_traced_runs_keep_the_default_engine_on_its_array_round(toy2, toy2_run, monkeypatch):
+    # the tracer rebinds coupling.ChanceConstrainedClearing to a plain function;
+    # a default engine, built by run or outside the tracer, must still take the
+    # array round, reproduce the untraced trace and count the same solves
+    calls = Counter()
+    for name in ("respond", "clear_area"):
+        def counted(self, *args, _original=getattr(ChanceConstrainedClearing, name),
+                    _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(ChanceConstrainedClearing, name, counted)
+    untraced, _ = toy2_run
+    clears = untraced.rounds * len(toy2.areas)
+    outside = ChanceConstrainedClearing(toy2)
+    metrics = {}
+    for label, engine in (("outside", outside), ("built by run", None),
+                          ("plugged in", PassThroughEngine(toy2))):
+        calls.clear()
+        tracer = _tracing().Tracer()
+        with tracer.installed():
+            result = run(toy2, BUNDLED_RUN_CONFIG, engine=engine)
+        assert trace_to_csv(result.trace) == trace_to_csv(untraced.trace), label
+        metrics[label] = {k: tracer.metrics()[k] for k in ("qp.solves", "qp.hint_hits")}
+        if engine is None or engine is outside:
+            assert calls == {"respond": clears}, label
+        else:
+            assert calls == {"respond": clears, "clear_area": clears}, label
+    assert metrics["outside"] == metrics["built by run"] == metrics["plugged in"]
+    assert metrics["outside"]["qp.solves"] == clears
