@@ -23,7 +23,10 @@ The ``cli`` workload is not the benchmark's: per bundled case the child runs
 files, stdout, and any failure (exit code and stderr) besides the rounds,
 paths and digest.
 
-Printed per workload: the peak resident set size of the child on each tree.
+Printed first, per tree: the size of ``src/flexmarket/*.py``, in lines and
+in code lines, which leave out comments, docstrings and blank lines (counted
+with ``tokenize``).  Printed per workload: the peak resident set size of the
+child on each tree.
 Printed per case: the rounds on both trees, whether the trace, the report,
 stdout (``cli`` only), the solve digest and the dual steps are identical,
 with the total steps and the walk row sets on each tree, the largest
@@ -37,6 +40,7 @@ use ``perfbench/run.py`` for that.
 """
 import argparse
 import csv
+import glob
 import hashlib
 import io
 import json
@@ -45,6 +49,7 @@ import os
 import resource
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 
 WORKLOADS = ("bundled-compare", "ladder", "cold-certify", "cli")
@@ -135,6 +140,32 @@ def run_cli(case):
     return {"error": f"exit {code}: {stderr.getvalue()}" if code else None,
             "rounds": json.loads(report_text).get("rounds") if report_text else None,
             "csv": csv_text, "report": report_text, "stdout": stdout.getvalue()}
+
+
+def code_lines(path):
+    """The lines of a Python file that hold code: not a comment, a docstring
+    (a statement that is one string) or blank."""
+    with open(path, "rb") as f:
+        tokens = [t for t in tokenize.tokenize(f.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    starts = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
+    lines = set()
+    for before, token, after in zip(tokens, tokens[1:], tokens[2:]):
+        if token.type in starts or (token.type == tokenize.STRING and before.type in starts
+                                    and after.type == tokenize.NEWLINE):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def size(tree):
+    """Lines and code lines of the package's modules under ``tree``."""
+    paths = glob.glob(os.path.join(tree, "src", "flexmarket", "*.py"))
+    total = 0
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            total += sum(1 for _ in f)
+    return f"{total} lines, {sum(map(code_lines, paths))} code lines"
 
 
 def run_child(tree, workload, seed):
@@ -263,6 +294,8 @@ def main():
         return
     if len(args.trees) != 2:
         parser.error("give two source trees")
+    for tree in args.trees:
+        print(f"size of {tree}/src/flexmarket: {size(tree)}")
     mismatched, stepped = [], []
     for workload in args.workload or WORKLOADS:
         digests, steps = compare(*args.trees, workload, args.seed)

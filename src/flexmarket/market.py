@@ -235,24 +235,14 @@ def add_area_rows(ineq: Rows, net: Network, area_id: str, requirement: float,
     return AreaRows(nodal, gen_lo, gen_hi, ramp_lo, ramp_hi, line_lo, line_hi, aggregate)
 
 
-@dataclass(frozen=True)
-class AreaIndex:
-    """Where each named quantity lives in the assembled QP."""
-
-    gens: tuple[str, ...]
-    ties: tuple[TieView, ...]
-    buses: tuple[str, ...]
-    var_dp: dict[str, int]
-    var_tp: dict[str, int]
-    var_tm: dict[str, int]
-    var_theta: dict[str, int]
-    eq_tie_def: dict[str, int]
-    eq_slack: int | None
-    rows: AreaRows
-
-
 class AreaProblem:
     """Pre-assembled clearing problem; per-round terms only touch c and b.
+
+    The program's columns are dP per generator in the area's order, then dT+
+    and dT- per tie in ``ties`` (`Network.tie_views`) order, then theta per
+    bus in the area's order.  Its equality rows are the tie definitions in
+    ``ties`` order, then the slack pin if the area holds the reference bus.
+    The inequality rows are `add_area_rows`'s, then the split signs.
 
     The program is validated once; each round rebinds c and b onto its frozen
     structure, so the solver's memoized factorizations carry over.  It keeps
@@ -264,50 +254,44 @@ class AreaProblem:
     def __init__(self, net: Network, area_id: str, autarky: bool = False):
         self.area_id = area_id
         area = net.area(area_id)
-        gens = tuple(area.generator_ids)
-        ties = () if autarky else net.tie_views(area_id)
-        buses = tuple(area.bus_ids)
-        nv = len(gens) + 2 * len(ties) + len(buses)
+        self.ties = ties = () if autarky else net.tie_views(area_id)
+        self._buses = area.bus_ids
+        ng, nt = len(area.generator_ids), len(ties)
+        nv = ng + 2 * nt + len(self._buses)
+        split = [(ng + 2 * i, ng + 2 * i + 1) for i in range(nt)]  # dT+ and dT- per tie
 
-        var_dp = {g: i for i, g in enumerate(gens)}
-        var_tp = {v.tie_id: len(gens) + 2 * i for i, v in enumerate(ties)}
-        var_tm = {v.tie_id: len(gens) + 2 * i + 1 for i, v in enumerate(ties)}
-        var_theta = {b: len(gens) + 2 * len(ties) + i for i, b in enumerate(buses)}
-        var_labels = [f"dP[{g}]" for g in gens]
+        var_dp = {g: i for i, g in enumerate(area.generator_ids)}
+        var_theta = {b: ng + 2 * nt + i for i, b in enumerate(self._buses)}
+        var_labels = [f"dP[{g}]" for g in area.generator_ids]
         for v in ties:
             var_labels += [f"dT+[{v.tie_id}]", f"dT-[{v.tie_id}]"]
-        var_labels += [f"theta[{b}]" for b in buses]
+        var_labels += [f"theta[{b}]" for b in self._buses]
 
         q, c = cost_block(net, var_dp, nv)
         eq = Rows(nv)
-        eq_tie_def = {}
-        for v in ties:
+        for v, (tp, tm) in zip(ties, split):
             row = np.zeros(nv)
-            row[var_tp[v.tie_id]] = 1.0
-            row[var_tm[v.tie_id]] = -1.0
+            row[tp] = 1.0
+            row[tm] = -1.0
             row[var_theta[v.own_bus]] = -1.0 / v.reactance
             # rhs filled per terms: -theta_nbr/x - t_da
-            eq_tie_def[v.tie_id] = eq.add(row, 0.0, f"tie_def[{v.tie_id}]")
-        eq_slack = None
+            eq.add(row, 0.0, f"tie_def[{v.tie_id}]")
+        self._slack = None
         if net.slack[0] == area_id:
             row = np.zeros(nv)
             row[var_theta[net.slack[1]]] = 1.0
-            eq_slack = eq.add(row, 0.0, "slack")
+            self._slack = eq.add(row, 0.0, "slack")
 
         ineq = Rows(nv)
-        flows = [(v, ((var_tp[v.tie_id], 1.0), (var_tm[v.tie_id], -1.0))) for v in ties]
+        flows = [(v, ((tp, 1.0), (tm, -1.0))) for v, (tp, tm) in zip(ties, split)]
         requirement = aggregate_requirement(net, area_id).requirement
-        rows = add_area_rows(ineq, net, area_id, requirement, var_dp, var_theta, flows)
-        for v in ties:
-            row = np.zeros(nv)
-            row[var_tp[v.tie_id]] = -1.0
-            ineq.add(row, 0.0, f"split_p[{v.tie_id}]")
-            row = np.zeros(nv)
-            row[var_tm[v.tie_id]] = -1.0
-            ineq.add(row, 0.0, f"split_m[{v.tie_id}]")
+        self._rows = add_area_rows(ineq, net, area_id, requirement, var_dp, var_theta, flows)
+        for v, (tp, tm) in zip(ties, split):
+            for j, label in ((tp, "split_p"), (tm, "split_m")):
+                row = np.zeros(nv)
+                row[j] = -1.0
+                ineq.add(row, 0.0, f"{label}[{v.tie_id}]")
 
-        self.index = AreaIndex(gens, ties, buses, var_dp, var_tp, var_tm, var_theta,
-                               eq_tie_def, eq_slack, rows)
         self._program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(),
                                                tuple(var_labels), tuple(eq.labels),
                                                tuple(ineq.labels))
@@ -315,14 +299,14 @@ class AreaProblem:
         # reactance, t_da and own bus's nodal row; the boundary buses' angle
         # columns, in bus order.  The terms and broadcasts of one area are a
         # few floats, which Python scalars handle faster than numpy calls.
-        self._ties = [(var_tp[v.tie_id], var_tm[v.tie_id], eq_tie_def[v.tie_id], v.reactance,
-                       v.t_da, rows.nodal_price[v.own_bus]) for v in ties]
+        self._ties = [(tp, tm, i, v.reactance, v.t_da, self._rows.nodal_price[v.own_bus])
+                      for i, (v, (tp, tm)) in enumerate(zip(ties, split))]
         self._boundary = [var_theta[b] for b in sorted({v.own_bus for v in ties})]
-        self._gens = [net.generator(g) for g in gens]
+        self._gens = [net.generator(g) for g in area.generator_ids]
 
     def assemble(self, terms: TermsOfTrade) -> qpmod.QuadraticProgram:
         """Bind the terms of trade into the cached structure."""
-        return self._bind(*_quotes(self.index.ties, terms))
+        return self._bind(*_quotes(self.ties, terms))
 
     def _bind(self, price: Sequence[float], angle: Sequence[float],
               mu: Sequence[float]) -> qpmod.QuadraticProgram:
@@ -341,7 +325,7 @@ class AreaProblem:
         """Clear at the terms of trade; cold unless ``near``, a decision
         expected to be close to the answer, seeds the solve with the rows
         that bind at it."""
-        price, angle, mu = _quotes(self.index.ties, terms)
+        price, angle, mu = _quotes(self.ties, terms)
         sol = self._solve(price, angle, mu, tol, qpmod.DEFAULT_MAX_ITER, None, near)
         return self._extract(sol, price, mu)
 
@@ -360,17 +344,12 @@ class AreaProblem:
 
     def _primal(self, decision: AreaDecision) -> np.ndarray:
         """The program's x for a decision; each dT splits into its positive and negative parts."""
-        idx = self.index
-        x = np.zeros(self._program.n)
-        for g, i in idx.var_dp.items():
-            x[i] = decision.delta_p[g]
-        for v in idx.ties:
+        x = [decision.delta_p[g.id] for g in self._gens]
+        for v in self.ties:
             dt = decision.delta_t[v.tie_id]
-            x[idx.var_tp[v.tie_id]] = max(dt, 0.0)
-            x[idx.var_tm[v.tie_id]] = max(-dt, 0.0)
-        for b, i in idx.var_theta.items():
-            x[i] = decision.theta[b]
-        return x
+            x += (max(dt, 0.0), max(-dt, 0.0))
+        x += [decision.theta[b] for b in self._buses]
+        return np.array(x, dtype=float)
 
     def _gather(self, sol: qpmod.QpSolution, price: Sequence[float], mu: Sequence[float],
                 out) -> tuple[float, float]:
@@ -378,7 +357,7 @@ class AreaProblem:
         array slice: dT per tie, the boundary angles, then gamma + alpha[own
         bus] per tie.  Return gamma and the objective at ``price`` and ``mu``."""
         x, z = sol.x.tolist(), sol.z.tolist()
-        gamma = z[self.index.rows.reliability_price]
+        gamma = z[self._rows.reliability_price]
         # dT = dT+ - dT-.  An overlapping split (possible only at mu == 0)
         # changes neither the difference nor the objective, so the signed
         # flow is already the canonical decision.
@@ -389,19 +368,18 @@ class AreaProblem:
 
     def _extract(self, sol: qpmod.QpSolution, price: Sequence[float],
                  mu: Sequence[float]) -> ClearingResult:
-        idx = self.index
-        ids = [v.tie_id for v in idx.ties]
+        ids = [v.tie_id for v in self.ties]
         broadcast = []  # _gather fills it
         _, objective = self._gather(sol, price, mu, broadcast)
         x, y = sol.x.tolist(), sol.y.tolist()
-        delta_p = dict(zip(idx.gens, x))
-        decision = AreaDecision(delta_p, dict(zip(ids, broadcast)),  # dT leads the broadcast
-                                {bus: x[idx.var_theta[bus]] for bus in idx.buses})
-        duals = idx.rows.duals(
-            sol.z, tie_def={t: y[i] for t, i in idx.eq_tie_def.items()},
-            slack_angle=y[idx.eq_slack] if idx.eq_slack is not None else None)
+        decision = AreaDecision({g.id: dp for g, dp in zip(self._gens, x)},
+                                dict(zip(ids, broadcast)),  # dT leads the broadcast
+                                dict(zip(self._buses, x[len(x) - len(self._buses):])))
+        # the tie definitions lead the equality rows
+        duals = self._rows.duals(sol.z, tie_def=dict(zip(ids, y)),
+                                 slack_angle=None if self._slack is None else y[self._slack])
         return ClearingResult(self.area_id, decision, duals, objective,
-                              generation_cost(self._gens, delta_p.values()),
+                              generation_cost(self._gens, x),
                               dict(zip(ids, broadcast[len(broadcast) - len(ids):])),
                               sol.residuals.max())
 
@@ -498,7 +476,6 @@ class ChanceConstrainedClearing:
 
     def __init__(self, net: Network, tol: float = qpmod.DEFAULT_TOL,
                  max_iter: int = qpmod.DEFAULT_MAX_ITER):
-        self.net = net
         self.tol = tol
         self.max_iter = max_iter
         self._problems = {a.id: _area_problem(net, a.id) for a in net.areas}
@@ -527,5 +504,5 @@ class ChanceConstrainedClearing:
 
     def clear_area(self, area_id: str, terms: TermsOfTrade) -> ClearingResult:
         problem = self._problems[area_id]
-        self.respond(area_id, *_quotes(problem.index.ties, terms), [])
+        self.respond(area_id, *_quotes(problem.ties, terms), [])
         return self.last_result(area_id)

@@ -11,8 +11,9 @@ from flexmarket import (ChanceConstrainedClearing, ClearingError, MechanismConfi
                         optimal_terms_of_trade, run, solve_centralized, trace_to_csv,
                         verify_fixed_point, verify_nash)
 from flexmarket.benchmark import CentralizedInfeasible
-from flexmarket.market import AreaProblem, autarky_infeasibility
-from flexmarket.qp import QpDimensionError, QuadraticProgram, solve
+from flexmarket.market import AreaProblem, _quotes, autarky_infeasibility
+from flexmarket.qp import (DEFAULT_MAX_ITER, DEFAULT_TOL, QpDimensionError, QuadraticProgram,
+                           solve)
 
 ZERO = TieTerms(0.0, 0.0, 0.0)
 
@@ -26,7 +27,7 @@ def test_assemble_toy2_structure(toy2):
     program = problem.assemble(TermsOfTrade({"AB": ZERO}))
     assert program.n == 4  # 1 dP + split pair + 1 theta
     assert "slack" in program.eq_labels
-    assert len(problem.index.ties) == 1 and problem.index.eq_slack is not None
+    assert len(problem.ties) == 1
 
 
 def test_assemble_counts_on_multibus_area():
@@ -65,10 +66,48 @@ def test_assemble_counts_on_multibus_area():
 def test_objective_reduces_to_generation_cost_when_terms_vanish(toy2):
     problem = AreaProblem(toy2, "B")
     program = problem.assemble(TermsOfTrade({"AB": ZERO}))
-    tp, tm = problem.index.var_tp["AB"], problem.index.var_tm["AB"]
+    tp, tm = program.var_labels.index("dT+[AB]"), program.var_labels.index("dT-[AB]")
     assert program.c[tp] == 0.0 and program.c[tm] == 0.0
     res = clear(toy2, "B", TermsOfTrade({"AB": ZERO}))
     assert res.objective == pytest.approx(res.generation_cost, abs=1e-12)
+
+
+def _label_key(label: str) -> tuple[str, str]:
+    """``("dT+", "AB")`` for the label ``"dT+[AB]"``."""
+    name, key = label.removesuffix("]").split("[", 1)
+    return name, key
+
+
+@pytest.mark.parametrize("case", ["tri3", "ladder"])
+def test_primal_and_extract_read_the_columns_their_labels_name(case, tri3):
+    net = tri3 if case == "tri3" else load_case(
+        (Path(__file__).parent / "data" / "ladder_4x8_s0.json").read_text())
+    terms = optimal_terms_of_trade(net, solve_centralized(net))
+    slack_held = 0
+    for a in net.areas:
+        problem = AreaProblem(net, a.id)
+        assert problem.ties
+        price, angle, mu = _quotes(problem.ties, terms[a.id])
+        program = problem.assemble(terms[a.id])
+        sol = problem._solve(price, angle, mu, DEFAULT_TOL, DEFAULT_MAX_ITER, None)
+        res = problem._extract(sol, price, mu)
+        decision = res.decision
+        parts = {"dP": decision.delta_p, "theta": decision.theta,
+                 "dT+": {t: max(d, 0.0) for t, d in decision.delta_t.items()},
+                 "dT-": {t: max(-d, 0.0) for t, d in decision.delta_t.items()}}
+        expected = [parts[name][key] for name, key in map(_label_key, program.var_labels)]
+        assert problem._primal(decision).tobytes() == np.array(expected).tobytes()
+
+        x, y = sol.x.tolist(), sol.y.tolist()
+        columns = {_label_key(label): i for i, label in enumerate(program.var_labels)}
+        assert decision.delta_p == {g: x[columns["dP", g]] for g in a.generator_ids}
+        assert decision.theta == {b: x[columns["theta", b]] for b in a.bus_ids}
+        eq = {label: i for i, label in enumerate(program.eq_labels)}
+        assert res.duals.tie_def == {v.tie_id: y[eq[f"tie_def[{v.tie_id}]"]]
+                                     for v in problem.ties}
+        assert res.duals.slack_angle == (y[eq["slack"]] if "slack" in eq else None)
+        slack_held += "slack" in eq
+    assert slack_held == 1
 
 
 def test_missing_tie_terms_rejected(toy2):
