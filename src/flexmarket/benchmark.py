@@ -65,102 +65,94 @@ class CentralSolution:
 
 
 class _CentralProblem:
-    """Joint clearing QP: the areas' shared rows side by side, coupled by the ties."""
+    """Joint clearing QP: the areas' shared rows side by side, coupled by the ties.
+
+    The program's columns are dP per generator, then dT per tie end, then
+    theta per bus, each in network order; a tie end (``ends``) is an area
+    and one of its `Network.tie_views`, area by area.  Its equality rows are
+    the tie definitions in tie-end order, then the slack pin.  The
+    inequality rows are each area's `add_area_rows` block, then cap_lo and
+    cap_hi side by side per active tie.
+    """
 
     def __init__(self, net: Network):
         self.net = net
-        gens = [g for a in net.areas for g in a.generator_ids]
+        self._gens = [net.generator(g) for a in net.areas for g in a.generator_ids]
         views = {a.id: net.tie_views(a.id) for a in net.areas}
+        self.ends = [(a, v) for a, area_views in views.items() for v in area_views]
         buses = [b for a in net.areas for b in a.bus_ids]
-
-        self.var_dp = {}
-        self.var_dt = {}
-        self.var_theta = {}
-        labels = []
-        for g in gens:
-            self.var_dp[g] = len(labels)
-            labels.append(f"dP[{g}]")
-        for a in net.areas:
-            for v in views[a.id]:
-                self.var_dt[(v.tie_id, a.id)] = len(labels)
-                labels.append(f"dT[{v.tie_id}:{a.id}]")
-        for b in buses:
-            self.var_theta[b] = len(labels)
-            labels.append(f"theta[{b}]")
+        ng, ne = len(self._gens), len(self.ends)
+        var_dp = {g.id: i for i, g in enumerate(self._gens)}
+        var_dt = {(v.tie_id, a): ng + i for i, (a, v) in enumerate(self.ends)}
+        var_theta = {b: ng + ne + i for i, b in enumerate(buses)}
+        labels = ([f"dP[{g.id}]" for g in self._gens]
+                  + [f"dT[{v.tie_id}:{a}]" for a, v in self.ends] + [f"theta[{b}]" for b in buses])
         nv = len(labels)
 
-        q, c = cost_block(net, self.var_dp, nv)
+        q, c = cost_block(net, var_dp, nv)
         eq = Rows(nv)
-        self.eq_tie_def = {}
-        for a in net.areas:
-            for v in views[a.id]:
-                row = np.zeros(nv)
-                row[self.var_dt[(v.tie_id, a.id)]] = 1.0
-                row[self.var_theta[v.own_bus]] -= 1.0 / v.reactance
-                row[self.var_theta[v.neighbor_bus]] += 1.0 / v.reactance
-                self.eq_tie_def[(v.tie_id, a.id)] = eq.add(
-                    row, -v.t_da, f"tie_def[{v.tie_id}:{a.id}]")
+        for a, v in self.ends:
+            row = np.zeros(nv)
+            row[var_dt[(v.tie_id, a)]] = 1.0
+            row[var_theta[v.own_bus]] -= 1.0 / v.reactance
+            row[var_theta[v.neighbor_bus]] += 1.0 / v.reactance
+            eq.add(row, -v.t_da, f"tie_def[{v.tie_id}:{a}]")
         row = np.zeros(nv)
-        row[self.var_theta[net.slack[1]]] = 1.0
-        self.eq_slack = eq.add(row, 0.0, "slack")
+        row[var_theta[net.slack[1]]] = 1.0
+        eq.add(row, 0.0, "slack")
 
         ineq = Rows(nv)
         self.rows = {}
         for a in net.areas:
-            flows = [(v, ((self.var_dt[(v.tie_id, a.id)], 1.0),)) for v in views[a.id]]
+            flows = [(v, ((var_dt[(v.tie_id, a.id)], 1.0),)) for v in views[a.id]]
             self.rows[a.id] = add_area_rows(
                 ineq, net, a.id, aggregate_requirement(net, a.id).requirement,
-                self.var_dp, self.var_theta, flows, aggregate_label=f"aggregate[{a.id}]")
+                var_dp, var_theta, flows, aggregate_label=f"aggregate[{a.id}]")
 
-        self.ineq_cap_lo = {}
-        self.ineq_cap_hi = {}
+        # canonical views come in tie-end order and active ties in document
+        # order, so each tie keeps its cap_lo row; cap_hi is the next one
+        self.cap_lo = {}
         for t in net.active_ties():
-            j = self.var_dt[(t.id, t.from_area)]
+            j = var_dt[(t.id, t.from_area)]
             row = np.zeros(nv)
             row[j] = -1.0
-            self.ineq_cap_lo[t.id] = ineq.add(row, t.capacity + t.t_da, f"cap_lo[{t.id}]")
+            self.cap_lo[t.id] = ineq.add(row, t.capacity + t.t_da, f"cap_lo[{t.id}]")
             row = np.zeros(nv)
             row[j] = 1.0
-            self.ineq_cap_hi[t.id] = ineq.add(row, t.capacity - t.t_da, f"cap_hi[{t.id}]")
+            ineq.add(row, t.capacity - t.t_da, f"cap_hi[{t.id}]")
 
         self.program = qpmod.QuadraticProgram(q, c, *eq.arrays(), *ineq.arrays(), tuple(labels),
                                               tuple(eq.labels), tuple(ineq.labels))
 
     def primal(self, decisions: dict[str, AreaDecision]) -> np.ndarray:
         """The joint program's x for one decision per area."""
-        x = np.zeros(self.program.n)
-        for a, dec in decisions.items():
-            for g, v in dec.delta_p.items():
-                x[self.var_dp[g]] = v
-            for t, v in dec.delta_t.items():
-                x[self.var_dt[(t, a)]] = v
-            for b, v in dec.theta.items():
-                x[self.var_theta[b]] = v
-        return x
+        areas = self.net.areas
+        x = [decisions[a.id].delta_p[g] for a in areas for g in a.generator_ids]
+        x += [decisions[a].delta_t[v.tie_id] for a, v in self.ends]
+        x += [decisions[a.id].theta[b] for a in areas for b in a.bus_ids]
+        return np.array(x, dtype=float)
 
     def extract(self, sol: qpmod.QpSolution) -> CentralSolution:
         net = self.net
-        x, y, z = sol.x, sol.y, sol.z
-        decisions = {}
-        duals = {}
+        x, y, z = sol.x.tolist(), sol.y.tolist(), sol.z.tolist()
+        ng = len(self._gens)
+        # each area's dP, dT and theta are the next entries of their column
+        # blocks, and its tie-definition duals the next leading entries of y
+        dp, dt, theta, tie_def = iter(x), iter(x[ng:]), iter(x[ng + len(self.ends):]), iter(y)
+        decisions, duals = {}, {}
         for a in net.areas:
-            views = net.tie_views(a.id)
-            decisions[a.id] = AreaDecision(
-                delta_p={g: float(x[self.var_dp[g]]) for g in a.generator_ids},
-                delta_t={v.tie_id: float(x[self.var_dt[(v.tie_id, a.id)]]) for v in views},
-                theta={b: float(x[self.var_theta[b]]) for b in a.bus_ids},
-            )
+            ids = [v.tie_id for v in net.tie_views(a.id)]
+            decisions[a.id] = AreaDecision(dict(zip(a.generator_ids, dp)), dict(zip(ids, dt)),
+                                           dict(zip(a.bus_ids, theta)))
             duals[a.id] = self.rows[a.id].duals(
-                z, tie_def={v.tie_id: float(y[self.eq_tie_def[(v.tie_id, a.id)]]) for v in views},
-                slack_angle=float(y[self.eq_slack]) if net.slack[0] == a.id else None)
-        tie_capacity = {t.id: CapacityDuals(float(z[self.ineq_cap_lo[t.id]]),
-                                            float(z[self.ineq_cap_hi[t.id]]))
-                        for t in net.active_ties()}
+                sol.z, tie_def=dict(zip(ids, tie_def)),
+                slack_angle=y[-1] if net.slack[0] == a.id else None)
+        tie_capacity = {t: CapacityDuals(z[i], z[i + 1]) for t, i in self.cap_lo.items()}
         tie_flows = {t.id: t.t_da + decisions[t.from_area].delta_t[t.id]
                      for t in net.active_ties()}
-        # one flat sum over every generator: per-area sums would round differently
-        total_cost = generation_cost(map(net.generator, self.var_dp),
-                                     x[list(self.var_dp.values())].tolist())
+        # one flat sum over every generator: per-area sums would round
+        # differently; the generators' columns come first, so zip stops x after them
+        total_cost = generation_cost(self._gens, x)
         return CentralSolution(decisions, duals, tie_capacity, tie_flows, total_cost,
                                sol.residuals.max())
 
@@ -333,21 +325,22 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     k_lo: dict[str, float] = {}
     k_hi: dict[str, float] = {}
     for a in net.areas:
-        limit = clearings[a.id]
-        problem.rows[a.id].fill(z, limit.duals)
-        for v in net.tie_views(a.id):
-            u = 0.0
-            if v.canonical:
-                u = 0.5 * state.mu[v.tie_id] * _sign(limit.decision.delta_t[v.tie_id])
-                k_lo[v.tie_id] = max(-u, 0.0)
-                k_hi[v.tie_id] = max(u, 0.0)
-                z[problem.ineq_cap_lo[v.tie_id]] = k_lo[v.tie_id]
-                z[problem.ineq_cap_hi[v.tie_id]] = k_hi[v.tie_id]
-            # the tie-definition shadow price absorbs the quote the per-area
-            # objective prices explicitly, plus the signed half capacity price
-            y[problem.eq_tie_def[(v.tie_id, a.id)]] = limit.willingness_to_pay[v.tie_id] + u
-        if limit.duals.slack_angle is not None:
-            y[problem.eq_slack] = limit.duals.slack_angle
+        problem.rows[a.id].fill(z, clearings[a.id].duals)
+        if clearings[a.id].duals.slack_angle is not None:
+            y[-1] = clearings[a.id].duals.slack_angle
+    # the tie definitions lead the equality rows, in tie-end order
+    for i, (a, v) in enumerate(problem.ends):
+        limit = clearings[a]
+        u = 0.0
+        if v.canonical:
+            u = 0.5 * state.mu[v.tie_id] * _sign(limit.decision.delta_t[v.tie_id])
+            k_lo[v.tie_id] = max(-u, 0.0)
+            k_hi[v.tie_id] = max(u, 0.0)
+            lo = problem.cap_lo[v.tie_id]
+            z[lo], z[lo + 1] = k_lo[v.tie_id], k_hi[v.tie_id]
+        # the tie-definition shadow price absorbs the quote the per-area
+        # objective prices explicitly, plus the signed half capacity price
+        y[i] = limit.willingness_to_pay[v.tie_id] + u
     residuals = qpmod.kkt_residuals(prog, x, y, z)
     passed = residuals.max() <= CHECK_TOL and gap.objective_gap <= CHECK_TOL
     return KktEquivalenceReport(residuals, gap.objective_gap, gap.flow_deviation, k_lo, k_hi,

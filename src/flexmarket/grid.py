@@ -459,7 +459,7 @@ def load_case(text: str | bytes | dict) -> Network:
         if area_id not in area_ids:
             errs.append(f"confidence.{area_id}: unknown area")
 
-    slack_doc = _typed(doc.get("slack") or {}, dict, "slack", errs)
+    slack_doc = _typed(doc.get("slack", {}), dict, "slack", errs)
     _unknown(slack_doc, "slack", "slack", errs)
     if slack_doc:
         slack = (_id(slack_doc.get("area"), "slack.area", errs),

@@ -326,18 +326,17 @@ class AreaProblem:
         expected to be close to the answer, seeds the solve with the rows
         that bind at it."""
         price, angle, mu = _quotes(self.ties, terms)
-        sol = self._solve(price, angle, mu, tol, qpmod.DEFAULT_MAX_ITER, None, near)
+        # binding rows depend only on G and h, which every rebind shares
+        hint = None if near is None else self._program.binding_rows(self._primal(near))
+        sol = self._solve(price, angle, mu, tol, qpmod.DEFAULT_MAX_ITER, hint)
         return self._extract(sol, price, mu)
 
     def _solve(self, price: Sequence[float], angle: Sequence[float], mu: Sequence[float],
-               tol: float, max_iter: int, hint: tuple[int, ...] | None,
-               near: AreaDecision | None = None) -> qpmod.QpSolution:
+               tol: float, max_iter: int, hint: tuple[int, ...] | None) -> qpmod.QpSolution:
         """Solve at the terms, seeded with ``hint``, a binding set such as the
-        previous solution's ``active_set``, or else with the rows binding at ``near``."""
-        program = self._bind(price, angle, mu)
-        if near is not None:
-            hint = program.binding_rows(self._primal(near))
-        sol = qpmod.solve(program, tol=tol, max_iter=max_iter, active_hint=hint)
+        previous solution's ``active_set``."""
+        sol = qpmod.solve(self._bind(price, angle, mu), tol=tol, max_iter=max_iter,
+                          active_hint=hint)
         if sol.status != "optimal":
             raise ClearingError(self.area_id, sol.status, sol.describe())
         return sol

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from flexmarket import (MechanismConfig, TermsOfTrade, aggregate_requirement,
                         optimal_terms_of_trade, run, save_case, solve_centralized,
                         verify_fixed_point, verify_kkt_equivalence, verify_nash)
 from flexmarket import qp
+from flexmarket.benchmark import CapacityDuals, _CentralProblem
 from flexmarket.market import clear
 
 
@@ -49,6 +51,55 @@ def test_zero_demand_network_keeps_day_ahead_dispatch(toy2):
     assert sol.tie_flows["AB"] == pytest.approx(0.0, abs=1e-7)
     total_da_cost = sum(net.generator(g.id).cost(g.p_da) for g in net.generators)
     assert sol.objective == pytest.approx(total_da_cost, abs=1e-7)
+
+
+def _tri3_or_ladder(case, tri3):
+    return tri3 if case == "tri3" else load_case(
+        (Path(__file__).parent / "data" / "ladder_4x8_s0.json").read_text())
+
+
+@pytest.mark.parametrize("case", ["tri3", "ladder"])
+def test_primal_and_extract_read_the_columns_their_labels_name(case, tri3):
+    net = _tri3_or_ladder(case, tri3)
+    problem = _CentralProblem(net)
+    program = problem.program
+    sol = qp.solve(program)
+    central = problem.extract(sol)
+    assert problem.primal(central.decisions).tobytes() == sol.x.tobytes()
+
+    x, y, z = sol.x.tolist(), sol.y.tolist(), sol.z.tolist()
+    col = {label: i for i, label in enumerate(program.var_labels)}
+    eq = {label: i for i, label in enumerate(program.eq_labels)}
+    ineq = {label: i for i, label in enumerate(program.ineq_labels)}
+    for a in net.areas:
+        decision, duals = central.decisions[a.id], central.duals[a.id]
+        ties = [v.tie_id for v in net.tie_views(a.id)]
+        assert decision.delta_p == {g: x[col[f"dP[{g}]"]] for g in a.generator_ids}
+        assert decision.delta_t == {t: x[col[f"dT[{t}:{a.id}]"]] for t in ties}
+        assert decision.theta == {b: x[col[f"theta[{b}]"]] for b in a.bus_ids}
+        assert duals.tie_def == {t: y[eq[f"tie_def[{t}:{a.id}]"]] for t in ties}
+        assert duals.slack_angle == (y[eq["slack"]] if net.slack[0] == a.id else None)
+    assert central.tie_capacity == {t.id: CapacityDuals(z[ineq[f"cap_lo[{t.id}]"]],
+                                                        z[ineq[f"cap_hi[{t.id}]"]])
+                                    for t in net.active_ties()}
+
+
+@pytest.mark.parametrize("case", ["tri3", "ladder"])
+def test_kkt_candidate_at_the_optimal_terms_fits_the_joint_rows(case, tri3):
+    # the areas cleared at the optimal terms are the benchmark, so the dual
+    # candidate verify_kkt_equivalence writes into the joint rows must fit
+    # them to solver tolerance; the ladder's congested ties price each tie
+    # end differently, so a tie definition dual in another's row shows.  Of
+    # the coupling state the check reads only the capacity prices.
+    net = _tri3_or_ladder(case, tri3)
+    central = solve_centralized(net)
+    terms = optimal_terms_of_trade(net, central)
+    clearings = {a.id: clear(net, a.id, terms[a.id], near=central.decisions[a.id])
+                 for a in net.areas}
+    state = SimpleNamespace(mu={t: q.capacity_price for a in net.areas
+                                for t, q in terms[a.id].by_tie.items()})
+    report = verify_kkt_equivalence(net, state, clearings, central)
+    assert report.residuals.max() <= 1e-6, report.residuals
 
 
 def test_anti_symmetry_by_construction(toy2, toy2_central, tri3, tri3_central):

@@ -121,6 +121,12 @@ def test_parse_error_is_reported():
     (("slack", "bus"), 0, "slack.bus"),
     (("lines",), [{"id": "L", "from_bus": 3, "to_bus": "A1", "reactance": 0.1, "capacity": 1.0}],
      "lines[L].from_bus"),
+    # only a missing slack defaults; a present one that is no object is an error
+    (("slack",), [], "slack"),
+    (("slack",), 0, "slack"),
+    (("slack",), False, "slack"),
+    (("slack",), "", "slack"),
+    (("slack",), None, "slack"),
 ])
 def test_misshapen_case_is_rejected_with_its_path(path, value, where):
     doc = _toy2_doc()
