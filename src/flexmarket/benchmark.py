@@ -23,7 +23,8 @@ from . import coupling, qp as qpmod
 from .coupling import CouplingState
 from .grid import Network
 from .market import (AreaDecision, AreaDuals, ClearingResult, Rows, TermsOfTrade, TieTerms,
-                     add_area_rows, clear as clear_area_fn, cost_block, generation_cost)
+                     add_area_rows, block_duals, block_multipliers, clear as clear_area_fn,
+                     cost_block, generation_cost)
 from .stochastic import aggregate_requirement
 
 SIGN_TOL = 1e-9
@@ -71,7 +72,8 @@ class _CentralProblem:
     theta per bus, each in network order; a tie end (``ends``) is an area
     and one of its `Network.tie_views`, area by area.  Its equality rows are
     the tie definitions in tie-end order, then the slack pin.  The
-    inequality rows are each area's `add_area_rows` block, then cap_lo and
+    inequality rows are each area's `add_area_rows` block, in network order
+    and each in the order that function's docstring states, then cap_lo and
     cap_hi side by side per active tie.
     """
 
@@ -102,12 +104,10 @@ class _CentralProblem:
         eq.add(row, 0.0, "slack")
 
         ineq = Rows(nv)
-        self.rows = {}
         for a in net.areas:
             flows = [(v, ((var_dt[(v.tie_id, a.id)], 1.0),)) for v in views[a.id]]
-            self.rows[a.id] = add_area_rows(
-                ineq, net, a.id, aggregate_requirement(net, a.id).requirement,
-                var_dp, var_theta, flows, aggregate_label=f"aggregate[{a.id}]")
+            add_area_rows(ineq, net, a.id, aggregate_requirement(net, a.id).requirement,
+                          var_dp, var_theta, flows, aggregate_label=f"aggregate[{a.id}]")
 
         # canonical views come in tie-end order and active ties in document
         # order, so each tie keeps its cap_lo row; cap_hi is the next one
@@ -137,16 +137,17 @@ class _CentralProblem:
         x, y, z = sol.x.tolist(), sol.y.tolist(), sol.z.tolist()
         ng = len(self._gens)
         # each area's dP, dT and theta are the next entries of their column
-        # blocks, and its tie-definition duals the next leading entries of y
+        # blocks, its tie-definition duals the next leading entries of y and
+        # its block's multipliers the next leading entries of z
         dp, dt, theta, tie_def = iter(x), iter(x[ng:]), iter(x[ng + len(self.ends):]), iter(y)
+        block = iter(z)
         decisions, duals = {}, {}
         for a in net.areas:
             ids = [v.tie_id for v in net.tie_views(a.id)]
             decisions[a.id] = AreaDecision(dict(zip(a.generator_ids, dp)), dict(zip(ids, dt)),
                                            dict(zip(a.bus_ids, theta)))
-            duals[a.id] = self.rows[a.id].duals(
-                sol.z, tie_def=dict(zip(ids, tie_def)),
-                slack_angle=y[-1] if net.slack[0] == a.id else None)
+            duals[a.id] = block_duals(a, block, tie_def=dict(zip(ids, tie_def)),
+                                      slack_angle=y[-1] if net.slack[0] == a.id else None)
         tie_capacity = {t: CapacityDuals(z[i], z[i + 1]) for t, i in self.cap_lo.items()}
         tie_flows = {t.id: t.t_da + decisions[t.from_area].delta_t[t.id]
                      for t in net.active_ties()}
@@ -322,10 +323,12 @@ def verify_kkt_equivalence(net: Network, state: CouplingState,
     x = problem.primal({a.id: clearings[a.id].decision for a in net.areas})
     y = np.zeros(len(prog.b_eq))
     z = np.zeros(len(prog.h_ineq))
+    # the areas' blocks lead the inequality rows, in network order
+    blocks = [m for a in net.areas for m in block_multipliers(a, clearings[a.id].duals)]
+    z[:len(blocks)] = blocks
     k_lo: dict[str, float] = {}
     k_hi: dict[str, float] = {}
     for a in net.areas:
-        problem.rows[a.id].fill(z, clearings[a.id].duals)
         if clearings[a.id].duals.slack_angle is not None:
             y[-1] = clearings[a.id].duals.slack_angle
     # the tie definitions lead the equality rows, in tie-end order

@@ -62,15 +62,15 @@ def _load_network(config: RunConfig) -> grid.Network:
     if config.case in grid.BUNDLED_CASES:
         net = grid.load_bundled(config.case)
     else:
-        path = Path(config.case)
-        if not path.exists():
+        try:  # as bytes, so that load_case reports text that does not decode
+            net = grid.load_case(Path(config.case).read_bytes())
+        except OSError as e:
             raise _CliError(EXIT_CONFIG, "config",
                             f"case {config.case!r} is neither bundled ({', '.join(grid.BUNDLED_CASES)}) "
-                            f"nor an existing file")
-        try:
-            net = grid.load_case(path.read_text())
+                            f"nor a readable file: {e.strerror or e}") from e
         except grid.CaseError as e:
-            raise _CliError(EXIT_CONFIG, "validation", "case file rejected", e.violations) from e
+            raise _CliError(EXIT_CONFIG, "validation", f"case file {config.case!r} rejected",
+                            e.violations) from e
     try:
         net = grid.apply_scenario(net, config.scenario)
     except grid.CaseError as e:
@@ -99,11 +99,20 @@ def _run_centralized(net, config):
 
 
 def _write(path: str, text: str):
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _CliError(EXIT_CONFIG, "config", f"cannot write {path!r}: {e.strerror or e}") from e
     log.info("wrote %s", path)
 
 
 def cmd_run(config: RunConfig) -> int:
+    # an output path that names a directory or lies in a missing one fails
+    # before the run rather than after it
+    for path in filter(None, (config.trace_path, config.report_path)):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise _CliError(EXIT_CONFIG, "config",
+                            f"cannot write {path!r}: not a file in an existing directory")
     net = _load_network(config)
     checks: dict[str, bool] = {}
     report: dict = {"case": config.case, "mode": config.mode}

@@ -368,7 +368,7 @@ def load_case(text: str | bytes | dict) -> Network:
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise CaseError([f"parse error: {e}"]) from e
     else:
         doc = text

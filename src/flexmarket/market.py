@@ -18,12 +18,13 @@ endpoint bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from . import qp as qpmod
-from .grid import Generator, Network, TieView
+from .grid import Area, Generator, Network, TieView
 from .stochastic import aggregate_requirement
 
 # Tikhonov weight on the diagonal of the split-flow and angle blocks, which
@@ -118,42 +119,6 @@ class Rows:
         return np.array(self.coefs).reshape(len(self.coefs), self.width), np.array(self.rhs)
 
 
-# AreaDuals fields priced by one row per bus, generator or line
-_PER_ELEMENT_DUALS = ("nodal_price", "gen_lower", "gen_upper", "ramp_lower", "ramp_upper",
-                      "line_lower", "line_upper")
-
-
-@dataclass(frozen=True)
-class AreaRows:
-    """Inequality row of each shared area constraint, named by the dual that prices it."""
-
-    nodal_price: dict[str, int]  # per bus
-    gen_lower: dict[str, int]
-    gen_upper: dict[str, int]
-    ramp_lower: dict[str, int]
-    ramp_upper: dict[str, int]
-    line_lower: dict[str, int]
-    line_upper: dict[str, int]
-    reliability_price: int  # the aggregate requirement
-
-    def duals(self, z: np.ndarray, tie_def: dict[str, float],
-              slack_angle: float | None) -> AreaDuals:
-        """Read the area's duals out of an inequality multiplier vector."""
-        z = z.tolist()
-        per_element = {name: {key: z[i] for key, i in getattr(self, name).items()}
-                       for name in _PER_ELEMENT_DUALS}
-        return AreaDuals(reliability_price=z[self.reliability_price],
-                         tie_def=tie_def, slack_angle=slack_angle, **per_element)
-
-    def fill(self, z: np.ndarray, duals: AreaDuals) -> None:
-        """Write the area's duals into an inequality multiplier vector."""
-        for name in _PER_ELEMENT_DUALS:
-            prices = getattr(duals, name)
-            for key, i in getattr(self, name).items():
-                z[i] = prices[key]
-        z[self.reliability_price] = duals.reliability_price
-
-
 def cost_block(net: Network, var_dp: Mapping[str, int], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Q and c of a clearing program of ``n`` columns before any terms of trade:
     2 c_q on each dP diagonal entry and the generator's marginal cost at P_da
@@ -170,15 +135,18 @@ def cost_block(net: Network, var_dp: Mapping[str, int], n: int) -> tuple[np.ndar
 def add_area_rows(ineq: Rows, net: Network, area_id: str, requirement: float,
                   var_dp: Mapping[str, int], var_theta: Mapping[str, int],
                   flows: Sequence[tuple[TieView, Sequence[tuple[int, float]]]],
-                  aggregate_label: str = "aggregate") -> AreaRows:
-    """Append one area's nodal, generator, ramp, line and aggregate rows.
+                  aggregate_label: str = "aggregate") -> None:
+    """Append one area's block of inequality rows, in this order: nodal per
+    bus; gen_lo, ramp_lo, gen_hi and ramp_hi per generator; line_hi and
+    line_lo per line; then the aggregate row.  Buses, generators and lines
+    come in the area's order.  `block_duals` reads the block's multipliers
+    by this order and `block_multipliers` writes them.
 
     ``flows`` gives, per incident tie, the (column, coefficient) pairs whose
     sum is the area's flow adjustment on it.
     """
     area = net.area(area_id)
     gens = area.generator_ids
-    nodal = {}
     for b in area.bus_ids:
         row = np.zeros(ineq.width)
         rhs = -net.bus(b).mean_net_demand
@@ -199,28 +167,26 @@ def add_area_rows(ineq: Rows, net: Network, area_id: str, requirement: float,
                 for j, coef in cols:
                     row[j] += coef
                 rhs -= v.t_da
-        nodal[b] = ineq.add(row, rhs, f"nodal[{b}]")
+        ineq.add(row, rhs, f"nodal[{b}]")
 
-    gen_lo, gen_hi, ramp_lo, ramp_hi = {}, {}, {}, {}
     for g in gens:
         gen = net.generator(g)
         row = np.zeros(ineq.width)
         row[var_dp[g]] = -1.0
-        gen_lo[g] = ineq.add(row.copy(), gen.p_da - gen.p_min, f"gen_lo[{g}]")
-        ramp_lo[g] = ineq.add(row.copy(), -gen.ramp_down, f"ramp_lo[{g}]")
+        ineq.add(row.copy(), gen.p_da - gen.p_min, f"gen_lo[{g}]")
+        ineq.add(row.copy(), -gen.ramp_down, f"ramp_lo[{g}]")
         row = np.zeros(ineq.width)
         row[var_dp[g]] = 1.0
-        gen_hi[g] = ineq.add(row.copy(), gen.p_max - gen.p_da, f"gen_hi[{g}]")
-        ramp_hi[g] = ineq.add(row.copy(), gen.ramp_up, f"ramp_hi[{g}]")
+        ineq.add(row.copy(), gen.p_max - gen.p_da, f"gen_hi[{g}]")
+        ineq.add(row.copy(), gen.ramp_up, f"ramp_hi[{g}]")
 
-    line_lo, line_hi = {}, {}
     for lid in area.line_ids:
         line = net.line(lid)
         row = np.zeros(ineq.width)
         row[var_theta[line.from_bus]] = 1.0 / line.reactance
         row[var_theta[line.to_bus]] = -1.0 / line.reactance
-        line_hi[lid] = ineq.add(row.copy(), line.capacity, f"line_hi[{lid}]")
-        line_lo[lid] = ineq.add(-row, line.capacity, f"line_lo[{lid}]")
+        ineq.add(row.copy(), line.capacity, f"line_hi[{lid}]")
+        ineq.add(-row, line.capacity, f"line_lo[{lid}]")
 
     row = np.zeros(ineq.width)
     rhs = -requirement
@@ -231,8 +197,35 @@ def add_area_rows(ineq: Rows, net: Network, area_id: str, requirement: float,
         for j, coef in cols:
             row[j] += coef
         rhs -= v.t_da
-    aggregate = ineq.add(row, rhs, aggregate_label)
-    return AreaRows(nodal, gen_lo, gen_hi, ramp_lo, ramp_hi, line_lo, line_hi, aggregate)
+    ineq.add(row, rhs, aggregate_label)
+
+
+def block_duals(area: Area, z: Iterable[float], tie_def: dict[str, float],
+                slack_angle: float | None) -> AreaDuals:
+    """The area's duals from the multipliers of its `add_area_rows` block,
+    in row order.  ``z`` may run on past the block; an iterator is left at
+    the row after it, where the next block starts."""
+    z = iter(z)
+    gens, lines = area.generator_ids, area.line_ids
+    nodal = dict(zip(area.bus_ids, z))
+    g = list(islice(z, 4 * len(gens)))  # gen_lo, ramp_lo, gen_hi, ramp_hi per generator
+    ln = list(islice(z, 2 * len(lines)))  # line_hi, line_lo per line
+    return AreaDuals(nodal_price=nodal, reliability_price=next(z),
+                     gen_lower=dict(zip(gens, g[0::4])), ramp_lower=dict(zip(gens, g[1::4])),
+                     gen_upper=dict(zip(gens, g[2::4])), ramp_upper=dict(zip(gens, g[3::4])),
+                     line_upper=dict(zip(lines, ln[0::2])), line_lower=dict(zip(lines, ln[1::2])),
+                     tie_def=tie_def, slack_angle=slack_angle)
+
+
+def block_multipliers(area: Area, duals: AreaDuals) -> list[float]:
+    """The multipliers of the area's `add_area_rows` block, in row order, from its duals."""
+    z = [duals.nodal_price[b] for b in area.bus_ids]
+    for g in area.generator_ids:
+        z += (duals.gen_lower[g], duals.ramp_lower[g], duals.gen_upper[g], duals.ramp_upper[g])
+    for lid in area.line_ids:
+        z += (duals.line_upper[lid], duals.line_lower[lid])
+    z.append(duals.reliability_price)
+    return z
 
 
 class AreaProblem:
@@ -242,7 +235,8 @@ class AreaProblem:
     and dT- per tie in ``ties`` (`Network.tie_views`) order, then theta per
     bus in the area's order.  Its equality rows are the tie definitions in
     ``ties`` order, then the slack pin if the area holds the reference bus.
-    The inequality rows are `add_area_rows`'s, then the split signs.
+    The inequality rows are the area's `add_area_rows` block, in the order
+    its docstring states, then the split signs.
 
     The program is validated once; each round rebinds c and b onto its frozen
     structure, so the solver's memoized factorizations carry over.  It keeps
@@ -253,19 +247,18 @@ class AreaProblem:
 
     def __init__(self, net: Network, area_id: str, autarky: bool = False):
         self.area_id = area_id
-        area = net.area(area_id)
+        self._area = area = net.area(area_id)
         self.ties = ties = () if autarky else net.tie_views(area_id)
-        self._buses = area.bus_ids
         ng, nt = len(area.generator_ids), len(ties)
-        nv = ng + 2 * nt + len(self._buses)
+        nv = ng + 2 * nt + len(area.bus_ids)
         split = [(ng + 2 * i, ng + 2 * i + 1) for i in range(nt)]  # dT+ and dT- per tie
 
         var_dp = {g: i for i, g in enumerate(area.generator_ids)}
-        var_theta = {b: ng + 2 * nt + i for i, b in enumerate(self._buses)}
+        var_theta = {b: ng + 2 * nt + i for i, b in enumerate(area.bus_ids)}
         var_labels = [f"dP[{g}]" for g in area.generator_ids]
         for v in ties:
             var_labels += [f"dT+[{v.tie_id}]", f"dT-[{v.tie_id}]"]
-        var_labels += [f"theta[{b}]" for b in self._buses]
+        var_labels += [f"theta[{b}]" for b in area.bus_ids]
 
         q, c = cost_block(net, var_dp, nv)
         eq = Rows(nv)
@@ -276,16 +269,16 @@ class AreaProblem:
             row[var_theta[v.own_bus]] = -1.0 / v.reactance
             # rhs filled per terms: -theta_nbr/x - t_da
             eq.add(row, 0.0, f"tie_def[{v.tie_id}]")
-        self._slack = None
         if net.slack[0] == area_id:
             row = np.zeros(nv)
             row[var_theta[net.slack[1]]] = 1.0
-            self._slack = eq.add(row, 0.0, "slack")
+            eq.add(row, 0.0, "slack")
 
         ineq = Rows(nv)
         flows = [(v, ((tp, 1.0), (tm, -1.0))) for v, (tp, tm) in zip(ties, split)]
         requirement = aggregate_requirement(net, area_id).requirement
-        self._rows = add_area_rows(ineq, net, area_id, requirement, var_dp, var_theta, flows)
+        add_area_rows(ineq, net, area_id, requirement, var_dp, var_theta, flows)
+        self._gamma = len(ineq.labels) - 1  # the aggregate row ends the block
         for v, (tp, tm) in zip(ties, split):
             for j, label in ((tp, "split_p"), (tm, "split_m")):
                 row = np.zeros(nv)
@@ -296,10 +289,11 @@ class AreaProblem:
                                                tuple(var_labels), tuple(eq.labels),
                                                tuple(ineq.labels))
         # per tie, in `ties` order: its dT+ and dT- columns, definition row,
-        # reactance, t_da and own bus's nodal row; the boundary buses' angle
-        # columns, in bus order.  The terms and broadcasts of one area are a
-        # few floats, which Python scalars handle faster than numpy calls.
-        self._ties = [(tp, tm, i, v.reactance, v.t_da, self._rows.nodal_price[v.own_bus])
+        # reactance, t_da and own bus's nodal row (the block leads the rows
+        # with one nodal row per bus); the boundary buses' angle columns, in
+        # bus order.  The terms and broadcasts of one area are a few floats,
+        # which Python scalars handle faster than numpy calls.
+        self._ties = [(tp, tm, i, v.reactance, v.t_da, area.bus_ids.index(v.own_bus))
                       for i, (v, (tp, tm)) in enumerate(zip(ties, split))]
         self._boundary = [var_theta[b] for b in sorted({v.own_bus for v in ties})]
         self._gens = [net.generator(g) for g in area.generator_ids]
@@ -347,38 +341,40 @@ class AreaProblem:
         for v in self.ties:
             dt = decision.delta_t[v.tie_id]
             x += (max(dt, 0.0), max(-dt, 0.0))
-        x += [decision.theta[b] for b in self._buses]
+        x += [decision.theta[b] for b in self._area.bus_ids]
         return np.array(x, dtype=float)
 
-    def _gather(self, sol: qpmod.QpSolution, price: Sequence[float], mu: Sequence[float],
-                out) -> tuple[float, float]:
-        """Write the area's broadcast at a solution into ``out``, a list or an
-        array slice: dT per tie, the boundary angles, then gamma + alpha[own
-        bus] per tie.  Return gamma and the objective at ``price`` and ``mu``."""
-        x, z = sol.x.tolist(), sol.z.tolist()
-        gamma = z[self._rows.reliability_price]
+    def _gather(self, x: list[float], z: list[float], price: Sequence[float],
+                mu: Sequence[float], out) -> tuple[float, float, float]:
+        """Write the area's broadcast at a solution's x and z, as lists, into
+        ``out``, a list or an array slice: dT per tie, the boundary angles,
+        then gamma + alpha[own bus] per tie.  Return gamma, the objective at
+        ``price`` and ``mu``, and the generation cost."""
+        gamma = z[self._gamma]
         # dT = dT+ - dT-.  An overlapping split (possible only at mu == 0)
         # changes neither the difference nor the objective, so the signed
         # flow is already the canonical decision.
         dt = [x[tp] - x[tm] for tp, tm, *_ in self._ties]
         out[:] = dt + [x[i] for i in self._boundary] + [gamma + z[nodal] for *_, nodal in self._ties]
         # the generators' columns come first, so zip stops x after them
-        return gamma, _objective(generation_cost(self._gens, x), price, mu, dt)
+        cost = generation_cost(self._gens, x)
+        return gamma, _objective(cost, price, mu, dt), cost
 
     def _extract(self, sol: qpmod.QpSolution, price: Sequence[float],
                  mu: Sequence[float]) -> ClearingResult:
         ids = [v.tie_id for v in self.ties]
+        buses = self._area.bus_ids
+        x, y, z = sol.x.tolist(), sol.y.tolist(), sol.z.tolist()
         broadcast = []  # _gather fills it
-        _, objective = self._gather(sol, price, mu, broadcast)
-        x, y = sol.x.tolist(), sol.y.tolist()
+        _, objective, cost = self._gather(x, z, price, mu, broadcast)
         decision = AreaDecision({g.id: dp for g, dp in zip(self._gens, x)},
                                 dict(zip(ids, broadcast)),  # dT leads the broadcast
-                                dict(zip(self._buses, x[len(x) - len(self._buses):])))
-        # the tie definitions lead the equality rows
-        duals = self._rows.duals(sol.z, tie_def=dict(zip(ids, y)),
-                                 slack_angle=None if self._slack is None else y[self._slack])
-        return ClearingResult(self.area_id, decision, duals, objective,
-                              generation_cost(self._gens, x),
+                                dict(zip(buses, x[len(x) - len(buses):])))
+        # the tie definitions lead the equality rows and the slack pin, if
+        # the area holds it, ends them; the area's block leads the inequality rows
+        duals = block_duals(self._area, z, tie_def=dict(zip(ids, y)),
+                            slack_angle=y[-1] if len(y) > len(ids) else None)
+        return ClearingResult(self.area_id, decision, duals, objective, cost,
                               dict(zip(ids, broadcast[len(broadcast) - len(ids):])),
                               sol.residuals.max())
 
@@ -496,7 +492,7 @@ class ChanceConstrainedClearing:
             raise
         self._hints[area_id] = sol.active_set
         self._last[area_id] = sol, price, mu
-        return problem._gather(sol, price, mu, out)
+        return problem._gather(sol.x.tolist(), sol.z.tolist(), price, mu, out)[:2]
 
     def last_result(self, area_id: str) -> ClearingResult:
         return self._problems[area_id]._extract(*self._last[area_id])

@@ -147,3 +147,16 @@ def dual_active_set_reference(q, c, a_eq, b_eq, g_ineq, h_ineq, max_steps):
                 u.append(added)
                 break
             del active[drop], columns[drop], u[drop]
+
+
+def area_dual_rows(area) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+    """Per `AreaDuals` field priced element by element: the field, the name
+    in its rows' labels and the elements of ``area`` it prices, so that a
+    test can find each dual's row by its label rather than its position."""
+    return (("nodal_price", "nodal", area.bus_ids),
+            ("gen_lower", "gen_lo", area.generator_ids),
+            ("gen_upper", "gen_hi", area.generator_ids),
+            ("ramp_lower", "ramp_lo", area.generator_ids),
+            ("ramp_upper", "ramp_hi", area.generator_ids),
+            ("line_lower", "line_lo", area.line_ids),
+            ("line_upper", "line_hi", area.line_ids))

@@ -3,6 +3,7 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from flexmarket import (MechanismConfig, TermsOfTrade, aggregate_requirement,
@@ -11,7 +12,8 @@ from flexmarket import (MechanismConfig, TermsOfTrade, aggregate_requirement,
                         verify_fixed_point, verify_kkt_equivalence, verify_nash)
 from flexmarket import qp
 from flexmarket.benchmark import CapacityDuals, _CentralProblem
-from flexmarket.market import clear
+from flexmarket.market import block_multipliers, clear
+from oracles import area_dual_rows
 
 
 def test_toy2_centralized_hand_kkt(toy2_central):
@@ -79,6 +81,17 @@ def test_primal_and_extract_read_the_columns_their_labels_name(case, tri3):
         assert decision.theta == {b: x[col[f"theta[{b}]"]] for b in a.bus_ids}
         assert duals.tie_def == {t: y[eq[f"tie_def[{t}:{a.id}]"]] for t in ties}
         assert duals.slack_angle == (y[eq["slack"]] if net.slack[0] == a.id else None)
+        for field, name, keys in area_dual_rows(a):
+            assert getattr(duals, field) == {k: z[ineq[f"{name}[{k}]"]] for k in keys}, field
+        assert duals.reliability_price == z[ineq[f"aggregate[{a.id}]"]]
+        # the writer gives the block's rows back in add_area_rows order
+        block = ([f"nodal[{b}]" for b in a.bus_ids]
+                 + [f"{name}[{g}]" for g in a.generator_ids
+                    for name in ("gen_lo", "ramp_lo", "gen_hi", "ramp_hi")]
+                 + [f"{name}[{lid}]" for lid in a.line_ids for name in ("line_hi", "line_lo")]
+                 + [f"aggregate[{a.id}]"])
+        rows = [ineq[label] for label in block]
+        assert np.array(block_multipliers(a, duals)).tobytes() == sol.z[rows].tobytes()
     assert central.tie_capacity == {t.id: CapacityDuals(z[ineq[f"cap_lo[{t.id}]"]],
                                                         z[ineq[f"cap_hi[{t.id}]"]])
                                     for t in net.active_ties()}

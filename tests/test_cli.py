@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -120,6 +122,58 @@ def test_invalid_case_file_gets_validation_error(tmp_path, capsys):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "validation"
     assert any("missing top-level key" in v for v in payload["detail"])
+
+
+def test_a_case_path_naming_a_directory_is_a_config_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--case", str(tmp_path), "--mode", "centralized")
+    assert code == 2
+    payload = _failure(err)
+    assert payload["error"] == "config"
+    assert payload["message"].startswith(f"case {str(tmp_path)!r} is neither bundled (")
+    assert payload["message"].endswith(f" nor a readable file: {os.strerror(errno.EISDIR)}")
+
+
+def test_a_case_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    case = tmp_path / "latin1.json"
+    case.write_bytes(b"\xff{")
+    code, _, err = run_cli(capsys, "run", "--case", str(case), "--mode", "centralized")
+    assert code == 2
+    payload = _failure(err)
+    assert (payload["error"], payload["message"]) == ("validation",
+                                                      f"case file {str(case)!r} rejected")
+    assert payload["detail"][0].startswith("parse error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("flag, name", [("--trace", "missing/out.csv"), ("--report", ".")])
+def test_an_output_path_that_cannot_be_a_file_fails_before_the_run(tmp_path, capsys,
+                                                                    monkeypatch, flag, name):
+    from flexmarket import coupling
+
+    def no_run(net, config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(coupling, "run", no_run)
+    path = str(tmp_path / name)
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "decentralized",
+                           flag, path)
+    assert code == 2
+    assert _failure(err) == {"error": "config", "message":
+                             f"cannot write {path!r}: not a file in an existing directory"}
+
+
+def test_a_failed_write_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+
+    def full_disk(self, text, encoding=None):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    path = str(tmp_path / "report.json")
+    code, _, err = run_cli(capsys, "run", "--case", "toy2", "--mode", "centralized",
+                           "--report", path)
+    assert code == 2
+    assert _failure(err) == {"error": "config",
+                             "message": f"cannot write {path!r}: {os.strerror(errno.ENOSPC)}"}
 
 
 def test_infeasible_case_exits_three(tmp_path, capsys):

@@ -101,6 +101,13 @@ def test_parse_error_is_reported():
     assert any("parse error" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("text", [b"\xff{", b"\x80abc"])
+def test_bytes_that_do_not_decode_are_a_parse_error(text):
+    with pytest.raises(CaseError) as err:
+        load_case(text)
+    assert any("parse error" in v for v in err.value.violations)
+
+
 @pytest.mark.parametrize("path, value, where", [
     (("demand",), [10.0], "demand"),
     (("buses", 0), "A1", "buses[0]"),

@@ -14,6 +14,7 @@ from flexmarket.benchmark import CentralizedInfeasible
 from flexmarket.market import AreaProblem, _quotes, autarky_infeasibility
 from flexmarket.qp import (DEFAULT_MAX_ITER, DEFAULT_TOL, QpDimensionError, QuadraticProgram,
                            solve)
+from oracles import area_dual_rows
 
 ZERO = TieTerms(0.0, 0.0, 0.0)
 
@@ -107,6 +108,11 @@ def test_primal_and_extract_read_the_columns_their_labels_name(case, tri3):
                                      for v in problem.ties}
         assert res.duals.slack_angle == (y[eq["slack"]] if "slack" in eq else None)
         slack_held += "slack" in eq
+        z = sol.z.tolist()
+        ineq = {label: i for i, label in enumerate(program.ineq_labels)}
+        for field, name, keys in area_dual_rows(a):
+            assert getattr(res.duals, field) == {k: z[ineq[f"{name}[{k}]"]] for k in keys}, field
+        assert res.duals.reliability_price == z[ineq["aggregate"]]
     assert slack_held == 1
 
 
