@@ -37,6 +37,9 @@ solve's dual steps, set-up's included, match: a change to the cold path that
 keeps the answers but takes other steps shows there, and a change to the
 hinted walk's budget shows in the walk row sets.  Times are not compared:
 use ``perfbench/run.py`` for that.
+
+The exit status is 1 when any trace, report, CLI stdout, solve digest or
+list of dual steps differs between the trees, and 0 when all are identical.
 """
 import argparse
 import csv
@@ -254,11 +257,14 @@ def compare(old_tree, new_tree, workload, seed):
           f"solve digest {same(a['digest'], b['digest'])}, {steps_and_walks(a, b)}")
     mismatched = [] if a["digest"] == b["digest"] else [f"{workload} set-up"]
     stepped = [] if a["steps"] == b["steps"] else [f"{workload} set-up"]
+    outputs = []  # cases whose trace, report or stdout differ
     for a, b in zip(old["cases"], new["cases"]):
         if a["digest"] != b["digest"]:
             mismatched.append(a["name"])
         if a["steps"] != b["steps"]:
             stepped.append(a["name"])
+        if any(a.get(key) != b.get(key) for key in ("csv", "report", "stdout")):
+            outputs.append(f"{workload} {a['name']}")
         stdout = f"stdout {same(a['stdout'], b['stdout'])}, " if "stdout" in a else ""
         print(f"  {a['name']}: rounds {a['rounds']} -> {b['rounds']}; "
               f"trace {same(a['csv'], b['csv'])}, report {same(a['report'], b['report'])}, "
@@ -277,7 +283,7 @@ def compare(old_tree, new_tree, workload, seed):
         if a.get("stdout") != b.get("stdout"):
             print(f"    stdout: {a['stdout']!r} -> {b['stdout']!r}")
         print(f"    solve paths: {a['paths']} -> {b['paths']}")
-    return mismatched, stepped
+    return mismatched, stepped, outputs
 
 
 def main():
@@ -296,15 +302,18 @@ def main():
         parser.error("give two source trees")
     for tree in args.trees:
         print(f"size of {tree}/src/flexmarket: {size(tree)}")
-    mismatched, stepped = [], []
+    mismatched, stepped, outputs = [], [], []
     for workload in args.workload or WORKLOADS:
-        digests, steps = compare(*args.trees, workload, args.seed)
+        digests, steps, differing = compare(*args.trees, workload, args.seed)
         mismatched += digests
         stepped += steps
+        outputs += differing
     print("solve digests: " + ("differ on " + ", ".join(mismatched) if mismatched
                                else "all identical"))
     print("dual steps: " + ("differ on " + ", ".join(stepped) if stepped
                             else "all identical"))
+    if mismatched or stepped or outputs:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

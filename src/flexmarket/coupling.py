@@ -11,10 +11,14 @@ re-clearing each area against the frozen limit terms.
 
 `run` keeps the broadcasts in memory as one flat vector and its trace as
 columns: one float64 row per round in a `Trace`, whose `TraceRecord` items
-are built only when read.  An engine with the array method `respond`, such
-as the default `ChanceConstrainedClearing`, clears each area from slices of
-that vector and writes the area's broadcast into its slice of the next one,
-so a round builds no terms or result objects; the run's final `clearings`
+are built only when read.  A row is written in two stages: each round writes
+what it computed (per tie its dT pair, mu and prices, per area gamma and
+objective, and dx_inf), and before `run` returns one pass over all rows
+derives the flows, consensus and slackness and the round's maxima; a row is
+complete only then.  An engine with the array method `respond`, such as the
+default `ChanceConstrainedClearing`, clears each area from slices of that
+vector and writes the area's broadcast into its slice of the next one, so a
+round builds no terms or result objects; the run's final `clearings`
 come from its `last_result`.  Any other `ClearingEngine` gets a
 `TermsOfTrade` per area and round and returns a `ClearingResult`, whose
 broadcast entries `run` reads back.  The wire format of `encode_message`/
@@ -180,7 +184,9 @@ class Trace(Sequence):
     delta_from, delta_to, consensus, slackness`; then per area in `area_ids`
     order `gamma, objective`; then `dx_inf, consensus, slackness`: 8 *
     (7 * ties + 2 * areas + 3) bytes per round.  Item i is a `TraceRecord`
-    view of row i, built on access; its `k` counts from 1.
+    view of row i, built on access; its `k` counts from 1.  `run` writes a
+    row in two stages (module docstring), so a trace is complete once `run`
+    has returned it.
     """
 
     def __init__(self, tie_ids: tuple[str, ...], area_ids: tuple[str, ...]):
@@ -312,15 +318,21 @@ class _BroadcastIndex:
         slot = {key: i for i, key in enumerate(self.keys)}
         mu_slot = {t.id: i for i, t in enumerate(self.ties)}
         # per area: its slice of x, its incident ties and, per tie, the
-        # neighbor's price and angle slots and the mu slot
-        self.segments = [(a, spans[a], [v.tie_id for v in vs], *np.array(
-            [(slot[v.neighbor_area, "price", v.tie_id],
-              slot[v.neighbor_area, "theta", v.neighbor_bus], mu_slot[v.tie_id]) for v in vs],
-            dtype=int).reshape(-1, 3).T) for a, vs in views.items()]
+        # neighbor's price and angle slots and the mu slot, as lists
+        self.segments = [(a, spans[a], [v.tie_id for v in vs],
+                          [slot[v.neighbor_area, "price", v.tie_id] for v in vs],
+                          [slot[v.neighbor_area, "theta", v.neighbor_bus] for v in vs],
+                          [mu_slot[v.tie_id] for v in vs]) for a, vs in views.items()]
         # rows: delta_t of the from side, of the to side, then price of each side
         self.tie_slots = np.array([[slot[a, f, t.id] for f in ("delta_t", "price")
                                     for a in (t.from_area, t.to_area)] for t in self.ties],
                                   dtype=int).reshape(-1, 4).T
+        # a round's writes to its `Trace` row: x at the tie slots into each
+        # tie's flow_from, flow_to, delta_from and delta_to columns, mu into its mu column
+        at = 7 * np.arange(len(self.ties))
+        self.traced_slots = self.tie_slots.reshape(-1)
+        self.traced_columns = np.concatenate([at, at + 1, at + 3, at + 4])
+        self.mu_columns = at + 2
         self.t_da = np.array([t.t_da for t in self.ties], dtype=float)
         self.abs_t_da = np.abs(self.t_da)
         self.capacity = np.array([t.capacity for t in self.ties], dtype=float)
@@ -335,10 +347,16 @@ class _BroadcastIndex:
             getattr(areas[a], f)[key] = v
         return areas, dict(zip([t.id for t in self.ties], mu.tolist()))
 
+    def quotes(self, x: np.ndarray, mu: np.ndarray):
+        """Per area: its slice of x, its incident ties, and per tie as lists
+        of floats the neighbor's price and angle and the capacity price."""
+        xs, ms = x.tolist(), mu.tolist()
+        return [(a, span, ids, [xs[i] for i in p], [xs[i] for i in q], [ms[i] for i in m])
+                for a, span, ids, p, q, m in self.segments]
+
     def terms(self, x: np.ndarray, mu: np.ndarray) -> dict[str, TermsOfTrade]:
-        return {a: TermsOfTrade(dict(zip(ids, map(TieTerms, x[p].tolist(), x[q].tolist(),
-                                                  mu[m].tolist()))))
-                for a, _, ids, p, q, m in self.segments}
+        return {a: TermsOfTrade(dict(zip(ids, map(TieTerms, p, q, m))))
+                for a, _, ids, p, q, m in self.quotes(x, mu)}
 
     def state_terms(self, state: CouplingState) -> dict[str, TermsOfTrade]:
         areas = {a: vars(b) for a, b in state.areas.items()}
@@ -350,23 +368,25 @@ def terms_for_area(net: Network, state: CouplingState, area_id: str) -> TermsOfT
     return _BroadcastIndex(net).state_terms(state)[area_id]
 
 
-def _record(index: _BroadcastIndex, row: np.ndarray, x: np.ndarray, mu: np.ndarray,
-            dx: float, scores: list[tuple[float, float]]) -> None:
-    """Fill one round's `Trace` row; ``scores`` gives gamma and the objective per area."""
-    dt_from, dt_to, price_from, price_to = x[index.tie_slots]
+def _complete(index: _BroadcastIndex, rows: np.ndarray) -> None:
+    """Finish a run's `Trace` rows in place, all rounds at once.  A round
+    wrote each tie's dT pair into its flow columns, mu, the prices, the
+    areas' gamma and objective, and dx_inf; this derives the flows,
+    consensus and slackness per tie and the round's two maxima."""
+    n = 7 * len(index.ties)
+    dt_from, dt_to, mu = rows[:, 0:n:7], rows[:, 1:n:7], rows[:, 2:n:7]
     flow_from = index.t_da + dt_from
     flow_to = -index.t_da + dt_to
     consensus = np.abs(flow_from + flow_to)
     slackness = mu * _capacity_surrogate(np.abs(dt_from), np.abs(dt_to), index.abs_t_da,
                                          index.capacity)
-    n = 7 * len(mu)
-    row[:n].reshape(-1, 7).T[:] = (flow_from, flow_to, mu, price_from, price_to,
-                                   consensus, slackness)
-    row[n:-3].reshape(-1, 2)[:] = scores
+    rows[:, 0:n:7], rows[:, 1:n:7], rows[:, 5:n:7], rows[:, 6:n:7] = (flow_from, flow_to,
+                                                                      consensus, slackness)
     # consensus is the max from 0.0; slackness keeps its first largest product's
     # sign, so a priced tie below capacity shows, and + 0.0 turns mu == 0's -0.0 into 0.0
-    worst = slackness[np.abs(slackness).argmax()] + 0.0 if n else 0.0
-    row[-3:] = dx, consensus.max(initial=0.0), worst
+    rows[:, -2] = consensus.max(axis=1, initial=0.0)
+    rows[:, -1] = (slackness[np.arange(len(rows)), np.abs(slackness).argmax(axis=1)] + 0.0
+                   if n else 0.0)
 
 
 def _clear_by_terms(k: int, engine: ClearingEngine, index: _BroadcastIndex, x: np.ndarray,
@@ -403,23 +423,28 @@ def run(net: Network, config: MechanismConfig | None = None,
                 clearings, fresh = _clear_by_terms(k, engine, index, x, mu)
                 scores = [(c.duals.reliability_price, c.objective) for c in clearings.values()]
             else:
-                scores = [respond(a, x[price].tolist(), x[angle].tolist(), mu[tie_mu].tolist(),
-                                  fresh[span]) for a, span, _, price, angle, tie_mu in index.segments]
+                scores = [respond(a, price, angle, tie_mu, fresh[span])
+                          for a, span, _, price, angle, tie_mu in index.quotes(x, mu)]
         except ClearingError as e:
             raise MechanismError(k, str(e)) from e
-        bad = np.flatnonzero(~np.isfinite(fresh))
-        if bad.size:
-            a, f, key = index.keys[bad[0]]
-            raise MechanismError(k, f"area[{a}]: non-finite {f}[{key}] = {float(fresh[bad[0]])}")
+        if not np.isfinite(fresh).all():
+            bad = np.flatnonzero(~np.isfinite(fresh))[0]
+            a, f, key = index.keys[bad]
+            raise MechanismError(k, f"area[{a}]: non-finite {f}[{key}] = {float(fresh[bad])}")
         new = inertial_update(x, fresh, step_rho(k, config.rho))
-        dx = float(np.max(np.abs(new - x), initial=0.0))
+        dx = float(np.maximum.reduce(np.abs(new - x), initial=0.0))  # np.max, without its wrapper
         x = new
         mu = update_capacity_price(mu, *np.abs(x[index.tie_slots[:2]]), index.abs_t_da,
                                    index.capacity, config.beta)
-        _record(index, trace._next_row(), x, mu, dx, scores)
+        row = trace._next_row()
+        row[index.traced_columns] = x[index.traced_slots]
+        row[index.mu_columns] = mu
+        row[len(mu) * 7:-3].reshape(-1, 2)[:] = scores
+        row[-3] = dx
         streak = streak + 1 if dx < config.tol else 0
         if streak >= CONSECUTIVE:
             break
+    _complete(index, trace._rows[:len(trace)])
     if respond is not None:
         clearings = {a: engine.last_result(a) for a in index.areas}
     converged = streak >= CONSECUTIVE

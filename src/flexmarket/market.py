@@ -354,8 +354,10 @@ class AreaProblem:
         # dT = dT+ - dT-.  An overlapping split (possible only at mu == 0)
         # changes neither the difference nor the objective, so the signed
         # flow is already the canonical decision.
-        dt = [x[tp] - x[tm] for tp, tm, *_ in self._ties]
-        out[:] = dt + [x[i] for i in self._boundary] + [gamma + z[nodal] for *_, nodal in self._ties]
+        # a tie's entry leads with its dT+ and dT- columns and ends with its
+        # nodal row; indexing them is cheaper than a starred unpack
+        dt = [x[t[0]] - x[t[1]] for t in self._ties]
+        out[:] = dt + [x[i] for i in self._boundary] + [gamma + z[t[-1]] for t in self._ties]
         # the generators' columns come first, so zip stops x after them
         cost = generation_cost(self._gens, x)
         return gamma, _objective(cost, price, mu, dt), cost

@@ -93,6 +93,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _vector(v) -> np.ndarray:
+    """``v`` as a float64 array of one or more dimensions; one already so is kept as it is."""
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim:
+        return v
+    return np.atleast_1d(np.asarray(v, dtype=float))
+
+
 @dataclass(frozen=True)
 class QuadraticProgram:
     q: np.ndarray
@@ -147,9 +154,9 @@ class QuadraticProgram:
         object.__setattr__(self, "_memo", {})
 
     def rebind(self, c, b_eq) -> QuadraticProgram:
-        """The same program with new c and b, sharing the validated structure."""
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        b = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        """The same program with new c and b, sharing the validated structure.
+        A float64 vector is taken as it is, without a copy."""
+        c, b = _vector(c), _vector(b_eq)
         if c.shape != self.c.shape or b.shape != self.b_eq.shape:
             raise QpDimensionError(f"rebind needs c of shape {self.c.shape} and b of shape "
                                    f"{self.b_eq.shape}, got {c.shape} and {b.shape}")
@@ -257,13 +264,15 @@ def _active_kkt(qp, active):
     inconsistent set.
 
     Both depend only on the frozen structure, so the last pair is kept in the
-    program's memo; one entry bounds the memory, and an iterative caller
-    whose binding set holds from round to round still factors once.
+    program's memo, with the active rows as an index array and h at them; one
+    entry bounds the memory, and an iterative caller whose binding set holds
+    from round to round still factors once.
     """
     key = tuple(active)
     last = qp._memo.get("active")
     if last is not None and last[0] == key:
         return last[1], last[2]
+    active = np.array(key, dtype=int)
     g_act = qp.g_ineq[active]
     n, me = qp.n, len(qp.b_eq)
     rows = np.vstack([-qp.a_eq, g_act])
@@ -289,7 +298,7 @@ def _active_kkt(qp, active):
     pinv[n:, n:] = -u_scaled @ u_scaled.T
     # undo the sign flip of the A rows: it acts on the y columns
     pinv[:, n:n + me] *= -1.0
-    qp._memo["active"] = (key, kkt, pinv)
+    qp._memo["active"] = (key, kkt, pinv, active, qp.h_ineq[active])
     return kkt, pinv
 
 
@@ -304,7 +313,8 @@ def _solve_active(qp, active):
     """
     n, me = qp.n, len(qp.b_eq)
     kkt, pinv = _active_kkt(qp, active)
-    rhs = np.concatenate([-qp.c, qp.b_eq, qp.h_ineq[active]])
+    rows, h_rows = qp._memo["active"][3:]  # the set's rows and h at them, memoized too
+    rhs = np.concatenate([-qp.c, qp.b_eq, h_rows])
     sol = pinv @ rhs
     # rhs is never empty (n >= 1), so a bare reduce is np.max
     peak = np.maximum.reduce
@@ -317,7 +327,7 @@ def _solve_active(qp, active):
     x = sol[:n]
     y = sol[n:n + me]
     z = np.zeros(len(qp.h_ineq))
-    z[active] = sol[n + me:]
+    z[rows] = sol[n + me:]
     return x, y, z
 
 
@@ -344,10 +354,10 @@ def _polish(qp, active: set[int], tol, budget):
     active = set(active)
     seen = set()
     for _ in range(budget):
-        rows = sorted(active)
-        if tuple(rows) in seen:
+        rows = tuple(sorted(active))
+        if rows in seen:
             return None
-        seen.add(tuple(rows))
+        seen.add(rows)
         x, y, z = _solve_active(qp, rows)
         slack = qp.h_ineq - qp.g_ineq @ x
         violated = [i for i in (slack < -violation).nonzero()[0].tolist() if i not in active]

@@ -160,3 +160,20 @@ def area_dual_rows(area) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
             ("ramp_upper", "ramp_hi", area.generator_ids),
             ("line_lower", "line_lo", area.line_ids),
             ("line_upper", "line_hi", area.line_ids))
+
+
+def trace_row(t_da, capacity, dt_from, dt_to, price_from, price_to, mu, scores, dx):
+    """One round's `coupling.Trace` row written in one piece, from the round's
+    values per tie (arrays in active-tie order), its (gamma, objective) per
+    area and its dx_inf: per tie flow_from, flow_to, mu, delta_from,
+    delta_to, consensus, slackness; per area gamma, objective; then dx_inf,
+    the largest consensus (from 0.0) and the slackness of largest magnitude,
+    the first on a tie, + 0.0 so that mu == 0's -0.0 reads 0.0."""
+    flow_from = t_da + dt_from
+    flow_to = -t_da + dt_to
+    consensus = np.abs(flow_from + flow_to)
+    slackness = mu * (0.5 * (np.abs(dt_from) + np.abs(dt_to)) + np.abs(t_da) - capacity)
+    ties = np.column_stack([flow_from, flow_to, mu, price_from, price_to, consensus, slackness])
+    worst = slackness[np.abs(slackness).argmax()] + 0.0 if len(mu) else 0.0
+    return np.concatenate([ties.reshape(-1), np.ravel(scores),
+                           [dx, consensus.max(initial=0.0), worst]])

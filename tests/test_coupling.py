@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flexmarket import (MechanismConfig, RhoSchedule, ScenarioModifiers, apply_scenario,
-                        decode_message, encode_message, inertial_update, load_case, run,
-                        save_case, step_rho, trace_to_csv, update_capacity_price, verify_nash)
+                        coupling, decode_message, encode_message, inertial_update, load_case,
+                        run, save_case, step_rho, trace_to_csv, update_capacity_price,
+                        verify_nash)
 from flexmarket.coupling import (AreaTrace, ExchangeMessage, MechanismError, MessageError,
                                  StaleMessageError, TieQuote, TieTrace, TraceRecord,
                                  terms_for_area)
@@ -21,6 +22,7 @@ from flexmarket.market import (AreaDecision, AreaDuals, ChanceConstrainedClearin
 from flexmarket.qp import DEFAULT_TOL
 
 from conftest import BUNDLED_RUN_CONFIG, PassThroughEngine
+from oracles import trace_row
 
 LADDER_4X8 = Path(__file__).parent / "data" / "ladder_4x8_s0.json"
 
@@ -543,6 +545,64 @@ def test_trace_views_read_the_csv_rows(tri3, tri3_run):
     assert trace_to_csv(dead.trace).splitlines()[0] == \
         "k,A.gamma,A.objective,B.gamma,B.objective,C.gamma,C.objective,dx_inf,consensus,slackness"
     _assert_views_read_the_csv(dead.trace)
+
+
+def _recorded_run(net, config, monkeypatch):
+    """A default-engine run and, per round, its broadcast vector x, capacity
+    prices mu and the (gamma, objective) that each area's response returned."""
+    xs, mus, scores = [], [], []
+
+    def recording(real, into):
+        def wrapper(*args):
+            into.append(real(*args))
+            return into[-1]
+        return wrapper
+
+    monkeypatch.setattr(coupling, "inertial_update", recording(coupling.inertial_update, xs))
+    monkeypatch.setattr(coupling, "update_capacity_price",
+                        recording(coupling.update_capacity_price, mus))
+    engine = ChanceConstrainedClearing(net, config.solver_tol, config.solver_max_iter)
+    engine.respond = recording(engine.respond, scores)
+    result = run(net, config, engine=engine)
+    areas = len(net.areas)
+    return result, xs, mus, [scores[i:i + areas] for i in range(0, len(scores), areas)]
+
+
+@pytest.mark.parametrize("case", ["toy2-congested", "tri3", "tri3-untied"])
+def test_the_trace_rows_are_the_one_piece_formula(case, request, monkeypatch):
+    # a round writes part of its row and run derives the rest of every row at
+    # once before it returns: the rows must be the one-piece formula's, byte for byte
+    if case == "toy2-congested":
+        net, config = request.getfixturevalue("toy2_congested"), BUNDLED_RUN_CONFIG
+    else:
+        net, config = request.getfixturevalue("tri3"), MechanismConfig(max_rounds=60, tol=1e-300)
+        if case == "tri3-untied":  # zero capacity opens every tie: no tie columns
+            net = apply_scenario(net, ScenarioModifiers(
+                tie_capacity_overrides={t.id: 0.0 for t in net.tie_lines}))
+    result, xs, mus, scores = _recorded_run(net, config, monkeypatch)
+    assert result.converged == (case != "tri3")
+    assert len(xs) == len(mus) == len(scores) == result.rounds
+    ties = net.active_ties()
+    assert bool(ties) == (case != "tri3-untied")
+    # the oracle finds each tie's dT and price slots of x by the slot's key
+    slot = {key: i for i, key in enumerate(coupling._BroadcastIndex(net).keys)}
+    sides = [[slot[getattr(t, side), field, t.id] for t in ties]
+             for field in ("delta_t", "price") for side in ("from_area", "to_area")]
+    t_da = np.array([t.t_da for t in ties], dtype=float)
+    capacity = np.array([t.capacity for t in ties], dtype=float)
+    rows, previous = [], np.zeros_like(xs[0])
+    for x, mu, score in zip(xs, mus, scores):
+        dx = float(np.max(np.abs(x - previous), initial=0.0))
+        rows.append(trace_row(t_da, capacity, *(x[s] for s in sides), mu, score, dx))
+        previous = x
+    assert np.array(rows).tobytes() == result.trace.rows.tobytes()
+    if ties:
+        # rounds with mu == 0 below capacity: a tie's product is -0.0, the round's 0.0
+        n = 7 * len(ties)
+        trace = result.trace.rows
+        unpriced = (trace[:, 2:n:7] == 0.0) & np.signbit(trace[:, 6:n:7])
+        assert unpriced.any()
+        assert not np.signbit(trace[unpriced.any(axis=1), -1]).any()
 
 
 # importer Y that cannot cover demand once its tiny partner is priced out

@@ -1,6 +1,6 @@
 import re
 import threading
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from flexmarket import (ChanceConstrainedClearing, ClearingError, MechanismConfi
                         optimal_terms_of_trade, run, solve_centralized, trace_to_csv,
                         verify_fixed_point, verify_nash)
 from flexmarket.benchmark import CentralizedInfeasible
+from flexmarket.coupling import terms_for_area
 from flexmarket.market import AreaProblem, _quotes, autarky_infeasibility
 from flexmarket.qp import (DEFAULT_MAX_ITER, DEFAULT_TOL, QpDimensionError, QuadraticProgram,
                            solve)
@@ -353,6 +354,35 @@ def test_memo_keeps_one_factorization_and_reuses_it(toy2_congested, monkeypatch)
             refactored += "svd" in calls
         hint = sol.active_set
     assert reused >= 15 and refactored >= 1
+
+
+@pytest.mark.parametrize("case", ["toy2", "toy2-congested", "tri3"])
+def test_a_memo_hit_solves_as_a_cleared_memo(case, request, monkeypatch):
+    # at the limit terms of every area, a hinted re-solve that finds its set's
+    # factors, rows and h in the memo answers bit for bit as on a cleared memo
+    net = request.getfixturevalue(case.replace("-", "_"))
+    result, _ = request.getfixturevalue(case.replace("-", "_") + "_run")
+    svds = []
+    real_svd = np.linalg.svd
+    for area in net.areas:
+        program = AreaProblem(net, area.id).assemble(terms_for_area(net, result.state, area.id))
+        hint = solve(program).active_set
+        assert solve(program, active_hint=hint).path == "hint"
+        key, _, _, rows, h_rows = program._memo["active"]
+        assert key == hint
+        assert rows.dtype.kind == "i" and np.array_equal(rows, np.array(key))
+        assert h_rows.tobytes() == program.h_ineq[list(key)].tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+            warm = solve(program, active_hint=hint)
+        assert not svds  # the memo answered
+        program._memo.clear()
+        cleared = solve(program, active_hint=hint)
+        assert warm.path == cleared.path == "hint" and warm.active_set == cleared.active_set
+        for a, b in ((warm.x, cleared.x), (warm.y, cleared.y), (warm.z, cleared.z)):
+            assert a.tobytes() == b.tobytes()
+        assert list(map(float.hex, astuple(warm.residuals))) == \
+            list(map(float.hex, astuple(cleared.residuals)))
 
 
 def _as_bytes(result) -> tuple:

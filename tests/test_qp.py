@@ -154,6 +154,30 @@ def test_structure_is_frozen_without_freezing_the_callers_arrays():
     assert rebound.binding_rows([0.5, 0.5]) == (0,)
 
 
+def test_rebind_converts_checks_and_shares():
+    # c and b come back as float64 vectors of the program's shapes, whatever
+    # their type; a float64 vector is taken as it is
+    program = _qp(np.eye(3), [0.0, 0.0, 0.0], a=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                  b=[1.0, 0.0], g=[[1.0, 0.0, 0.0]], h=[2.0])
+    c, b = [1.0, 2.0, 3.0], [4.0, 5.0]
+    for kind in (list, lambda v: np.array(v, dtype=np.int64),
+                 lambda v: np.array(v, dtype=np.float32)):
+        rebound = program.rebind(kind(c), kind(b))
+        for got, want in ((rebound.c, c), (rebound.b_eq, b)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == (len(want),) and got.tolist() == want
+        assert rebound._memo is program._memo and rebound._l_inv_t is program._l_inv_t
+    c64, b64 = np.array(c), np.array(b)
+    rebound = program.rebind(c64, b64)
+    assert rebound.c is c64 and rebound.b_eq is b64
+    assert solve(rebound).x.tobytes() == solve(program.rebind(c, b)).x.tobytes()
+    # a wrong length, or a second dimension, is refused whatever the type
+    for bad_c, bad_b in ((c[:2], b), (c, b + [6.0]), (np.array([c]), b64), (c64, np.array([b])),
+                         (np.array(c[:2]), b64), (c64, np.array(b[:1]))):
+        with pytest.raises(QpDimensionError):
+            program.rebind(bad_c, bad_b)
+
+
 def test_kkt_residuals_of_solver_output_meet_tolerance():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4))
