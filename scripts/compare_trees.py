@@ -30,9 +30,12 @@ child on each tree.
 Printed per case: the rounds on both trees, whether the trace, the report,
 stdout (``cli`` only), the solve digest and the dual steps are identical,
 with the total steps and the walk row sets on each tree, the largest
-|difference| per trace column and per numeric report field (fields that
-differ in kind, such as a flag, are printed with both values), and the solve
-paths on each tree.  Two last lines say whether every solve digest and every
+absolute and relative difference per trace column and per numeric report
+field (fields that differ in kind, such as a flag, are printed with both
+values), and the solve paths on each tree.  A relative difference is
+|a - b| / max(|a|, |b|).  Last, the largest absolute and relative difference
+over every differing trace and over every differing report are printed, so
+a change that moves outputs by design says by how much.  Two last lines say whether every solve digest and every
 solve's dual steps, set-up's included, match: a change to the cold path that
 keeps the answers but takes other steps shows there, and a change to the
 hinted walk's budget shows in the walk row sets.  Times are not compared:
@@ -182,24 +185,32 @@ def run_child(tree, workload, seed):
 
 
 def column_deltas(old_csv, new_csv):
-    """Largest |difference| per column over the rows both traces have."""
+    """Largest absolute and relative difference per column over the rows both traces have."""
     old = list(csv.DictReader(io.StringIO(old_csv)))
     new = list(csv.DictReader(io.StringIO(new_csv)))
     deltas = {}
     for a, b in zip(old, new):
         for key in a.keys() | b.keys():
-            deltas[key] = max(deltas.get(key, 0.0), leaf_delta(a.get(key), b.get(key)))
+            deltas[key] = widest(deltas.get(key, (0.0, 0.0)), leaf_delta(a.get(key), b.get(key)))
     return deltas
 
 
 def leaf_delta(a, b):
-    """|a - b| for two numbers or numeric strings, 0 if equal, else inf."""
+    """(|a - b|, |a - b| / max(|a|, |b|)) for two numbers or numeric strings:
+    (0, 0) if equal, (inf, inf) if either is not a number."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     try:
-        return abs(float(a) - float(b))
+        a, b = float(a), float(b)
     except (TypeError, ValueError):
-        return math.inf
+        return math.inf, math.inf
+    gap = abs(a - b)
+    return gap, gap / max(abs(a), abs(b))
+
+
+def widest(*deltas):
+    """The largest absolute and the largest relative difference among (abs, rel) pairs."""
+    return max(d[0] for d in deltas), max(d[1] for d in deltas)
 
 
 def flatten(value, prefix=""):
@@ -228,14 +239,15 @@ def report_deltas(old, new):
             if a != b:
                 other[key] = (a, b)
         else:
-            numeric[key] = abs(a - b)
+            numeric[key] = leaf_delta(a, b)
     return numeric, other
 
 
 def show(values, indent="    "):
-    for key, delta in sorted(values.items(), key=lambda kv: (-kv[1], kv[0])):
-        if delta:
-            print(f"{indent}{key}: {delta:.3g}")
+    """Print each nonzero (abs, rel) difference, the largest absolute first."""
+    for key, (gap, rel) in sorted(values.items(), key=lambda kv: (-kv[1][0], kv[0])):
+        if gap:
+            print(f"{indent}{key}: {gap:.3g} (relative {rel:.3g})")
 
 
 def same(a, b):
@@ -258,6 +270,8 @@ def compare(old_tree, new_tree, workload, seed):
     mismatched = [] if a["digest"] == b["digest"] else [f"{workload} set-up"]
     stepped = [] if a["steps"] == b["steps"] else [f"{workload} set-up"]
     outputs = []  # cases whose trace, report or stdout differ
+    # the largest (abs, rel) difference over the differing traces and reports
+    worst = {"trace": (0.0, 0.0), "report": (0.0, 0.0)}
     for a, b in zip(old["cases"], new["cases"]):
         if a["digest"] != b["digest"]:
             mismatched.append(a["name"])
@@ -272,10 +286,13 @@ def compare(old_tree, new_tree, workload, seed):
         if a["error"] or b["error"]:
             print(f"    errors: {a['error']} -> {b['error']}")
         if a["csv"] != b["csv"]:
+            columns = column_deltas(a["csv"], b["csv"])
+            worst["trace"] = widest(worst["trace"], *columns.values())
             print("    trace columns, max |diff|:")
-            show(column_deltas(a["csv"], b["csv"]), "      ")
+            show(columns, "      ")
         if a["report"] != b["report"]:
             numeric, other = report_deltas(a["report"], b["report"])
+            worst["report"] = widest(worst["report"], *numeric.values())
             print("    report fields, max |diff|:")
             show(numeric, "      ")
             for key, (x, y) in other.items():
@@ -283,6 +300,8 @@ def compare(old_tree, new_tree, workload, seed):
         if a.get("stdout") != b.get("stdout"):
             print(f"    stdout: {a['stdout']!r} -> {b['stdout']!r}")
         print(f"    solve paths: {a['paths']} -> {b['paths']}")
+    for kind, (gap, rel) in worst.items():
+        print(f"  largest {kind} difference: {gap:.3g} (relative {rel:.3g})")
     return mismatched, stepped, outputs
 
 
