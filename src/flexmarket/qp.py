@@ -340,7 +340,10 @@ def _polish(qp, active: set[int], tol, budget):
     adding violated rows and dropping negative multipliers until the KKT
     system is consistent.  A row counts as violated below a slack of
     -min(feasibility tolerance, tol): validation allows a violation of tol
-    only, so a row violated by more must join the set.  The pseudo-inverse
+    only, so a row violated by more must join the set.  A multiplier in
+    (-feasibility tolerance, 0) is clamped to 0 before validation; where the
+    clamp leaves a residual above tol, its rows are dropped and the walk goes
+    on, as a negative multiplier's would be.  The pseudo-inverse
     keeps duals at the minimum-norm point of the optimal dual face, which
     makes degenerate multiplier splits symmetric and deterministic.
 
@@ -364,11 +367,15 @@ def _polish(qp, active: set[int], tol, budget):
         # z is zero off the set, so these are the set's negative multipliers
         negative = (z < -feas_tol).nonzero()[0].tolist()
         if not violated and not negative:
-            z = np.maximum(z, 0.0)  # clamp before validating: it moves residuals
-            res = _residuals(qp, x, y, z, slack)
-            if not res.max() <= tol:
+            # clamp before validating: it moves residuals, and where it moves
+            # them past tol, the walk goes on without the clamped rows
+            negative = (z < 0.0).nonzero()[0].tolist()
+            clamped = np.maximum(z, 0.0)
+            res = _residuals(qp, x, y, clamped, slack)
+            if res.max() <= tol:
+                return x, y, clamped, res
+            if not negative:
                 return None
-            return x, y, z, res
         active.update(violated)
         active.difference_update(negative)
     return None

@@ -237,6 +237,14 @@ def test_zero_capacity_network_clears_at_autarky(tri3):
                 autarky.duals.reliability_price, abs=1e-7)
 
 
+def test_a_generated_network_runs_to_its_stop():
+    # 2x4-s1 once stopped at round 920 with MechanismError: a clamped
+    # multiplier failed validation and ended the polish (ROADMAP item 1)
+    net = load_case((Path(__file__).parent / "data" / "ladder_2x4_s1.json").read_text())
+    result = run(net, BUNDLED_RUN_CONFIG)
+    assert result.converged
+
+
 def test_convergence_metrics_on_converged_run(toy2_run):
     result, _ = toy2_run
     last = result.trace[-1]

@@ -535,17 +535,32 @@ def test_refinement_overflow_on_the_captured_program_stays_silent():
     _solves_silently("qp_singular_rungs.json")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the polish does not yet settle these "
-                   "degenerate answers, and each solve returns iteration_limit")
-@pytest.mark.parametrize("name", ["qp_2x4_s1_round920_a00.json", "qp_2x4_s8_round1037_a00.json",
-                                  "qp_4x8_s1_round1542_a00.json"])
+@pytest.mark.parametrize("name", [
+    "qp_2x4_s1_round920_a00.json", "qp_2x4_s8_round1037_a00.json",
+    pytest.param("qp_4x8_s1_round1542_a00.json", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1, Fault B: the dual method's point drifts off a "
+        "degenerate vertex, and the solve returns iteration_limit"))])
 def test_the_programs_that_stop_long_runs_are_solved(name):
-    # area A00's program where a long run of a generated network stops with
-    # MechanismError; the hint it was solved with fails the same way
+    # area A00's program where a long run of a generated network stopped with
+    # MechanismError; the hint it was solved with failed the same way
     program, data = _captured(name)
     sol = solve(program, data["tol"])
     assert sol.status == "optimal"
     assert kkt_residuals(program, sol.x, sol.y, sol.z).max() <= data["tol"]
+
+
+def test_a_clamp_that_fails_validation_drops_its_rows():
+    # on 2x4-s1's program the dual method stops on rows (0, 1, 3, 20, 21), and
+    # their solve leaves multipliers of -7.1e-9, -2.7e-9 and -1.6e-9 on rows
+    # 0, 1 and 3, inside the feasibility tolerance; clamped to 0 they fail
+    # validation.  The walk must go on without those rows, not give up
+    program, data = _captured("qp_2x4_s1_round920_a00.json")
+    rows = (0, 1, 3, 20, 21)
+    assert rows == qpmod._dual_active_set(program, qpmod.DEFAULT_MAX_ITER)[0]
+    z = qpmod._solve_active(program, rows)[2]
+    assert all(-program._feas_tol < z[i] < 0.0 for i in (0, 1, 3))
+    x, y, z, res = qpmod._polish(program, set(rows), data["tol"], 8)
+    assert res.max() <= data["tol"] and (z >= 0.0).all()
 
 
 def test_polish_stops_at_first_repeated_active_set(monkeypatch):
