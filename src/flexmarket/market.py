@@ -14,6 +14,17 @@ dT = dT+ - dT-, which keeps the program a QP.
 The dual vector is mapped back to named quantities; the area's broadcast
 willingness to pay for each tie is reliability_price + nodal_price at its own
 endpoint bus.
+
+The terms enter only c (+-price + mu/2 on dT+-) and b (the tie definitions'
+-theta_nbr/x - t_da), so on a fixed active set the solution is affine in
+them: that set's critical region in multi-parametric QP (Bemporad, Morari,
+Dua & Pistikopoulos, Automatica 38, 2002).  A round of the default engine
+(`ChanceConstrainedClearing.respond`) answers an area by the response map of
+its last active set (`AreaProblem._response_map`), built from the solver's
+memoized pseudo-inverse the first time the set repeats, and accepts that
+answer after the same KKT check as `qp.solve`.  Where the terms leave the
+region or the check fails, the hinted `qp.solve` answers as it did before
+the map, and its answer's set builds the next map.
 """
 from __future__ import annotations
 
@@ -238,11 +249,12 @@ class AreaProblem:
     The inequality rows are the area's `add_area_rows` block, in the order
     its docstring states, then the split signs.
 
-    The program is validated once; each round rebinds c and b onto its frozen
-    structure, so the solver's memoized factorizations carry over.  It keeps
-    no caller's state: a clear's hint comes from its caller, and the memo
-    holds only what the active set determines, so one problem can serve
-    every caller (``_area_problem``).
+    The program is validated once; each solve rebinds c and b onto its
+    frozen structure, so the solver's memoized factorizations carry over,
+    and a round answered by the response map rebinds nothing.  It keeps no
+    caller's state: a clear's hint comes from its caller, and the memo holds
+    only what the active set determines (its factorization and response
+    map), so one problem can serve every caller (``_area_problem``).
     """
 
     def __init__(self, net: Network, area_id: str, autarky: bool = False):
@@ -267,8 +279,8 @@ class AreaProblem:
             row[tp] = 1.0
             row[tm] = -1.0
             row[var_theta[v.own_bus]] = -1.0 / v.reactance
-            # rhs filled per terms: -theta_nbr/x - t_da
-            eq.add(row, 0.0, f"tie_def[{v.tie_id}]")
+            # rhs -theta_nbr/x - t_da: -t_da at zero terms, as _bind sets it per terms
+            eq.add(row, -v.t_da, f"tie_def[{v.tie_id}]")
         if net.slack[0] == area_id:
             row = np.zeros(nv)
             row[var_theta[net.slack[1]]] = 1.0
@@ -297,6 +309,13 @@ class AreaProblem:
                       for i, (v, (tp, tm)) in enumerate(zip(ties, split))]
         self._boundary = [var_theta[b] for b in sorted({v.own_bus for v in ties})]
         self._gens = [net.generator(g) for g in area.generator_ids]
+        # how the terms, per tie price, neighbor angle and mu, then a 1, move
+        # the KKT right-hand side (-c, b) of an active set (_response_map)
+        self._scatter = scatter = np.zeros((nv + len(eq.labels), 3 * nt + 1))
+        scatter[:, -1] = np.concatenate([-self._program.c, self._program.b_eq])
+        for i, (tp, tm, row, reactance, _, _) in enumerate(self._ties):
+            scatter[[tp, tm, tp, tm, nv + row], [i, i, 2 * nt + i, 2 * nt + i, nt + i]] = \
+                (1.0, -1.0, -0.5, -0.5, -1.0 / reactance)
 
     def assemble(self, terms: TermsOfTrade) -> qpmod.QuadraticProgram:
         """Bind the terms of trade into the cached structure."""
@@ -323,7 +342,7 @@ class AreaProblem:
         # binding rows depend only on G and h, which every rebind shares
         hint = None if near is None else self._program.binding_rows(self._primal(near))
         sol = self._solve(price, angle, mu, tol, qpmod.DEFAULT_MAX_ITER, hint)
-        return self._extract(sol, price, mu)
+        return self._extract((sol.x, sol.y, sol.z, sol.residuals.max()), price, mu)
 
     def _solve(self, price: Sequence[float], angle: Sequence[float], mu: Sequence[float],
                tol: float, max_iter: int, hint: tuple[int, ...] | None) -> qpmod.QpSolution:
@@ -334,6 +353,55 @@ class AreaProblem:
         if sol.status != "optimal":
             raise ClearingError(self.area_id, sol.status, sol.describe())
         return sol
+
+    def response_jacobian(self, active: tuple[int, ...]) -> np.ndarray:
+        """F of the active set's response (x, y, z_A) = F terms + f: one row
+        per column, equality row and row of ``active``, one column per tie's
+        price, then per tie's neighbor angle, then per tie's mu, each in
+        ``ties`` order.  It is the derivative of the clear wherever the terms
+        keep ``active`` binding."""
+        return self._response_map(tuple(active))[1][:, :-1]
+
+    def _response_map(self, active: tuple[int, ...]) -> tuple:
+        """The response map of an active set.  On the set, (x, y, z_A) is the
+        pseudo-inverse of its KKT matrix times the right-hand side (-c, b,
+        h_A), which is B (terms, 1) for B the scatter of the terms
+        (``_scatter``) with h_A below it; so (x, y, z_A) = [F f] (terms, 1)
+        for [F f] = pinv B, refined once through the KKT matrix as
+        ``qp._solve_active`` refines its solution.  The map of the last set
+        asked is kept in the program's memo beside the set's factorization,
+        as ``(active, [F f], the KKT matrix's rows above the set's, the set's
+        rows)``."""
+        memo = self._program._memo
+        if memo.get("map", (None,))[0] != active:
+            kkt, pinv, rows, h_rows = qpmod._active_kkt(self._program, active)
+            h_column = np.pad(h_rows[:, None], ((0, 0), (3 * len(self.ties), 0)))
+            scatter = np.vstack([self._scatter, h_column])
+            response = pinv @ scatter
+            response += pinv @ (scatter - kkt @ response)
+            memo["map"] = (active, response, kkt[:len(self._scatter)], rows)
+        return memo["map"]
+
+    def _by_map(self, price: Sequence[float], angle: Sequence[float], mu: Sequence[float],
+                tol: float, active: tuple[int, ...]) -> tuple | None:
+        """``(x, y, z, worst KKT residual, active set)`` at the terms by the
+        response map of ``active``, or None where the terms leave its region
+        (a row violated beyond -min(feasibility tolerance, tol), or a
+        multiplier of the set negative) or the answer fails validation: as
+        in ``qp.solve``, each KKT residual must be <= tol.  Stationarity and
+        the equality rows' residual are read through the set's KKT matrix,
+        and no multiplier is clamped."""
+        _, response, kkt_rows, rows = self._response_map(active)
+        terms = np.array([*price, *angle, *mu, 1.0])
+        sol = response @ terms
+        program, n, split = self._program, self._program.n, len(self._scatter)
+        z = np.bincount(rows, sol[split:], len(program.h_ineq))  # z_A at the set's rows, else 0
+        slack = program.h_ineq - program.g_ineq @ sol[:n]
+        worst = (np.abs(self._scatter @ terms - kkt_rows @ sol).max(),
+                 (-slack).max(initial=0.0), np.abs(z * slack).max())
+        if worst[1] > min(program._feas_tol, tol) or z.min() < 0.0 or not max(worst) <= tol:
+            return None
+        return sol[:n], sol[n:split], z, max(worst), tuple((z > 0.0).nonzero()[0].tolist())
 
     def _primal(self, decision: AreaDecision) -> np.ndarray:
         """The program's x for a decision; each dT splits into its positive and negative parts."""
@@ -362,11 +430,12 @@ class AreaProblem:
         cost = generation_cost(self._gens, x)
         return gamma, _objective(cost, price, mu, dt), cost
 
-    def _extract(self, sol: qpmod.QpSolution, price: Sequence[float],
+    def _extract(self, answer: tuple, price: Sequence[float],
                  mu: Sequence[float]) -> ClearingResult:
+        """The result of an answer ``(x, y, z, worst KKT residual)``."""
         ids = [v.tie_id for v in self.ties]
         buses = self._area.bus_ids
-        x, y, z = sol.x.tolist(), sol.y.tolist(), sol.z.tolist()
+        x, y, z = (v.tolist() for v in answer[:3])
         broadcast = []  # _gather fills it
         _, objective, cost = self._gather(x, z, price, mu, broadcast)
         decision = AreaDecision({g.id: dp for g, dp in zip(self._gens, x)},
@@ -378,7 +447,7 @@ class AreaProblem:
                             slack_angle=y[-1] if len(y) > len(ids) else None)
         return ClearingResult(self.area_id, decision, duals, objective, cost,
                               dict(zip(ids, broadcast[len(broadcast) - len(ids):])),
-                              sol.residuals.max())
+                              answer[3])
 
 
 def _area_problem(net: Network, area_id: str) -> AreaProblem:
@@ -467,9 +536,11 @@ class ClearingEngine(Protocol):
 
 class ChanceConstrainedClearing:
     """Default engine: the chance-constrained clearing above, on the network's
-    shared area problems, each clear seeded with the area's previous binding set.
+    shared area problems, each clear answered by the response map of the
+    area's previous binding set or, off its region, seeded with that set.
     `coupling.run` drives it through its array method `respond`, which builds
-    no result objects; `last_result` builds an area's last one when asked."""
+    no result objects; `last_result` builds an area's last one, from the
+    answer its last round gave, when asked."""
 
     def __init__(self, net: Network, tol: float = qpmod.DEFAULT_TOL,
                  max_iter: int = qpmod.DEFAULT_MAX_ITER):
@@ -479,22 +550,22 @@ class ChanceConstrainedClearing:
         # performance cache only: results are KKT-validated, so a hint never
         # changes them
         self._hints: dict[str, tuple[int, ...] | None] = dict.fromkeys(self._problems)
-        self._last: dict[str, tuple] = {}  # per area: solution, price and mu of its last clear
+        self._last: dict[str, tuple] = {}  # per area: answer, price and mu of its last clear
 
     def respond(self, area_id: str, price: Sequence[float], angle: Sequence[float],
                 mu: Sequence[float], out: np.ndarray) -> tuple[float, float]:
         """Clear an area at its terms, given as floats per incident tie in
         `Network.tie_views` order; write its broadcast into ``out`` and return
         gamma and the objective (`AreaProblem._gather`)."""
-        problem = self._problems[area_id]
-        try:
-            sol = problem._solve(price, angle, mu, self.tol, self.max_iter, self._hints[area_id])
-        except ClearingError:
-            self._hints[area_id] = None
-            raise
-        self._hints[area_id] = sol.active_set
-        self._last[area_id] = sol, price, mu
-        return problem._gather(sol.x.tolist(), sol.z.tolist(), price, mu, out)[:2]
+        problem, hint = self._problems[area_id], self._hints[area_id]
+        answer = None if hint is None else problem._by_map(price, angle, mu, self.tol, hint)
+        if answer is None:
+            self._hints[area_id] = None  # a clear that fails leaves no hint
+            sol = problem._solve(price, angle, mu, self.tol, self.max_iter, hint)
+            answer = sol.x, sol.y, sol.z, sol.residuals.max(), sol.active_set
+        self._hints[area_id] = answer[4]
+        self._last[area_id] = answer, price, mu
+        return problem._gather(answer[0].tolist(), answer[2].tolist(), price, mu, out)[:2]
 
     def last_result(self, area_id: str) -> ClearingResult:
         return self._problems[area_id]._extract(*self._last[area_id])

@@ -27,7 +27,10 @@ L^-T of Q = LL', and a memo: the solver keeps the KKT matrix and
 pseudo-inverse of the last active set it solved on, so a re-solve on an
 unchanged active set factors nothing.  A new active set costs one SVD of its
 constraint rows scaled by L^-T, not of the whole KKT matrix
-(``_active_kkt``).
+(``_active_kkt``).  A caller whose c and b move affinely with its own
+parameters may keep its own entry beside it: ``market.AreaProblem`` keeps
+the last set's response map there, and answers a round on that set by one
+product and a KKT check, without calling ``solve``.
 
 A solve with an active-set hint first walks from the hint.  The walk is a
 primal-dual active-set step, that is, a semismooth Newton method
@@ -251,7 +254,8 @@ def _residuals(qp, x, y, z, slack) -> KktResiduals:
 
 
 def _active_kkt(qp, active):
-    """KKT matrix of an active set and its pseudo-inverse.
+    """KKT matrix of an active set, its pseudo-inverse, the set's rows as an
+    index array and h at them.
 
     With the sign of the A rows flipped, the matrix is [[Q, C'], [C, 0]] for
     C = [-A; G_S], congruent through diag(L, I) to [[I, C~'], [C~, 0]] with
@@ -271,7 +275,7 @@ def _active_kkt(qp, active):
     key = tuple(active)
     last = qp._memo.get("active")
     if last is not None and last[0] == key:
-        return last[1], last[2]
+        return last[1:]
     active = np.array(key, dtype=int)
     g_act = qp.g_ineq[active]
     n, me = qp.n, len(qp.b_eq)
@@ -299,7 +303,7 @@ def _active_kkt(qp, active):
     # undo the sign flip of the A rows: it acts on the y columns
     pinv[:, n:n + me] *= -1.0
     qp._memo["active"] = (key, kkt, pinv, active, qp.h_ineq[active])
-    return kkt, pinv
+    return qp._memo["active"][1:]
 
 
 def _solve_active(qp, active):
@@ -312,8 +316,7 @@ def _solve_active(qp, active):
     solution.
     """
     n, me = qp.n, len(qp.b_eq)
-    kkt, pinv = _active_kkt(qp, active)
-    rows, h_rows = qp._memo["active"][3:]  # the set's rows and h at them, memoized too
+    kkt, pinv, rows, h_rows = _active_kkt(qp, active)
     rhs = np.concatenate([-qp.c, qp.b_eq, h_rows])
     sol = pinv @ rhs
     # rhs is never empty (n >= 1), so a bare reduce is np.max
@@ -368,14 +371,13 @@ def _polish(qp, active: set[int], tol, budget):
         negative = (z < -feas_tol).nonzero()[0].tolist()
         if not violated and not negative:
             # clamp before validating: it moves residuals, and where it moves
-            # them past tol, the walk goes on without the clamped rows
-            negative = (z < 0.0).nonzero()[0].tolist()
+            # them past tol, the walk goes on without the clamped rows (a set
+            # that loses none comes round again, and the walk ends)
             clamped = np.maximum(z, 0.0)
             res = _residuals(qp, x, y, clamped, slack)
             if res.max() <= tol:
                 return x, y, clamped, res
-            if not negative:
-                return None
+            negative = (z < 0.0).nonzero()[0].tolist()
         active.update(violated)
         active.difference_update(negative)
     return None

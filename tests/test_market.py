@@ -13,8 +13,9 @@ from flexmarket import (ChanceConstrainedClearing, ClearingError, MechanismConfi
 from flexmarket.benchmark import CentralizedInfeasible
 from flexmarket.coupling import terms_for_area
 from flexmarket.market import AreaProblem, _quotes, autarky_infeasibility
+from flexmarket import qp as qpmod
 from flexmarket.qp import (DEFAULT_MAX_ITER, DEFAULT_TOL, QpDimensionError, QuadraticProgram,
-                           solve)
+                           kkt_residuals, solve)
 from oracles import area_dual_rows
 
 ZERO = TieTerms(0.0, 0.0, 0.0)
@@ -92,7 +93,7 @@ def test_primal_and_extract_read_the_columns_their_labels_name(case, tri3):
         price, angle, mu = _quotes(problem.ties, terms[a.id])
         program = problem.assemble(terms[a.id])
         sol = problem._solve(price, angle, mu, DEFAULT_TOL, DEFAULT_MAX_ITER, None)
-        res = problem._extract(sol, price, mu)
+        res = problem._extract((sol.x, sol.y, sol.z, sol.residuals.max()), price, mu)
         decision = res.decision
         parts = {"dP": decision.delta_p, "theta": decision.theta,
                  "dT+": {t: max(d, 0.0) for t, d in decision.delta_t.items()},
@@ -476,3 +477,120 @@ def test_engines_sharing_a_network_keep_their_own_hints():
         t.join(timeout=120)
         assert not t.is_alive()
     assert traces == alone
+
+
+def _limit_and_optimal_terms():
+    """(label, network, terms per area): the bundled cases at their limit and
+    the stored ladder networks at their optimal terms of trade."""
+    yield from ((case, case) for case in ("toy2", "toy2-congested", "tri3"))
+    for path in sorted((Path(__file__).parent / "data").glob("ladder_*.json")):
+        if path.stem != "ladder_2x4_s1":  # stored for its long run, not its optimum
+            yield path.stem, path
+
+
+@pytest.mark.parametrize("label,source", list(_limit_and_optimal_terms()))
+def test_the_response_jacobian_is_the_derivative_of_the_clear(label, source, request):
+    # on every area program, F matches central differences (step 1e-6) of the
+    # clear on the same active set, to 1e-6 of its largest entry per column,
+    # and the map at the terms is the clear's answer
+    if isinstance(source, Path):
+        net = load_case(source.read_text())
+        terms = optimal_terms_of_trade(net, solve_centralized(net))
+    else:
+        net = request.getfixturevalue(source.replace("-", "_"))
+        result, _ = request.getfixturevalue(source.replace("-", "_") + "_run")
+        terms = {a.id: terms_for_area(net, result.state, a.id) for a in net.areas}
+    step = 1e-6
+    for area in net.areas:
+        problem = AreaProblem(net, area.id)
+        quotes = _quotes(problem.ties, terms[area.id])
+        sol = problem._solve(*quotes, DEFAULT_TOL, DEFAULT_MAX_ITER, None)
+        active = sol.active_set
+        jacobian = problem.response_jacobian(active)
+        x, y, z, residual, support = problem._by_map(*quotes, DEFAULT_TOL, active)
+        assert support == active and residual <= DEFAULT_TOL
+        for mine, solved in ((x, sol.x), (y, sol.y), (z, sol.z)):
+            np.testing.assert_allclose(mine, solved, rtol=0.0, atol=1e-9)
+        at = np.concatenate(quotes)
+        for j, column in enumerate(jacobian.T):
+            sides = []
+            for sign in (1.0, -1.0):
+                moved = at.copy()
+                moved[j] += sign * step
+                program = problem._bind(*np.split(moved, 3))
+                x, y, z = qpmod._solve_active(program, active)
+                sides.append(np.concatenate([x, y, z[list(active)]]))
+            difference = (sides[0] - sides[1]) / (2.0 * step)
+            scale = max(1.0, np.abs(column).max())
+            assert np.abs(difference - column).max() <= 1e-6 * scale, (label, area.id, j)
+
+
+def _recorded_map(monkeypatch):
+    """Record every answer of `AreaProblem._by_map` (None on a region exit or
+    a failed check) with its program, terms and active set."""
+    answers = []
+    original = AreaProblem._by_map
+
+    def recording(self, price, angle, mu, tol, active):
+        answer = original(self, price, angle, mu, tol, active)
+        answers.append((self, (price, angle, mu), active, answer))
+        return answer
+    monkeypatch.setattr(AreaProblem, "_by_map", recording)
+    return answers
+
+
+def test_a_region_exit_answers_as_the_hinted_solve(monkeypatch):
+    # toy2-congested's area A with the neighbor angle flipped: the tie flow
+    # reverses, the map's region is left, and the clear is the hinted solve
+    # that answered every clear before the map, bit for bit
+    answers = _recorded_map(monkeypatch)
+    engine = ChanceConstrainedClearing(load_bundled("toy2-congested"))
+    near, far = ([30.0], [0.1], [2.0]), ([30.0], [-0.1], [2.0])
+    out = np.empty(3)
+    for quotes in (near, near, far):
+        scores = engine.respond("A", *quotes, out)
+    assert [answer is None for *_, answer in answers] == [False, True]
+    hint = answers[-1][2]
+
+    problem = AreaProblem(load_bundled("toy2-congested"), "A")
+    assert problem._solve(*near, DEFAULT_TOL, DEFAULT_MAX_ITER, None).active_set == hint
+    sol = problem._solve(*far, DEFAULT_TOL, DEFAULT_MAX_ITER, hint)
+    assert sol.active_set != hint  # the set changed
+    expected = np.empty(3)
+    expected_scores = problem._gather(sol.x.tolist(), sol.z.tolist(), far[0], far[2], expected)
+    assert out.tobytes() == expected.tobytes()
+    assert list(map(float.hex, scores)) == list(map(float.hex, expected_scores[:2]))
+    answer = (sol.x, sol.y, sol.z, sol.residuals.max())
+    assert _as_bytes(engine.last_result("A")) == _as_bytes(problem._extract(answer, *far[::2]))
+
+
+def test_the_map_reads_the_kkt_residuals_of_its_answer(toy2_congested, monkeypatch):
+    # on every hit of a run, the worst residual read through the set's KKT
+    # matrix is qp.kkt_residuals' of the same point, to 1e-12
+    answers = _recorded_map(monkeypatch)
+    run(toy2_congested, MechanismConfig(max_rounds=300))
+    hits = [(problem, quotes, answer) for problem, quotes, _, answer in answers if answer]
+    assert len(hits) > 500
+    for problem, quotes, (x, y, z, residual, _) in hits:
+        assert abs(kkt_residuals(problem._bind(*quotes), x, y, z).max() - residual) <= 1e-12
+
+
+def test_a_wrong_map_is_rejected_for_the_solve(monkeypatch):
+    # a map whose f is off fails validation, and the clear falls back to the
+    # hinted solve: its answer is the solve's, bit for bit
+    answers = _recorded_map(monkeypatch)
+    net = load_bundled("toy2")
+    engine = ChanceConstrainedClearing(net)
+    quotes = ([7.0], [0.0], [0.0])
+    out = np.empty(3)
+    engine.respond("B", *quotes, out)
+    engine.respond("B", *quotes, out)
+    problem, _, hint, answer = answers[-1]
+    assert answer is not None
+    problem._program._memo["map"][1][0, -1] += 1e-6  # f's first entry, dP of B's generator
+    engine.respond("B", *quotes, out)
+    assert answers[-1][3] is None
+    sol = problem._solve(*quotes, DEFAULT_TOL, DEFAULT_MAX_ITER, hint)
+    expected = np.empty(3)
+    problem._gather(sol.x.tolist(), sol.z.tolist(), quotes[0], quotes[2], expected)
+    assert out.tobytes() == expected.tobytes()
