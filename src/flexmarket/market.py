@@ -372,15 +372,15 @@ class AreaProblem:
         asked is kept in the program's memo beside the set's factorization,
         as ``(active, [F f], the KKT matrix's rows above the set's, the set's
         rows)``."""
-        memo = self._program._memo
-        if memo.get("map", (None,))[0] != active:
+        entry = self._program._memo.get("map")
+        if entry is None or entry[0] != active:
             kkt, pinv, rows, h_rows = qpmod._active_kkt(self._program, active)
             h_column = np.pad(h_rows[:, None], ((0, 0), (3 * len(self.ties), 0)))
             scatter = np.vstack([self._scatter, h_column])
             response = pinv @ scatter
             response += pinv @ (scatter - kkt @ response)
-            memo["map"] = (active, response, kkt[:len(self._scatter)], rows)
-        return memo["map"]
+            entry = self._program._memo["map"] = (active, response, kkt[:len(self._scatter)], rows)
+        return entry
 
     def _by_map(self, price: Sequence[float], angle: Sequence[float], mu: Sequence[float],
                 tol: float, active: tuple[int, ...]) -> tuple | None:

@@ -302,8 +302,8 @@ def _active_kkt(qp, active):
     pinv[n:, n:] = -u_scaled @ u_scaled.T
     # undo the sign flip of the A rows: it acts on the y columns
     pinv[:, n:n + me] *= -1.0
-    qp._memo["active"] = (key, kkt, pinv, active, qp.h_ineq[active])
-    return qp._memo["active"][1:]
+    entry = qp._memo["active"] = (key, kkt, pinv, active, qp.h_ineq[active])
+    return entry[1:]
 
 
 def _solve_active(qp, active):
