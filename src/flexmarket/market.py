@@ -375,8 +375,8 @@ class AreaProblem:
         entry = self._program._memo.get("map")
         if entry is None or entry[0] != active:
             kkt, pinv, rows, h_rows = qpmod._active_kkt(self._program, active)
-            h_column = np.pad(h_rows[:, None], ((0, 0), (3 * len(self.ties), 0)))
-            scatter = np.vstack([self._scatter, h_column])
+            scatter = np.zeros((len(kkt), self._scatter.shape[1]))
+            scatter[:len(self._scatter)], scatter[len(self._scatter):, -1] = self._scatter, h_rows
             response = pinv @ scatter
             response += pinv @ (scatter - kkt @ response)
             entry = self._program._memo["map"] = (active, response, kkt[:len(self._scatter)], rows)
@@ -397,9 +397,10 @@ class AreaProblem:
         program, n, split = self._program, self._program.n, len(self._scatter)
         z = np.bincount(rows, sol[split:], len(program.h_ineq))  # z_A at the set's rows, else 0
         slack = program.h_ineq - program.g_ineq @ sol[:n]
-        worst = (np.abs(self._scatter @ terms - kkt_rows @ sol).max(),
-                 (-slack).max(initial=0.0), np.abs(z * slack).max())
-        if worst[1] > min(program._feas_tol, tol) or z.min() < 0.0 or not max(worst) <= tol:
+        peak = np.maximum.reduce  # np.max without its wrapper, as in qp._residuals
+        worst = (peak(np.abs(self._scatter @ terms - kkt_rows @ sol)),
+                 peak(-slack, initial=0.0), peak(np.abs(z * slack)))
+        if worst[1] > min(program._feas_tol, tol) or peak(-z) > 0.0 or not max(worst) <= tol:
             return None
         return sol[:n], sol[n:split], z, max(worst), tuple((z > 0.0).nonzero()[0].tolist())
 
@@ -433,8 +434,7 @@ class AreaProblem:
     def _extract(self, answer: tuple, price: Sequence[float],
                  mu: Sequence[float]) -> ClearingResult:
         """The result of an answer ``(x, y, z, worst KKT residual)``."""
-        ids = [v.tie_id for v in self.ties]
-        buses = self._area.bus_ids
+        ids, buses = [v.tie_id for v in self.ties], self._area.bus_ids
         x, y, z = (v.tolist() for v in answer[:3])
         broadcast = []  # _gather fills it
         _, objective, cost = self._gather(x, z, price, mu, broadcast)
@@ -547,9 +547,11 @@ class ChanceConstrainedClearing:
         self.tol = tol
         self.max_iter = max_iter
         self._problems = {a.id: _area_problem(net, a.id) for a in net.areas}
-        # performance cache only: results are KKT-validated, so a hint never
-        # changes them
-        self._hints: dict[str, tuple[int, ...] | None] = dict.fromkeys(self._problems)
+        # per area, the binding set of its last clear and whether the next
+        # clear tries the set's response map: when the last clear kept the set
+        # it was seeded with, and a solve left that set factored, so that a
+        # set that changes from round to round costs no map
+        self._hints: dict[str, tuple] = dict.fromkeys(self._problems, (None, False))
         self._last: dict[str, tuple] = {}  # per area: answer, price and mu of its last clear
 
     def respond(self, area_id: str, price: Sequence[float], angle: Sequence[float],
@@ -557,13 +559,14 @@ class ChanceConstrainedClearing:
         """Clear an area at its terms, given as floats per incident tie in
         `Network.tie_views` order; write its broadcast into ``out`` and return
         gamma and the objective (`AreaProblem._gather`)."""
-        problem, hint = self._problems[area_id], self._hints[area_id]
-        answer = None if hint is None else problem._by_map(price, angle, mu, self.tol, hint)
+        problem, (hint, held) = self._problems[area_id], self._hints[area_id]
+        answer = problem._by_map(price, angle, mu, self.tol, hint) if held else None
         if answer is None:
-            self._hints[area_id] = None  # a clear that fails leaves no hint
+            self._hints[area_id] = None, False  # a clear that fails leaves no hint
             sol = problem._solve(price, angle, mu, self.tol, self.max_iter, hint)
             answer = sol.x, sol.y, sol.z, sol.residuals.max(), sol.active_set
-        self._hints[area_id] = answer[4]
+            hint = hint if problem._program._memo["active"][0] == hint else None
+        self._hints[area_id] = answer[4], answer[4] == hint
         self._last[area_id] = answer, price, mu
         return problem._gather(answer[0].tolist(), answer[2].tolist(), price, mu, out)[:2]
 

@@ -490,12 +490,14 @@ def test_both_rounds_report_an_infeasible_area_alike():
     default, plugged = ChanceConstrainedClearing(net), PassThroughEngine(net)
     messages = []
     for engine, inner in ((default, default), (plugged, plugged.inner)):
-        inner._hints["Y"] = (0,)  # a stale binding set, which the failed clear must drop
+        # a stale binding set, held, whose map the clear tries first; the
+        # failed clear must drop it
+        inner._hints["Y"] = ((0,), True)
         with pytest.raises(MechanismError) as err:
             run(net, MechanismConfig(max_rounds=5), engine=engine)
         assert err.value.round_k == 1
         messages.append(str(err.value))
-        assert inner._hints["Y"] is None
+        assert inner._hints["Y"] == (None, False)
     assert messages[0] == messages[1]
     assert messages[0].startswith("round 1: area[Y]: clearing infeasible")
 

@@ -547,7 +547,7 @@ def test_a_region_exit_answers_as_the_hinted_solve(monkeypatch):
     engine = ChanceConstrainedClearing(load_bundled("toy2-congested"))
     near, far = ([30.0], [0.1], [2.0]), ([30.0], [-0.1], [2.0])
     out = np.empty(3)
-    for quotes in (near, near, far):
+    for quotes in (near, near, near, far):  # cold, hinted, by the map, then off its region
         scores = engine.respond("A", *quotes, out)
     assert [answer is None for *_, answer in answers] == [False, True]
     hint = answers[-1][2]
@@ -583,8 +583,8 @@ def test_a_wrong_map_is_rejected_for_the_solve(monkeypatch):
     engine = ChanceConstrainedClearing(net)
     quotes = ([7.0], [0.0], [0.0])
     out = np.empty(3)
-    engine.respond("B", *quotes, out)
-    engine.respond("B", *quotes, out)
+    for _ in range(3):  # cold, hinted, by the map
+        engine.respond("B", *quotes, out)
     problem, _, hint, answer = answers[-1]
     assert answer is not None
     problem._program._memo["map"][1][0, -1] += 1e-6  # f's first entry, dP of B's generator
