@@ -539,29 +539,44 @@ def _recorded_map(monkeypatch):
     return answers
 
 
-def test_a_region_exit_answers_as_the_hinted_solve(monkeypatch):
-    # toy2-congested's area A with the neighbor angle flipped: the tie flow
-    # reverses, the map's region is left, and the clear is the hinted solve
-    # that answered every clear before the map, bit for bit
+@pytest.mark.parametrize("case,area,near,far,exit_by", [
+    # the neighbor angle flips sign: the tie flow reverses, and rows the
+    # map's answer violates leave the region
+    ("toy2-congested", "A", ([30.0], [0.1], [2.0]), ([30.0], [-0.1], [2.0]), "row"),
+    # the price leaves the capacity price's dead zone, where no flow is
+    # traded: the map's answer stays feasible, and a split row's multiplier
+    # turns negative
+    ("toy2", "B", ([40.0], [0.0], [2.0]), ([41.5], [0.0], [2.0]), "multiplier"),
+])
+def test_a_region_exit_answers_as_the_hinted_solve(case, area, near, far, exit_by, monkeypatch):
+    # off the map's region the clear is the hinted solve that answered every
+    # clear before the map, bit for bit
     answers = _recorded_map(monkeypatch)
-    engine = ChanceConstrainedClearing(load_bundled("toy2-congested"))
-    near, far = ([30.0], [0.1], [2.0]), ([30.0], [-0.1], [2.0])
+    engine = ChanceConstrainedClearing(load_bundled(case))
     out = np.empty(3)
     for quotes in (near, near, near, far):  # cold, hinted, by the map, then off its region
-        scores = engine.respond("A", *quotes, out)
+        scores = engine.respond(area, *quotes, out)
     assert [answer is None for *_, answer in answers] == [False, True]
-    hint = answers[-1][2]
+    problem, _, hint, _ = answers[-1]
+    _, response, _, rows = problem._response_map(hint)
+    sol = response @ np.array([*np.concatenate(far), 1.0])
+    program = problem._program
+    slack = program.h_ineq - program.g_ineq @ sol[:program.n]
+    if exit_by == "row":
+        assert slack.min() < -program._feas_tol
+    else:
+        assert slack.min() >= -program._feas_tol and sol[-len(rows):].min() < 0.0
 
-    problem = AreaProblem(load_bundled("toy2-congested"), "A")
-    assert problem._solve(*near, DEFAULT_TOL, DEFAULT_MAX_ITER, None).active_set == hint
-    sol = problem._solve(*far, DEFAULT_TOL, DEFAULT_MAX_ITER, hint)
+    fresh = AreaProblem(load_bundled(case), area)
+    assert fresh._solve(*near, DEFAULT_TOL, DEFAULT_MAX_ITER, None).active_set == hint
+    sol = fresh._solve(*far, DEFAULT_TOL, DEFAULT_MAX_ITER, hint)
     assert sol.active_set != hint  # the set changed
     expected = np.empty(3)
-    expected_scores = problem._gather(sol.x.tolist(), sol.z.tolist(), far[0], far[2], expected)
+    expected_scores = fresh._gather(sol.x.tolist(), sol.z.tolist(), far[0], far[2], expected)
     assert out.tobytes() == expected.tobytes()
     assert list(map(float.hex, scores)) == list(map(float.hex, expected_scores[:2]))
     answer = (sol.x, sol.y, sol.z, sol.residuals.max())
-    assert _as_bytes(engine.last_result("A")) == _as_bytes(problem._extract(answer, *far[::2]))
+    assert _as_bytes(engine.last_result(area)) == _as_bytes(fresh._extract(answer, *far[::2]))
 
 
 def test_the_map_reads_the_kkt_residuals_of_its_answer(toy2_congested, monkeypatch):
