@@ -10,10 +10,10 @@ from flexmarket import (ChanceConstrainedClearing, ClearingError, MechanismConfi
                         TieTerms, clear, evaluate_objective, load_bundled, load_case,
                         optimal_terms_of_trade, run, solve_centralized, trace_to_csv,
                         verify_fixed_point, verify_nash)
+from flexmarket import qp as qpmod
 from flexmarket.benchmark import CentralizedInfeasible
 from flexmarket.coupling import terms_for_area
 from flexmarket.market import AreaProblem, _quotes, autarky_infeasibility
-from flexmarket import qp as qpmod
 from flexmarket.qp import (DEFAULT_MAX_ITER, DEFAULT_TOL, QpDimensionError, QuadraticProgram,
                            kkt_residuals, solve)
 from oracles import area_dual_rows
@@ -480,8 +480,9 @@ def test_engines_sharing_a_network_keep_their_own_hints():
 
 
 def _limit_and_optimal_terms():
-    """(label, network, terms per area): the bundled cases at their limit and
-    the stored ladder networks at their optimal terms of trade."""
+    """(label, source) per network whose area programs the Jacobian test
+    checks: the bundled cases, at their limit, by name, and the stored
+    ladder networks, at their optimal terms of trade, by path."""
     yield from ((case, case) for case in ("toy2", "toy2-congested", "tri3"))
     for path in sorted((Path(__file__).parent / "data").glob("ladder_*.json")):
         if path.stem != "ladder_2x4_s1":  # stored for its long run, not its optimum
